@@ -9,7 +9,7 @@ from typing import Optional
 
 from . import construct
 from .errors import (ComplementSearchExhausted, NoCaseMatches,
-                     PreconditionViolated)
+                     PreconditionViolated, require)
 from .graph import build_graph, is_triangle_free
 from .numtheory import (is_pi_number, is_prime, is_prime_power, p_part,
                         prime_factors)
@@ -43,19 +43,16 @@ class QuasiFrobeniusWitness:
 
 def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
     """Re-verify the witness invariants by direct enumeration."""
-    assert 1 < kernel.order < G.order
-    assert complement.order > 1
-    assert kernel.order * complement.order == G.order
-    assert kernel.element_set() & complement.element_set() == {G.identity}
-    for n in kernel.generators:
-        for g in G.generators:
-            assert n.conjugate(g) in kernel, "kernel is not normal"
-    for k in kernel.elements:
-        if k.is_identity():
-            continue
-        for g in G.elements:
-            if g.commutes_with(k):
-                assert g in kernel, "centralizer escapes the kernel"
+    require(1 < kernel.order < G.order, "kernel is trivial or the whole group")
+    require(complement.order > 1, "complement is trivial")
+    require(kernel.order * complement.order == G.order, "orders do not multiply to |G|")
+    require(kernel.element_set() & complement.element_set() == {G.identity},
+            "kernel and complement meet nontrivially")
+    require(all(n.conjugate(g) in kernel for n in kernel.generators for g in G.generators),
+            "kernel is not normal")
+    require(all(g in kernel for k in kernel.elements if not k.is_identity()
+                for g in G.elements if g.commutes_with(k)),
+            "centralizer escapes the kernel")
 
 
 def is_frobenius(G: Group,
@@ -152,13 +149,13 @@ def higman_structure_check(H: Group) -> PrimePowerStructureReport:
     if H.order == 1:
         return PrimePowerStructureReport(None, 1, "whole-group", 1, "trivial group")
 
-    assert len(prime_factors(H.order)) <= 2, "more than two primes"
+    require(len(prime_factors(H.order)) <= 2, "more than two primes")
     t = None
     for q in prime_factors(H.order):
         if p_core(H, q).order > 1:
             t = q
             break
-    assert t is not None, "no nontrivial prime core in a soluble group"
+    require(t is not None, "no nontrivial prime core in a soluble group")
     M = p_core(H, t)
     if M.order == H.order:
         return PrimePowerStructureReport(t, M.order, "whole-group", 1,

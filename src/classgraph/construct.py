@@ -8,9 +8,9 @@ from functools import lru_cache
 from typing import IO, Iterable, Mapping
 
 from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParameter,
-                     NotAHomomorphism, NotAnAutomorphism)
+                     NotAHomomorphism, NotAnAutomorphism, require)
 from .numtheory import is_prime
-from .perm import Group, Permutation, make_group, parse_cycle_string
+from .perm import Group, Permutation, extend_hom, make_group, parse_cycle_string
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def generalized_quaternion(n: int, *, max_order: int | None = None) -> Group:
     a = rmul_perm(1, 0)
     b = rmul_perm(0, 1)
     G = make_group([a, b], f"Q{n}", max_order=max_order)
-    assert G.order == n
+    require(G.order == n, f"Q{n} has order {G.order}")
     return G
 
 
@@ -134,7 +134,7 @@ def semidihedral(n: int, *, max_order: int | None = None) -> Group:
     a = Permutation([(x + 1) % m for x in range(m)])
     b = Permutation([(t * x) % m for x in range(m)])
     G = make_group([a, b], f"SD{n}", max_order=max_order)
-    assert G.order == n
+    require(G.order == n, f"SD{n} has order {G.order}")
     return G
 
 
@@ -152,7 +152,7 @@ def elementary_abelian(q: int, k: int, *, max_order: int | None = None) -> Group
             images[blk * q + i] = blk * q + (i + 1) % q
         gens.append(Permutation(images))
     G = make_group(gens, f"E{q ** k}", degree=degree, max_order=max_order)
-    assert G.order == q ** k
+    require(G.order == q ** k, f"{G.name} has order {G.order}")
     return G
 
 
@@ -195,36 +195,24 @@ def direct_product(A: Group, B: Group, name: str | None = None, *,
         gens.append(Permutation(list(range(dA)) + [dA + im for im in g.images]))
     name = name or f"{A.name}x{B.name}"
     G = make_group(gens, name, degree=dA + dB, max_order=max_order)
-    assert G.order == A.order * B.order
+    require(G.order == A.order * B.order, f"{name} has order {G.order}")
     return G
 
 
 def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]) -> dict:
     """Extend a K-generator assignment to a full automorphism, or raise.
 
-    Walks the closure of K extending multiplicatively; any inconsistency or
-    failure of bijectivity raises NotAnAutomorphism.
+    Any inconsistency or failure of bijectivity raises NotAnAutomorphism.
     """
     for k, im in gen_images.items():
         if k not in K.generators:
             raise NotAnAutomorphism(f"{k!r} is not a generator of {K.name!r}")
         if im not in K:
             raise NotAnAutomorphism("image lies outside the group")
-    phi = {K.identity: K.identity}
-    frontier = [K.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in K.generators:
-                y = x * g
-                im = phi[x] * gen_images[g]
-                if y in phi:
-                    if phi[y] != im:
-                        raise NotAnAutomorphism("assignment is not multiplicative")
-                else:
-                    phi[y] = im
-                    new.append(y)
-        frontier = new
+    phi = extend_hom(K.generators, [gen_images[g] for g in K.generators],
+                     K.identity, K.identity)
+    if phi is None:
+        raise NotAnAutomorphism("assignment is not multiplicative")
     if len(phi) != K.order or len(set(phi.values())) != K.order:
         raise NotAnAutomorphism("assignment does not extend bijectively")
     return phi
@@ -442,7 +430,7 @@ def heisenberg3() -> Group:
     a = rmul_perm((1, 0, 0))
     b = rmul_perm((0, 1, 0))
     G = make_group([a, b], "ES27", max_order=27)
-    assert G.order == 27
+    require(G.order == 27, f"ES27 has order {G.order}")
     return G
 
 
@@ -524,7 +512,7 @@ def _c5c5_sl23() -> Group:
     e25 = elementary_abelian(5, 2)
     mats = [_gl2_perm(5, _SL23_MATS[k]) for k in ("i", "j", "u")]
     sl23 = make_group(mats, "SL(2,3)@25", max_order=24)
-    assert sl23.order == 24
+    require(sl23.order == 24, f"SL(2,3) has order {sl23.order}")
     action = ActionSpec({
         m: _matrix_action_on_e2(e25, 5, _SL23_MATS[k])
         for m, k in zip(sl23.generators, ("i", "j", "u"))
@@ -536,7 +524,7 @@ def _c5c5_q8() -> Group:
     e25 = elementary_abelian(5, 2)
     mats = [_gl2_perm(5, _SL23_MATS[k]) for k in ("i", "j")]
     q8 = make_group(mats, "Q8@25", max_order=8)
-    assert q8.order == 8
+    require(q8.order == 8, f"Q8 has order {q8.order}")
     action = ActionSpec({
         m: _matrix_action_on_e2(e25, 5, _SL23_MATS[k])
         for m, k in zip(q8.generators, ("i", "j"))
@@ -597,7 +585,7 @@ def builtin_atlas() -> tuple[AtlasEntry, ...]:
 
     Tags name the scenario each group instantiates (graph shape at a prime,
     classification case, membership in the triangle-free list for the
-    ordinary graph).  Orders are asserted at construction time.
+    ordinary graph).  Orders are checked at construction time.
     """
     entries: list[tuple[Group, tuple[int, ...], tuple[str, ...], int]] = [
         (symmetric(3), (2, 3, 5), ("ordinary-triangle-free", "shape:a@5", "shape:d@2", "shape:d@3"), 6),
@@ -632,9 +620,9 @@ def builtin_atlas() -> tuple[AtlasEntry, ...]:
     ]
     atlas = []
     for group, primes, tags, expected_order in entries:
-        assert group.order == expected_order, (group.name, group.order, expected_order)
+        require(group.order == expected_order,
+                f"{group.name} has order {group.order}, expected {expected_order}")
         atlas.append(AtlasEntry(group=group, primes=primes, tags=tags))
-    assert len(atlas) >= 20
     return tuple(atlas)
 
 

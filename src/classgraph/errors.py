@@ -93,3 +93,16 @@ class PreconditionViolated(ClassGraphError):
 
 class NoCaseMatches(ClassGraphError):
     """No structural case applies; counterexample-severity finding."""
+
+
+class InvariantViolated(ClassGraphError):
+    """A property that a construction or a theorem guarantees does not hold.
+
+    Signals a defect, like a failed assert, but survives ``python -O``.
+    """
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise InvariantViolated(what) unless ok."""
+    if not ok:
+        raise InvariantViolated(what)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import NoVertices, PreconditionViolated
 from .numtheory import is_prime
-from .perm import (ConjClass, Group, Permutation, center, class_elements,
-                   conjugacy_classes, make_group, mulclose, subgroup_from_elements)
+from .perm import ConjClass, Group, center, conjugacy_classes, subgroup_from_elements
+from .structure import normal_closure
 
 SHAPES = ("a", "b", "c", "d", "e", "f", "other")
 
@@ -159,7 +159,8 @@ def coprime_class_span(G: Group, p: int, *,
     B0 is a non-central p-regular class of maximal size (ties broken by the
     deterministic class order) unless one is supplied.  Central p-regular
     classes have size 1 and are always included, so the span contains the
-    p'-part of the center.
+    p'-part of the center.  A union of whole classes generates a normal
+    subgroup, so the span is the normal closure of the representatives.
     """
     regs = p_regular_classes(G, p)
     noncentral = [c for c in regs if not c.is_central]
@@ -168,15 +169,10 @@ def coprime_class_span(G: Group, p: int, *,
     if max_class is None:
         best = max(c.size for c in noncentral)
         max_class = next(c for c in noncentral if c.size == best)
-    gens: list[Permutation] = []
-    for cls in regs:
-        if math.gcd(cls.size, max_class.size) == 1:
-            gens.extend(x for x in class_elements(G, cls) if not x.is_identity())
-    if not gens:
-        span = make_group([], f"S({G.name},{p})", degree=G.degree)
-    else:
-        span = subgroup_from_elements(mulclose(gens), f"S({G.name},{p})")
-    return CoprimeSpan(span=span, max_class=max_class)
+    reps = [cls.representative for cls in regs
+            if math.gcd(cls.size, max_class.size) == 1]
+    return CoprimeSpan(span=normal_closure(G, reps, f"S({G.name},{p})"),
+                       max_class=max_class)
 
 
 def central_p_prime_part(G: Group, p: int) -> Group:

@@ -341,25 +341,62 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     return Group(name, deg, tuple(gens), tuple(elements))
 
 
-def mulclose(gens: Sequence[Permutation], *, cap: int | None = None) -> set[Permutation]:
-    """Plain closure of a generating set; returns the element set."""
+def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
+             start: Iterable[Permutation] | None = None) -> set[Permutation]:
+    """The element set of <gens>, enumerated as right cosets of ``start``.
+
+    ``start`` is the closed set generated by a prefix of ``gens`` (None: the
+    trivial group); it is copied, not mutated.  A product y = r*g of a coset
+    representative and a generator outside the cosets found so far adds the
+    coset start*y (Dimino's coset extension; Butler, LNCS 559).  With
+    ``cap`` set, enumeration stops once the set holds more than ``cap``.
+    """
     if not gens:
-        return set()
+        return set(start or ())
     ident = Permutation.identity(gens[0].degree)
-    seen = {ident}
-    frontier = [ident]
+    elems = set(start) if start else {ident}
+    known = [h for h in elems if h != ident]
+    reps = [ident]
+    for r in reps:
+        for g in gens:
+            y = r * g
+            if y not in elems:
+                elems.add(y)
+                elems.update([h * y for h in known])
+                reps.append(y)
+                if cap is not None and len(elems) > cap:
+                    return elems
+    return elems
+
+
+def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
+               ident_a: Permutation, ident_b: Permutation, *,
+               cap: int | None = None) -> dict[Permutation, Permutation] | None:
+    """Extend gens[i] -> images[i] multiplicatively over <gens>, breadth-first.
+
+    Returns the map on <gens>, or None when two words for one element get
+    different images (not a homomorphism) or the domain grows past ``cap``.
+    """
+    hom = {ident_a: ident_b}
+    pairs = list(zip(gens, images))
+    frontier = [ident_a]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
+            hx = hom[x]
+            for g, hg in pairs:
                 y = x * g
-                if y not in seen:
-                    seen.add(y)
+                hy = hx * hg
+                prev = hom.get(y)
+                if prev is None:
+                    hom[y] = hy
                     new.append(y)
-                    if cap is not None and len(seen) > cap:
-                        return seen
+                    if cap is not None and len(hom) > cap:
+                        return None
+                elif prev != hy:
+                    return None
         frontier = new
-    return seen
+    return hom
 
 
 def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
@@ -372,11 +409,9 @@ def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
     gens: list[Permutation] = []
     cur: set[Permutation] = set()
     for x in elems:
-        if x.is_identity():
-            continue
-        if x not in cur:
+        if x not in cur and not x.is_identity():
             gens.append(x)
-            cur = mulclose(gens)
+            cur = mulclose(gens, start=cur)
     return gens
 
 
@@ -467,10 +502,15 @@ def class_elements(G: Group, cls: ConjClass) -> frozenset[Permutation]:
     raise NotAMember("representative is not in any class of this group")
 
 
+def class_index(G: Group) -> dict[Permutation, ConjClass]:
+    """Cached map from each element of G to its conjugacy class."""
+    return G._memo("class_index", lambda: {
+        g: cls for cls in conjugacy_classes(G) for g in class_elements(G, cls)})
+
+
 def class_of(G: Group, x: Permutation) -> ConjClass:
     """The conjugacy class of x in G."""
-    idx = G._memo("class_index", lambda: {
-        g: cls for cls in conjugacy_classes(G) for g in class_elements(G, cls)})
+    idx = class_index(G)
     if x not in idx:
         raise NotAMember(f"element is not in {G.name!r}")
     return idx[x]

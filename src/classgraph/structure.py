@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
-                     NotASubgroup, NotNormal, OrderCapExceeded,
+                     NotAHomomorphism, NotASubgroup, NotNormal, OrderCapExceeded,
                      PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
-from .perm import (Group, Permutation, bulk_conjugate, center, class_elements,
-                   conjugacy_classes, conjugation_maps, element_order_map,
-                   make_group, mulclose, p_part_element, subgroup_from_elements)
+from .perm import (Group, Permutation, bulk_conjugate, center,
+                   class_index, conjugacy_classes, conjugation_maps,
+                   element_order_map, extend_hom, make_group, mulclose,
+                   p_part_element, subgroup_from_elements)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -58,32 +59,24 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
                    cap: int | None = None) -> Group:
     """Smallest normal subgroup of G containing the seed elements.
 
-    Conjugates outside the current closure are adjoined one at a time, so
-    the number of re-closures is bounded by the subgroup chain length.
-    With ``cap`` set, growth past that many elements raises OrderCapExceeded.
+    A subgroup is normal exactly when its generators' conjugates by G's
+    generators lie in it, so only generators are conjugated; a conjugate
+    outside the closure becomes a generator and extends the closure by
+    cosets.  With ``cap`` set, growth past that many elements raises
+    OrderCapExceeded.
     """
-    gens = [g for g in seeds if not g.is_identity()]
-    if not gens:
-        return make_group([], name, degree=G.degree)
     maps = conjugation_maps(G.generators)
-    elems = mulclose(gens, cap=cap)
-    if cap is not None and len(elems) > cap:
-        raise OrderCapExceeded(name, cap)
-    growing = True
-    while growing:
-        growing = False
-        for x in list(elems):
-            for m in maps:
-                y = bulk_conjugate(x, m)
-                if y not in elems:
-                    gens.append(y)
-                    elems = mulclose(gens, cap=cap)
-                    if cap is not None and len(elems) > cap:
-                        raise OrderCapExceeded(name, cap)
-                    growing = True
-                    break
-            if growing:
-                break
+    todo = list(seeds)
+    gens: list[Permutation] = []
+    elems = {G.identity}
+    for x in todo:  # grows while it is walked
+        if x in elems:
+            continue
+        gens.append(x)
+        elems = mulclose(gens, cap=cap, start=elems)
+        if cap is not None and len(elems) > cap:
+            raise OrderCapExceeded(name, cap)
+        todo.extend(bulk_conjugate(x, m) for m in maps)
     return subgroup_from_elements(elems, name)
 
 
@@ -140,7 +133,7 @@ def sylow(G: Group, p: int) -> Group:
                 yp = p_part_element(y, p)
                 if yp in cur:
                     continue
-                trial = mulclose(cur_gens + [yp], cap=target)
+                trial = mulclose(cur_gens + [yp], cap=target, start=cur)
                 if len(trial) <= target and len(trial) == p_part(len(trial), p):
                     cur = trial
                     cur_gens.append(yp)
@@ -153,27 +146,34 @@ def sylow(G: Group, p: int) -> Group:
     return G._memo(("sylow", p), build)
 
 
+def sylow_conjugates(G: Group, p: int) -> Iterator[frozenset[Permutation]]:
+    """The element sets of the conjugates of sylow(G, p), breadth-first from
+    sylow(G, p) itself.  Uncached: a caller that stops early pays only for
+    the conjugates it saw."""
+    P = sylow(G, p).element_set()
+    maps = conjugation_maps(G.generators)
+    seen = {P}
+    frontier = [P]
+    yield P
+    while frontier:
+        new = []
+        for S in frontier:
+            for m in maps:
+                T = frozenset(bulk_conjugate(x, m) for x in S)
+                if T not in seen:
+                    seen.add(T)
+                    new.append(T)
+                    yield T
+        frontier = new
+
+
 def p_core(G: Group, p: int) -> Group:
     """O_p(G): the intersection of the conjugates of one Sylow p-subgroup."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
 
     def build():
-        P = sylow(G, p)
-        core = set(P.element_set())
-        maps = conjugation_maps(G.generators)
-        conjugates = {P.element_set()}
-        frontier = [P.element_set()]
-        while frontier:
-            new = []
-            for S in frontier:
-                for m in maps:
-                    T = frozenset(bulk_conjugate(x, m) for x in S)
-                    if T not in conjugates:
-                        conjugates.add(T)
-                        new.append(T)
-                        core &= T
-            frontier = new
+        core = frozenset.intersection(*sylow_conjugates(G, p))
         return subgroup_from_elements(core, f"O_{p}({G.name})")
     return G._memo(("p_core", p), build)
 
@@ -241,24 +241,13 @@ def quotient(G: Group, N: Group) -> Quotient:
         return Permutation._raw(tuple(rep_index[coset_rep[r * x]] for r in reps))
 
     # the coset action is a homomorphism, so extend it from the generators
-    # along a breadth-first walk instead of acting with every element
-    proj_gens = {g: act(g) for g in G.generators}
-    projection = {G.identity: Permutation.identity(nq)}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            px = projection[x]
-            for g, pg in proj_gens.items():
-                y = x * g
-                if y not in projection:
-                    projection[y] = px * pg
-                    new.append(y)
-        frontier = new
-    qgens = [proj_gens[g] for g in G.generators]
-    Q = (make_group(qgens, f"{G.name}/{N.name}", degree=nq, max_order=nq)
-         if qgens else make_group([], f"{G.name}/{N.name}", degree=nq))
-    assert Q.order == G.order // N.order
+    # instead of acting with every element
+    qgens = [act(g) for g in G.generators]
+    projection = extend_hom(G.generators, qgens, G.identity, Permutation.identity(nq))
+    if projection is None:
+        raise NotAHomomorphism(f"coset action of {G.name!r} on {N.name!r} "
+                               "is not multiplicative")
+    Q = make_group(qgens, f"{G.name}/{N.name}", degree=nq, max_order=nq)
     return Quotient(Q, projection)
 
 
@@ -340,7 +329,7 @@ def _search_subgroup(G: Group, target_order: int,
                 break
             if x in cur:
                 continue
-            trial = mulclose(gens + [x], cap=target_order)
+            trial = mulclose(gens + [x], cap=target_order, start=cur)
             if len(trial) <= target_order and order_ok(len(trial)):
                 cur = trial
                 gens.append(x)
@@ -409,9 +398,8 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                     if (A.element_set() <= B.element_set()
                             or B.element_set() <= A.element_set()):
                         continue
-                    join_gens = list(A.generators) + list(B.generators)
-                    J = subgroup_from_elements(mulclose(join_gens),
-                                               f"join{len(lattice)}<{G.name}")
+                    join = mulclose(A.generators + B.generators, start=A.element_set())
+                    J = subgroup_from_elements(join, f"join{len(lattice)}<{G.name}")
                     if J.element_set() not in lattice:
                         lattice[J.element_set()] = J
                         new.append(J)
@@ -436,69 +424,29 @@ def _fingerprint(G: Group) -> tuple:
     return G._memo("fingerprint", build)
 
 
-def _element_invariant(G: Group) -> dict[Permutation, tuple[int, int]]:
-    def build():
-        inv = {}
-        for cls in conjugacy_classes(G):
-            for g in class_elements(G, cls):
-                inv[g] = (cls.element_order, cls.size)
-        return inv
-    return G._memo("elem_invariant", build)
+def _minimal_generating_sequence(G: Group) -> tuple[list[Permutation], list[int]]:
+    """A short generating sequence, greedily maximizing closure growth.
 
-
-def _minimal_generating_sequence(G: Group) -> list[Permutation]:
-    """A short generating sequence, greedily maximizing closure growth."""
-    if G.order == 1:
-        return []
+    Also returns the order of the subgroup generated by each prefix.
+    """
     gens: list[Permutation] = []
+    orders: list[int] = []
     cur: set[Permutation] = {G.identity}
     by_order = sorted(G.elements, key=lambda g: (-g.order(), g.images))
     while len(cur) < G.order:
-        best = None
-        best_size = len(cur)
+        best, best_set = None, cur
         for x in by_order:
             if x in cur:
                 continue
-            trial = mulclose(gens + [x])
-            if len(trial) > best_size:
-                best, best_size = x, len(trial)
-            if best_size == G.order:
+            trial = mulclose(gens + [x], start=cur)
+            if len(trial) > len(best_set):
+                best, best_set = x, trial
+            if len(best_set) == G.order:
                 break
         gens.append(best)
-        cur = mulclose(gens)
-    return gens
-
-
-def _hom_consistent(gens_a: Sequence[Permutation],
-                    imgs_b: Sequence[Permutation],
-                    sub_order_cap: int) -> tuple[bool, int]:
-    """Extend gens->images over the closure of the generators; detect conflicts.
-
-    Returns (consistent, image subgroup size).  The walk enumerates the
-    subgroup generated so far, so a full-group call also proves bijectivity
-    when the image size matches.
-    """
-    ident_a = Permutation.identity(gens_a[0].degree)
-    ident_b = Permutation.identity(imgs_b[0].degree)
-    hom = {ident_a: ident_b}
-    frontier = [ident_a]
-    while frontier:
-        new = []
-        for x in frontier:
-            hx = hom[x]
-            for g, hg in zip(gens_a, imgs_b):
-                y = x * g
-                hy = hx * hg
-                if y in hom:
-                    if hom[y] != hy:
-                        return False, 0
-                else:
-                    hom[y] = hy
-                    new.append(y)
-                    if len(hom) > sub_order_cap:
-                        return False, 0
-        frontier = new
-    return True, len(set(hom.values()))
+        orders.append(len(best_set))
+        cur = best_set
+    return gens, orders
 
 
 def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
@@ -516,37 +464,42 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
         return False
     if A.order == 1:
         return True
-    gens = _minimal_generating_sequence(A)
-    inv_a = _element_invariant(A)
-    inv_b = _element_invariant(B)
+    gens, sub_orders = _minimal_generating_sequence(A)
+    idx_a, idx_b = class_index(A), class_index(B)
+
+    def inv(idx, x):
+        return idx[x].element_order, idx[x].size
+
     pools: list[list[Permutation]] = []
     for g in gens:
-        pool = sorted(x for x, v in inv_b.items() if v == inv_a[g])
+        pool = sorted(x for x in idx_b if inv(idx_b, x) == inv(idx_a, g))
         if not pool:
             return False
         pools.append(pool)
 
     # pairwise word invariants for a cheap precheck
-    def word_inv(x, y, inv):
-        return (inv[x * y], inv[y * x])
+    def word_inv(x, y, idx):
+        return (inv(idx, x * y), inv(idx, y * x))
 
-    target_pair = [[word_inv(gens[i], gens[j], inv_a) for j in range(i)]
+    target_pair = [[word_inv(gens[i], gens[j], idx_a) for j in range(i)]
                    for i in range(len(gens))]
 
     assignment: list[Permutation] = []
 
     def backtrack(i: int) -> bool:
+        # each step checks an injective homomorphism on <gens[:i+1]>; the
+        # last one covers all of A, so reaching the end is success
         if i == len(gens):
-            ok, image_size = _hom_consistent(gens, assignment, A.order)
-            return ok and image_size == A.order
-        sub_order = len(mulclose(gens[: i + 1]))
+            return True
         for cand in pools[i]:
-            if any(word_inv(assignment[j], cand, inv_b) != target_pair[i][j]
+            if any(word_inv(assignment[j], cand, idx_b) != target_pair[i][j]
                    for j in range(i)):
                 continue
             assignment.append(cand)
-            ok, image_size = _hom_consistent(gens[: i + 1], assignment, sub_order)
-            if ok and image_size == sub_order and backtrack(i + 1):
+            hom = extend_hom(gens[: i + 1], assignment, A.identity, B.identity,
+                             cap=sub_orders[i])
+            if (hom is not None and len(set(hom.values())) == sub_orders[i]
+                    and backtrack(i + 1)):
                 return True
             assignment.pop()
         return False

@@ -25,6 +25,27 @@ def naive_closure(gens):
         elems |= new
 
 
+def naive_normal_closure(g_elements, seeds):
+    """Closure of every conjugate of every seed by every group element."""
+    return naive_closure([g.inverse() * x * g for x in seeds for g in g_elements])
+
+
+def naive_extend_hom(gens, images):
+    """The map gens[i] -> images[i] read off the subgroup of A x B that the
+    pairs (gens[i], images[i]) generate; None when that subgroup is not the
+    graph of a map, i.e. the assignment is not a homomorphism."""
+    da = gens[0].degree
+    pairs = [Permutation(list(g.images) + [da + i for i in h.images])
+             for g, h in zip(gens, images)]
+    hom = {}
+    for x in naive_closure(pairs):
+        a = Permutation(x.images[:da])
+        b = Permutation([i - da for i in x.images[da:]])
+        if hom.setdefault(a, b) != b:
+            return None
+    return hom
+
+
 def naive_element_order(g):
     """Direct iteration: multiply until the identity appears."""
     ident = Permutation.identity(g.degree)

@@ -6,6 +6,7 @@ Every expected integer here is exact; there are no tolerances.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 
 from classgraph.classify import count_p_regular_classes, intersection_subgroup, complement_case
@@ -16,6 +17,9 @@ from classgraph.structure import (is_isomorphic, is_p_separable, is_soluble,
                                   p_complement, p_core, quotient, sylow,
                                   _fingerprint)
 from classgraph.verify import ALL_CHECK_IDS, run_corpus
+
+# SHA-256 of the atlas report bytes; bench/run.py checks the same digest
+ATLAS_REPORT_SHA256 = "c1ab9fd235319a950d569c9bb143e484e7639929a9d327e732c295e2af2f1025"
 
 
 @contextmanager
@@ -117,6 +121,8 @@ def test_criterion_09_property_suite(atlas):
         groups = [entry.group for entry in atlas.values()]
         summary = run_corpus(groups, ("all",))
         assert summary.failures() == 0, summary.to_json_dict()["summary"]
+        digest = hashlib.sha256(summary.to_json().encode("utf-8")).hexdigest()
+        assert digest == ATLAS_REPORT_SHA256
         assert not summary.counterexamples()
         # every check ran at least once with a definite outcome
         passed = {c.check_id for r in summary.reports for c in r.checks

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from classgraph.errors import BadCycle, DegreeMismatch, NotAMember, OrderCapExceeded
 from classgraph.perm import (Permutation, center, centralizer, centralizer_order,
                              class_elements, class_of, conjugacy_classes,
-                             element_order, make_group, mulclose,
+                             element_order, extend_hom, make_group, mulclose,
                              parse_cycle_string, subgroup_from_elements)
 from oracles import (naive_center, naive_centralizer, naive_class_sizes,
-                     naive_closure, naive_element_order)
+                     naive_closure, naive_element_order, naive_extend_hom)
+from strategies import generating_sets, permutations
 
 
 def perm(text, degree):
@@ -200,6 +202,53 @@ def test_subgroup_from_elements_rejects_non_closed():
         subgroup_from_elements(not_closed, "bad")
 
 
-def test_mulclose_matches_naive():
-    gens = [perm("(1,2)", 4), perm("(1,2,3,4)", 4)]
-    assert mulclose(gens) == naive_closure(gens)
+@given(generating_sets())
+def test_mulclose_matches_naive(gens):
+    full = naive_closure(gens)
+    for k in range(len(gens) + 1):
+        start = mulclose(gens[:k])
+        before = set(start)
+        assert mulclose(gens, start=start) == full
+        assert start == before  # the start set is copied, not extended in place
+
+
+@given(generating_sets(), st.data())
+def test_mulclose_cap(gens, data):
+    full = naive_closure(gens)
+    k = data.draw(st.integers(0, len(gens)))
+    start = mulclose(gens[:k])
+    cap = data.draw(st.integers(max(len(start), 1), 130))  # callers start within the cap
+    got = mulclose(gens, cap=cap, start=start)
+    assert (len(got) > cap) == (len(full) > cap)
+    assert got <= full
+    assert len(got) <= cap + max(len(start), 1)  # stops within one coset of the cap
+    if len(full) <= cap:
+        assert got == full
+
+
+def _sign(g):
+    odd = sum(len(c) - 1 for c in g.cycles()) % 2
+    return perm("(1,2)" if odd else "()", 2)
+
+
+@given(generating_sets(max_degree=4), st.data())
+def test_extend_hom_matches_naive(gens, data):
+    degree = gens[0].degree
+    kind = data.draw(st.sampled_from(["conjugation", "sign", "arbitrary"]))
+    if kind == "conjugation":
+        c = data.draw(permutations(degree))
+        images = [g.conjugate(c) for g in gens]
+    elif kind == "sign":
+        images = [_sign(g) for g in gens]
+    else:
+        images = data.draw(st.lists(permutations(data.draw(st.integers(2, 3))),
+                                    min_size=len(gens), max_size=len(gens)))
+    ident_a = Permutation.identity(degree)
+    ident_b = Permutation.identity(images[0].degree)
+    expected = naive_extend_hom(gens, images)
+    assert extend_hom(gens, images, ident_a, ident_b) == expected
+    if kind != "arbitrary":
+        assert expected is not None  # genuine homomorphisms
+    if expected is not None and len(expected) > 1:
+        assert extend_hom(gens, images, ident_a, ident_b,
+                          cap=len(expected) - 1) is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   elementary_abelian, generalized_quaternion,
@@ -14,7 +15,8 @@ from classgraph.structure import (HallSearchConfig, derived_subgroup, hall_subgr
                                   is_isomorphic, is_p_separable, is_soluble,
                                   normal_closure, normal_subgroups, p_complement,
                                   p_core, p_prime_core, pi_core, quotient, sylow)
-from oracles import naive_derived_subgroup, naive_is_normal
+from oracles import naive_derived_subgroup, naive_is_normal, naive_normal_closure
+from strategies import generating_sets
 
 
 def test_soluble_s3():
@@ -203,6 +205,14 @@ def test_normal_closure_minimal():
     t = parse_cycle_string("(1,2,3)", 3)
     assert normal_closure(s3, [t], "A3").order == 3
     assert normal_closure(s3, [parse_cycle_string("(1,2)", 3)], "all").order == 6
+
+
+@given(generating_sets(), st.data())
+def test_normal_closure_matches_naive(gens, data):
+    G = make_group(gens, "G")
+    seeds = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=2))
+    assert normal_closure(G, seeds, "N").element_set() == \
+        frozenset(naive_normal_closure(G.elements, seeds))
 
 
 def test_normal_subgroups_examples(atlas_groups):

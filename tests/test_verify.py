@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import classgraph
+from classgraph import verify
 from classgraph.construct import alternating, parse_corpus
 from classgraph.structure import HallSearchConfig
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
@@ -190,3 +194,26 @@ def test_exit_code_and_counterexample_ordering():
     doc = bad.to_json_dict()
     assert doc["reports"][0]["group"] == "B"  # counterexamples listed first
     assert doc["summary"]["counterexamples"] == [{"group": "B", "prime": 2}]
+
+
+def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
+    def broken(G):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verify, "_check_class_equation", broken)
+    summary = run_corpus([atlas_groups[n] for n in ["Sigma3", "D10"]])
+    assert len(summary.reports) == 6  # the run completes
+    for r in summary.reports:
+        for c in r.checks:
+            if c.check_id == "class-equation":
+                assert (c.status, c.detail) == ("fail", "RuntimeError: broken check")
+            else:
+                assert c.status != "fail"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so runtime checks must raise instead
+    for path in sorted(Path(classgraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
