@@ -48,11 +48,15 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
     require(kernel.order * complement.order == G.order, "orders do not multiply to |G|")
     require(kernel.element_set() & complement.element_set() == {G.identity},
             "kernel and complement meet nontrivially")
-    require(all(n.conjugate(g) in kernel for n in kernel.generators for g in G.generators),
-            "kernel is not normal")
-    require(all(g in kernel for k in kernel.elements if not k.is_identity()
-                for g in G.elements if g.commutes_with(k)),
-            "centralizer escapes the kernel")
+    for n in kernel.generators:
+        for g in G.generators:
+            require(n.conjugate(g) in kernel, "kernel is not normal")
+    for k in kernel.elements:
+        if k.is_identity():
+            continue
+        for g in G.elements:
+            if g.commutes_with(k):
+                require(g in kernel, "centralizer escapes the kernel")
 
 
 def is_frobenius(G: Group,

@@ -370,12 +370,12 @@ def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
 
 
 def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
-               ident_a: Permutation, ident_b: Permutation, *,
-               cap: int | None = None) -> dict[Permutation, Permutation] | None:
+               ident_a: Permutation, ident_b: Permutation
+               ) -> dict[Permutation, Permutation] | None:
     """Extend gens[i] -> images[i] multiplicatively over <gens>, breadth-first.
 
     Returns the map on <gens>, or None when two words for one element get
-    different images (not a homomorphism) or the domain grows past ``cap``.
+    different images (not a homomorphism).
     """
     hom = {ident_a: ident_b}
     pairs = list(zip(gens, images))
@@ -391,8 +391,6 @@ def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
                 if prev is None:
                     hom[y] = hy
                     new.append(y)
-                    if cap is not None and len(hom) > cap:
-                        return None
                 elif prev != hy:
                     return None
         frontier = new
@@ -409,7 +407,9 @@ def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
     gens: list[Permutation] = []
     cur: set[Permutation] = set()
     for x in elems:
-        if x not in cur and not x.is_identity():
+        if x.is_identity():
+            continue
+        if x not in cur:
             gens.append(x)
             cur = mulclose(gens, start=cur)
     return gens

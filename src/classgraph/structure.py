@@ -424,13 +424,9 @@ def _fingerprint(G: Group) -> tuple:
     return G._memo("fingerprint", build)
 
 
-def _minimal_generating_sequence(G: Group) -> tuple[list[Permutation], list[int]]:
-    """A short generating sequence, greedily maximizing closure growth.
-
-    Also returns the order of the subgroup generated by each prefix.
-    """
+def _minimal_generating_sequence(G: Group) -> list[Permutation]:
+    """A short generating sequence, greedily maximizing closure growth."""
     gens: list[Permutation] = []
-    orders: list[int] = []
     cur: set[Permutation] = {G.identity}
     by_order = sorted(G.elements, key=lambda g: (-g.order(), g.images))
     while len(cur) < G.order:
@@ -444,9 +440,8 @@ def _minimal_generating_sequence(G: Group) -> tuple[list[Permutation], list[int]
             if len(best_set) == G.order:
                 break
         gens.append(best)
-        orders.append(len(best_set))
         cur = best_set
-    return gens, orders
+    return gens
 
 
 def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
@@ -464,7 +459,7 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
         return False
     if A.order == 1:
         return True
-    gens, sub_orders = _minimal_generating_sequence(A)
+    gens = _minimal_generating_sequence(A)
     idx_a, idx_b = class_index(A), class_index(B)
 
     def inv(idx, x):
@@ -496,9 +491,8 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
                    for j in range(i)):
                 continue
             assignment.append(cand)
-            hom = extend_hom(gens[: i + 1], assignment, A.identity, B.identity,
-                             cap=sub_orders[i])
-            if (hom is not None and len(set(hom.values())) == sub_orders[i]
+            hom = extend_hom(gens[: i + 1], assignment, A.identity, B.identity)
+            if (hom is not None and len(set(hom.values())) == len(hom)
                     and backtrack(i + 1)):
                 return True
             assignment.pop()

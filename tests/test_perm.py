@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from classgraph.errors import BadCycle, DegreeMismatch, NotAMember, OrderCapExceeded
 from classgraph.perm import (Permutation, center, centralizer, centralizer_order,
@@ -203,6 +203,7 @@ def test_subgroup_from_elements_rejects_non_closed():
 
 
 @given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
 def test_mulclose_matches_naive(gens):
     full = naive_closure(gens)
     for k in range(len(gens) + 1):
@@ -249,6 +250,3 @@ def test_extend_hom_matches_naive(gens, data):
     assert extend_hom(gens, images, ident_a, ident_b) == expected
     if kind != "arbitrary":
         assert expected is not None  # genuine homomorphisms
-    if expected is not None and len(expected) > 1:
-        assert extend_hom(gens, images, ident_a, ident_b,
-                          cap=len(expected) - 1) is None
