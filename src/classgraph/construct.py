@@ -209,6 +209,9 @@ def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]
             raise NotAnAutomorphism(f"{k!r} is not a generator of {K.name!r}")
         if im not in K:
             raise NotAnAutomorphism("image lies outside the group")
+    for g in K.generators:
+        if g not in gen_images:
+            raise NotAnAutomorphism(f"no image given for generator {g!r} of {K.name!r}")
     phi = extend_hom(K.generators, [gen_images[g] for g in K.generators],
                      K.identity, K.identity)
     if phi is None:

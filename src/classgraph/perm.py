@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadCycle, DegreeMismatch, NotAMember, OrderCapExceeded
+from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
+                     OrderCapExceeded)
 from .numtheory import p_part, prime_factors
 
 DEFAULT_MAX_ORDER = 20000
@@ -239,9 +240,10 @@ class ConjClass:
 class Group:
     """A finite permutation group with its fully enumerated element set.
 
-    Immutable after construction.  ``elements`` is in deterministic
-    breadth-first order over generator multiplication with lexicographic
-    tie-breaks inside each layer; all derived data is cached lazily.
+    Immutable after construction; derived data is cached lazily.  A group
+    given by generators (``make_group``) lists ``elements`` breadth-first
+    over generator multiplication, each layer sorted; a subgroup built from
+    an element set (``subgroup_from_elements``) lists them in sorted order.
     """
 
     __slots__ = ("name", "degree", "generators", "elements", "order",
@@ -273,12 +275,6 @@ class Group:
     def is_abelian(self) -> bool:
         return self._memo("abelian", lambda: all(
             a.commutes_with(b) for a in self.generators for b in self.generators))
-
-    def is_subgroup_of(self, other: "Group") -> bool:
-        return self.degree == other.degree and self._element_set <= other._element_set
-
-    def same_group(self, other: "Group") -> bool:
-        return self.degree == other.degree and self._element_set == other._element_set
 
     def _memo(self, key: str, fn: Callable):
         if key not in self._cache:
@@ -397,35 +393,44 @@ def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
     return hom
 
 
-def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
-    """A small generating set for a known subgroup, chosen deterministically.
+def _generating_scan(elements: Iterable[Permutation], cap: int | None = None
+                     ) -> tuple[list[Permutation], set[Permutation]]:
+    """Generators picked by ``generating_set`` and the closure they generate.
 
     Scans elements by descending order then lexicographically, adjoining
-    any element not yet generated.
+    any element not yet generated.  With ``cap`` set, the scan stops once
+    the closure holds more than ``cap`` elements.
     """
     elems = sorted(set(elements), key=lambda g: (-g.order(), g.images))
     gens: list[Permutation] = []
-    cur: set[Permutation] = set()
+    cur = {Permutation.identity(elems[0].degree)} if elems else set()
     for x in elems:
         if x.is_identity():
             continue
         if x not in cur:
             gens.append(x)
-            cur = mulclose(gens, start=cur)
-    return gens
+            cur = mulclose(gens, cap=cap, start=cur)
+            if cap is not None and len(cur) > cap:
+                break
+    return gens, cur
+
+
+def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
+    """A small generating set for a known subgroup, chosen deterministically."""
+    return _generating_scan(elements)[0]
 
 
 def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
-    """Build a Group from a set already closed under the operations."""
+    """Build a Group from a set closed under multiplication.
+
+    The generators are ``generating_set``'s; the elements are listed in
+    sorted image order.  Raises NotASubgroup if the set is not closed.
+    """
     elems = set(elements)
-    gens = generating_set(elems)
-    if not gens:
-        deg = next(iter(elems)).degree if elems else 1
-        return make_group([], name, degree=deg, max_order=len(elems) + 1)
-    G = make_group(gens, name, max_order=len(elems))
-    if G.order != len(elems):
-        raise ValueError(f"{name!r}: element set of size {len(elems)} is not closed")
-    return G
+    gens, closure = _generating_scan(elems, cap=len(elems))
+    if not elems or len(closure) != len(elems):
+        raise NotASubgroup(f"{name!r}: element set of size {len(elems)} is not closed")
+    return Group(name, next(iter(elems)).degree, tuple(gens), tuple(sorted(elems)))
 
 
 def centralizer(G: Group, x: Permutation) -> Group:

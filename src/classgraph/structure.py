@@ -26,7 +26,6 @@ class HallSearchConfig:
 
     restarts: int = 200
     seed: int = 0xC1A55
-    greedy_order: str = "by_descending_element_order"  # or "random"
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -194,8 +193,6 @@ def pi_core(G: Group, primes: frozenset[int], name: str | None = None) -> Group:
                 continue
             if is_pi_number(nc.order, primes):
                 gens.append(cls.representative)
-        if not gens:
-            return make_group([], name or f"O_pi({G.name})", degree=G.degree)
         return normal_closure(G, gens, name or f"O_pi({G.name})", cap=cap)
     return G._memo(("pi_core", primes), build)
 
@@ -310,14 +307,8 @@ def _search_subgroup(G: Group, target_order: int,
     satisfies ``order_ok``.  The first pass is deterministic; later passes
     shuffle the candidate order with a seeded generator.
     """
-    if target_order == 1:
-        return make_group([], name, degree=G.degree)
     rng = random.Random(cfg.seed)
-    if cfg.greedy_order == "by_descending_element_order":
-        base = sorted(candidates, key=lambda g: (-g.order(), g.images))
-    else:
-        base = sorted(candidates)
-        rng.shuffle(base)
+    base = sorted(candidates, key=lambda g: (-g.order(), g.images))
     for attempt in range(cfg.restarts):
         order = list(base)
         if attempt > 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
@@ -153,6 +154,14 @@ def test_semidirect_rejects_non_automorphism():
     with pytest.raises(NotAnAutomorphism):
         semidirect_product(c4, c2, ActionSpec({c2.generators[0]: {x: x * x}}),
                            "bad")
+
+
+def test_semidirect_names_missing_generator_image():
+    e9 = elementary_abelian(3, 2)
+    c2 = cyclic(2)
+    x, y = e9.generators
+    with pytest.raises(NotAnAutomorphism, match=re.escape(repr(y))):
+        semidirect_product(e9, c2, ActionSpec({c2.generators[0]: {x: x}}), "bad")
 
 
 def test_semidirect_rejects_non_homomorphism():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from classgraph.errors import BadCycle, DegreeMismatch, NotAMember, OrderCapExceeded
+from classgraph import perm as perm_module
+from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
+                               OrderCapExceeded)
 from classgraph.perm import (Permutation, center, centralizer, centralizer_order,
                              class_elements, class_of, conjugacy_classes,
                              element_order, extend_hom, make_group, mulclose,
@@ -198,8 +200,57 @@ def test_element_order_divides_group_order(atlas_groups):
 def test_subgroup_from_elements_rejects_non_closed():
     s3 = make_group([perm("(1,2)", 3), perm("(1,2,3)", 3)], "S3")
     not_closed = [s3.identity, perm("(1,2)", 3), perm("(1,2,3)", 3)]
-    with pytest.raises((ValueError, OrderCapExceeded)):
+    with pytest.raises(NotASubgroup, match="'bad'.*size 3"):
         subgroup_from_elements(not_closed, "bad")
+    with pytest.raises(NotASubgroup):
+        subgroup_from_elements([], "empty")
+
+
+def test_subgroup_from_elements_rejects_without_closing_the_group(monkeypatch):
+    real = perm_module.mulclose
+    sizes = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(perm_module, "mulclose", recording)
+    c8 = perm("(1,2,3,4,5,6,7,8)", 8)
+    not_closed = [c8 ** k for k in range(8)] + [perm("(1,2)", 8)]  # generates S8
+    with pytest.raises(NotASubgroup):
+        subgroup_from_elements(not_closed, "bad")
+    assert max(sizes) < 100  # the closure stopped near the set's size, not at 40320
+
+
+@given(generating_sets())
+def test_subgroup_from_elements_matches_closure(gens):
+    for k in range(1, len(gens) + 1):
+        H = mulclose(gens[:k])
+        S = subgroup_from_elements(H, "H")
+        assert S.element_set() == H
+        assert S.elements == tuple(sorted(H))
+        assert set(S.generators) <= H
+        assert mulclose(S.generators) | {S.identity} == H
+        R = subgroup_from_elements(list(reversed(sorted(H))), "H")
+        assert (R.generators, R.elements) == (S.generators, S.elements)
+        if len(H) > 2:  # |H| - 1 does not divide |H|
+            x = max(H)
+            with pytest.raises(NotASubgroup):
+                subgroup_from_elements(H - {x}, "H-x")
+
+
+def test_subgroup_from_elements_does_not_close_again(monkeypatch):
+    s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
+    even = [g for g in s4.elements if sum(len(c) - 1 for c in g.cycles()) % 2 == 0]
+
+    def closing_again(*args, **kwargs):
+        raise AssertionError("subgroup_from_elements called make_group")
+
+    monkeypatch.setattr(perm_module, "make_group", closing_again)
+    a4 = subgroup_from_elements(even, "A4")
+    assert a4.order == 12 and a4.element_set() == set(even)
+    assert subgroup_from_elements([s4.identity], "1").elements == (s4.identity,)
 
 
 @given(generating_sets())
