@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
-                     OrderCapExceeded)
+from .errors import BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded
 from .numtheory import p_part, prime_factors
 
 DEFAULT_MAX_ORDER = 20000
@@ -240,10 +239,9 @@ class ConjClass:
 class Group:
     """A finite permutation group with its fully enumerated element set.
 
-    Immutable after construction; derived data is cached lazily.  A group
-    given by generators (``make_group``) lists ``elements`` breadth-first
-    over generator multiplication, each layer sorted; a subgroup built from
-    an element set (``subgroup_from_elements``) lists them in sorted order.
+    Immutable after construction; derived data is cached lazily.  Groups
+    from ``make_group`` list ``elements`` breadth-first over generator
+    products, each layer sorted; ``subgroup_from_elements`` sorts them.
     """
 
     __slots__ = ("name", "degree", "generators", "elements", "order",
@@ -393,41 +391,32 @@ def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
     return hom
 
 
-def _generating_scan(elements: Iterable[Permutation], cap: int | None = None
-                     ) -> tuple[list[Permutation], set[Permutation]]:
-    """Generators picked by ``generating_set`` and the closure they generate.
+def generating_set(elements: Iterable[Permutation]
+                   ) -> tuple[list[Permutation], set[Permutation]]:
+    """A small generating set for a set of elements, with its closure.
 
     Scans elements by descending order then lexicographically, adjoining
-    any element not yet generated.  With ``cap`` set, the scan stops once
-    the closure holds more than ``cap`` elements.
+    any element not yet generated; the closure stops past the set's size.
     """
     elems = sorted(set(elements), key=lambda g: (-g.order(), g.images))
     gens: list[Permutation] = []
     cur = {Permutation.identity(elems[0].degree)} if elems else set()
     for x in elems:
-        if x.is_identity():
-            continue
         if x not in cur:
             gens.append(x)
-            cur = mulclose(gens, cap=cap, start=cur)
-            if cap is not None and len(cur) > cap:
+            cur = mulclose(gens, cap=len(elems), start=cur)
+            if len(cur) > len(elems):
                 break
     return gens, cur
 
 
-def generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
-    """A small generating set for a known subgroup, chosen deterministically."""
-    return _generating_scan(elements)[0]
-
-
 def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
-    """Build a Group from a set closed under multiplication.
+    """The subgroup on a closed element set, its elements in sorted order.
 
-    The generators are ``generating_set``'s; the elements are listed in
-    sorted image order.  Raises NotASubgroup if the set is not closed.
+    Raises NotASubgroup if the set is not closed.
     """
     elems = set(elements)
-    gens, closure = _generating_scan(elems, cap=len(elems))
+    gens, closure = generating_set(elems)
     if not elems or len(closure) != len(elems):
         raise NotASubgroup(f"{name!r}: element set of size {len(elems)} is not closed")
     return Group(name, next(iter(elems)).degree, tuple(gens), tuple(sorted(elems)))
