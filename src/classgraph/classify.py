@@ -97,7 +97,7 @@ def is_frobenius(G: Group,
                 kernel_abelian=N.is_abelian(),
                 complement_abelian=comp.is_abelian())
         return None
-    return G._memo("frobenius", build)
+    return G._memo(("frobenius", cfg), build)
 
 
 def is_quasi_frobenius(G: Group,
@@ -120,7 +120,7 @@ def is_quasi_frobenius(G: Group,
             quotient_witness=w, kernel=kern_pre, complement=comp_pre,
             kernel_abelian=kern_pre.is_abelian(),
             complement_abelian=comp_pre.is_abelian())
-    return G._memo("quasi_frobenius", build)
+    return G._memo(("quasi_frobenius", cfg), build)
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,7 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int], mode: str,
     if mode == "pi_number":
         lhs = all(is_pi_number(c.size, pi) for c in pi_classes)
         o_pi = pi_core(G, pi)
-        others = frozenset(q for q in prime_factors(G.order) if q not in pi)
-        o_pi_prime = pi_core(G, others)
+        o_pi_prime = pi_core(G, frozenset(prime_factors(G.order)) - pi)
         rhs = o_pi.order * o_pi_prime.order == G.order
         return lhs, rhs
     if mode == "pi_prime_number":

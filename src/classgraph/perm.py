@@ -241,7 +241,7 @@ class Group:
 
     Immutable after construction; derived data is cached lazily.  Groups
     from ``make_group`` list ``elements`` breadth-first over generator
-    products, each layer sorted; ``subgroup_from_elements`` sorts them.
+    products, each layer sorted; ``closed_subgroup`` sorts them.
     """
 
     __slots__ = ("name", "degree", "generators", "elements", "order",
@@ -410,6 +410,13 @@ def generating_set(elements: Iterable[Permutation]
     return gens, cur
 
 
+def closed_subgroup(gens: Sequence[Permutation], elems: Iterable[Permutation],
+                    name: str) -> Group:
+    """The subgroup ``gens`` generate, from its closed element set, listed sorted."""
+    elems = sorted(elems)
+    return Group(name, elems[0].degree, tuple(gens), tuple(elems))
+
+
 def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
     """The subgroup on a closed element set, its elements in sorted order.
 
@@ -419,7 +426,7 @@ def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
     gens, closure = generating_set(elems)
     if not elems or len(closure) != len(elems):
         raise NotASubgroup(f"{name!r}: element set of size {len(elems)} is not closed")
-    return Group(name, next(iter(elems)).degree, tuple(gens), tuple(sorted(elems)))
+    return closed_subgroup(gens, elems, name)
 
 
 def centralizer(G: Group, x: Permutation) -> Group:

@@ -11,8 +11,8 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotAHomomorphism, NotASubgroup, NotNormal, OrderCapExceeded,
                      PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
-from .perm import (Group, Permutation, bulk_conjugate, center,
-                   class_index, conjugacy_classes, conjugation_maps,
+from .perm import (Group, Permutation, bulk_conjugate, center, class_index,
+                   closed_subgroup, conjugacy_classes, conjugation_maps,
                    element_order_map, extend_hom, make_group, mulclose,
                    p_part_element, subgroup_from_elements)
 
@@ -76,7 +76,7 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
         if cap is not None and len(elems) > cap:
             raise OrderCapExceeded(name, cap)
         todo.extend(bulk_conjugate(x, m) for m in maps)
-    return subgroup_from_elements(elems, name)
+    return closed_subgroup(gens, elems, name)
 
 
 def derived_subgroup(G: Group) -> Group:
@@ -120,14 +120,11 @@ def sylow(G: Group, p: int) -> Group:
         cur: set[Permutation] = {G.identity}
         cur_gens: list[Permutation] = []
         while len(cur) < target:
-            grown = False
             for y in G.elements:
-                if y in cur:
+                if y in cur or y.order() % p != 0:
                     continue
                 # y must normalize the current subgroup
                 if not all(g.conjugate(y) in cur for g in cur_gens):
-                    continue
-                if y.order() % p != 0:
                     continue
                 yp = p_part_element(y, p)
                 if yp in cur:
@@ -136,12 +133,11 @@ def sylow(G: Group, p: int) -> Group:
                 if len(trial) <= target and len(trial) == p_part(len(trial), p):
                     cur = trial
                     cur_gens.append(yp)
-                    grown = True
                     break
-            if not grown:  # cannot happen for p dividing |G|; defensive
+            else:  # cannot happen for p dividing |G|; defensive
                 raise PreconditionViolated(
                     f"Sylow ascent stalled in {G.name!r} at order {len(cur)}")
-        return subgroup_from_elements(cur, f"Syl_{p}({G.name})")
+        return closed_subgroup(cur_gens, cur, f"Syl_{p}({G.name})")
     return G._memo(("sylow", p), build)
 
 
@@ -177,32 +173,49 @@ def p_core(G: Group, p: int) -> Group:
     return G._memo(("p_core", p), build)
 
 
-def pi_core(G: Group, primes: frozenset[int], name: str | None = None) -> Group:
-    """O_pi(G): generated by the classes of pi-elements with pi-number normal closure."""
+def pi_core(G: Group, primes: frozenset[int], name: str | None = None, *,
+            over: Group | None = None) -> Group:
+    """The preimage of O_pi(G/N) for N = ``over`` (None: N = 1, giving O_pi(G)).
+
+    That is the largest normal M >= N with |M:N| a pi-number: the normal
+    closure of N and the pi-class representatives g with |ncl(N, g):N| a
+    pi-number, none larger than |N| * pi_part(|G:N|).
+    """
+    N = over if over is not None else closed_subgroup((), [G.identity], "1")
+    _require_normal(G, N)
+
     def build():
-        cap = pi_part(G.order, primes)
+        cap = N.order * pi_part(G.order // N.order, primes)
         gens: list[Permutation] = []
         for cls in conjugacy_classes(G):
-            if not is_pi_number(cls.element_order, primes):
-                continue
-            if cls.representative.is_identity():
+            g = cls.representative
+            if not is_pi_number(cls.element_order, primes) or g in N:
                 continue
             try:
-                nc = normal_closure(G, [cls.representative], "nc", cap=cap)
+                nc = normal_closure(G, [*N.generators, g], "nc", cap=cap)
             except OrderCapExceeded:
                 continue
-            if is_pi_number(nc.order, primes):
-                gens.append(cls.representative)
-        return normal_closure(G, gens, name or f"O_pi({G.name})", cap=cap)
-    return G._memo(("pi_core", primes), build)
+            if is_pi_number(nc.order // N.order, primes):
+                gens.append(g)
+        default = f"O_pi({G.name})" if N.order == 1 else f"O_pi({G.name} mod {N.name})"
+        return normal_closure(G, [*N.generators, *gens], name or default, cap=cap)
+    return G._memo(("pi_core", primes, N.element_set()), build)
 
 
 def p_prime_core(G: Group, p: int) -> Group:
     """O_{p'}(G): the largest normal p'-subgroup."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
-    primes = frozenset(q for q in prime_factors(G.order) if q != p)
-    return pi_core(G, primes, name=f"O_{p}'({G.name})")
+    return pi_core(G, frozenset(prime_factors(G.order)) - {p}, name=f"O_{p}'({G.name})")
+
+
+def _require_normal(G: Group, N: Group) -> None:
+    if N.degree != G.degree or not N.element_set() <= G.element_set():
+        raise NotASubgroup(f"{N.name!r} is not a subgroup of {G.name!r}")
+    for n in N.generators:
+        for g in G.generators:
+            if n.conjugate(g) not in N:
+                raise NotNormal(f"{N.name!r} is not normal in {G.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +227,7 @@ def quotient(G: Group, N: Group) -> Quotient:
     Returns the quotient as a permutation group of degree |G:N| together
     with the projection map from every element of G to its coset action.
     """
-    if N.degree != G.degree or not N.element_set() <= G.element_set():
-        raise NotASubgroup(f"{N.name!r} is not a subgroup of {G.name!r}")
-    for n in N.generators:
-        for g in G.generators:
-            if n.conjugate(g) not in N:
-                raise NotNormal(f"{N.name!r} is not normal in {G.name!r}")
-
+    _require_normal(G, N)
     n_elems = N.elements
     coset_rep: dict[Permutation, Permutation] = {}
     for g in G.elements:
@@ -248,47 +255,36 @@ def quotient(G: Group, N: Group) -> Quotient:
     return Quotient(Q, projection)
 
 
-def preimage(G: Group, proj: dict[Permutation, Permutation],
-             sub: Group, name: str) -> Group:
-    """The preimage in G of a subgroup of a quotient of G."""
-    elems = [g for g in G.elements if proj[g] in sub]
-    return subgroup_from_elements(elems, name)
-
-
 # ---------------------------------------------------------------------------
 # p-separability
 
 def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
-    """Alternating-core recursion: peel O_p / O_{p'} until stuck or trivial.
+    """Alternating-core series: climb by O_p / O_{p'} until stuck or at G.
 
-    The certificate lists the descending preimage series in G with each
-    factor tagged; a stalled series (not ending at the trivial group)
-    witnesses a negative answer.
+    Each step is ``pi_core(G, {p} or p', over=N)``, computed inside G.  The
+    certificate lists the descending series in G with each factor tagged; a
+    stalled series (not ending at the trivial group) witnesses a negative
+    answer.
     """
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
 
     def build():
+        others = frozenset(prime_factors(G.order)) - {p}
         ascending = [make_group([], "1", degree=G.degree)]
         labels: list[str] = []
         while ascending[-1].order < G.order:
             N = ascending[-1]
-            Q, proj = quotient(G, N)
-            core = p_core(Q, p)
-            label = "p-group"
-            if core.is_trivial():
-                core = p_prime_core(Q, p)
-                label = "p'-group"
-            if core.is_trivial():
-                terms = tuple([G] + list(reversed(ascending)))
-                return False, SeriesCertificate("core_series", terms,
-                                                tuple(reversed(labels)))
-            lifted = preimage(G, proj, core, f"{G.name}.step{len(labels)}")
-            ascending.append(lifted)
+            core, label = pi_core(G, frozenset({p}), over=N), "p-group"
+            if core.order == N.order:
+                core, label = pi_core(G, others, over=N), "p'-group"
+            if core.order == N.order:
+                break
+            ascending.append(core)
             labels.append(label)
-        terms = tuple(reversed(ascending))
-        return True, SeriesCertificate("core_series", terms,
-                                       tuple(reversed(labels)))
+        ok = ascending[-1].order == G.order
+        terms = ascending[::-1] if ok else [G] + ascending[::-1]
+        return ok, SeriesCertificate("core_series", tuple(terms), tuple(labels[::-1]))
     return G._memo(("p_separable", p), build)
 
 
@@ -325,7 +321,7 @@ def _search_subgroup(G: Group, target_order: int,
                 cur = trial
                 gens.append(x)
         if len(cur) == target_order:
-            return subgroup_from_elements(cur, name)
+            return closed_subgroup(gens, cur, name)
     raise exc(f"search for {name!r} of order {target_order} in {G.name!r} "
               f"exhausted {cfg.restarts} restarts")
 
@@ -349,15 +345,9 @@ def p_complement(G: Group, p: int,
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
 
-    def build():
-        target = G.order // p_part(G.order, p)
-        orders = element_order_map(G)
-        cands = [g for g in G.elements if orders[g] % p != 0]
-        return _search_subgroup(G, target, cands, lambda n: n % p != 0, cfg,
-                                f"Hall_{p}'({G.name})", HallSearchExhausted)
-    if cfg == HallSearchConfig():
-        return G._memo(("p_complement", p), build)
-    return build()
+    others = frozenset(prime_factors(G.order)) - {p}
+    return G._memo(("p_complement", p, cfg),
+                   lambda: hall_subgroup(G, others, cfg, f"Hall_{p}'({G.name})"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +379,11 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                     if (A.element_set() <= B.element_set()
                             or B.element_set() <= A.element_set()):
                         continue
-                    join = mulclose(A.generators + B.generators, start=A.element_set())
-                    J = subgroup_from_elements(join, f"join{len(lattice)}<{G.name}")
-                    if J.element_set() not in lattice:
-                        lattice[J.element_set()] = J
+                    gens = A.generators + tuple(b for b in B.generators if b not in A)
+                    join = frozenset(mulclose(gens, start=A.element_set()))
+                    if join not in lattice:
+                        J = closed_subgroup(gens, join, f"join{len(lattice)}<{G.name}")
+                        lattice[join] = J
                         new.append(J)
                     if len(lattice) > LATTICE_CAP:
                         raise LatticeCapExceeded(

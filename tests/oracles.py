@@ -117,3 +117,49 @@ def naive_diameter(n, edges):
                     dist[i][j] = dist[i][k] + dist[k][j]
     worst = max(max(row) for row in dist)
     return None if worst == inf else int(worst)
+
+
+def _strip_primes(n, primes):
+    """n with every factor from ``primes`` divided out."""
+    for q in primes:
+        while n % q == 0:
+            n //= q
+    return n
+
+
+def naive_normal_subgroups(elements):
+    """Every normal subgroup, as a frozenset: the unions of conjugacy classes
+    that contain the identity, have size dividing |G| and are closed under
+    multiplication."""
+    elements = list(elements)
+    ident = Permutation.identity(elements[0].degree)
+    classes = [c for c in naive_conjugacy_classes(elements) if ident not in c]
+    out = []
+    for k in range(len(classes) + 1):
+        for combo in combinations(classes, k):
+            U = frozenset({ident}.union(*combo))
+            if len(elements) % len(U) == 0 and all(a * b in U for a in U for b in U):
+                out.append(U)
+    return out
+
+
+def naive_pi_core_over(elements, primes, N):
+    """The largest normal subgroup M >= N with |M:N| a pi-number."""
+    N = frozenset(N)
+    return max((M for M in naive_normal_subgroups(elements)
+                if N <= M and _strip_primes(len(M) // len(N), primes) == 1), key=len)
+
+
+def naive_is_p_separable(elements, p):
+    """Every factor of a maximal chain of normal subgroups (a chief series,
+    climbed one smallest step at a time) has p-power order or order prime
+    to p."""
+    normals = sorted(naive_normal_subgroups(elements), key=len)
+    cur = normals[0]
+    while len(cur) < len(normals[-1]):
+        nxt = next(M for M in normals if cur < M)
+        index = len(nxt) // len(cur)
+        if index % p == 0 and _strip_primes(index, (p,)) != 1:
+            return False
+        cur = nxt
+    return True

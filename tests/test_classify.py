@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from classgraph import classify
 from classgraph.classify import (count_p_regular_classes, higman_structure_check,
                                  is_elementary_abelian, is_frobenius,
                                  is_quasi_frobenius, pi_class_size_criterion,
@@ -11,9 +12,29 @@ from classgraph.classify import (count_p_regular_classes, higman_structure_check
 from classgraph.construct import (cyclic, direct_product, elementary_abelian,
                                   symmetric)
 from classgraph.errors import PreconditionViolated
-from classgraph.perm import center
-from classgraph.structure import p_complement
+from classgraph.perm import Group, center
+from classgraph.structure import HallSearchConfig, p_complement
 from oracles import naive_centralizer, naive_is_normal
+
+
+@pytest.mark.parametrize("name, test", [("Sigma3", is_frobenius),
+                                         ("C3:C4", is_quasi_frobenius)])
+def test_frobenius_witness_per_config(atlas_groups, monkeypatch, name, test):
+    # each config runs its own complement search; a repeat is memoised
+    searched = []
+    search = classify._search_subgroup
+
+    def recording(G, target, cands, order_ok, cfg, *rest):
+        searched.append(cfg)
+        return search(G, target, cands, order_ok, cfg, *rest)
+    monkeypatch.setattr(classify, "_search_subgroup", recording)
+    G = atlas_groups[name]
+    G = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+    a, b = HallSearchConfig(seed=1), HallSearchConfig(seed=2)
+    wa = test(G, a)
+    assert test(G, b) is not wa
+    assert test(G, a) is wa
+    assert searched == [a, b]
 
 
 def test_frobenius_sigma3(atlas_groups):

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from classgraph import perm, structure
 from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   elementary_abelian, generalized_quaternion,
                                   symmetric)
 from classgraph.errors import NotASubgroup, NotNormal, IsoCapExceeded
-from classgraph.numtheory import p_part, prime_factors
-from classgraph.perm import center, conjugacy_classes, make_group, parse_cycle_string
+from classgraph.numtheory import is_pi_number, p_part, prime_factors
+from classgraph.perm import (Group, center, conjugacy_classes, make_group, mulclose,
+                             parse_cycle_string, subgroup_from_elements)
 from classgraph.structure import (HallSearchConfig, derived_subgroup, hall_subgroup,
                                   is_isomorphic, is_p_separable, is_soluble,
                                   normal_closure, normal_subgroups, p_complement,
                                   p_core, p_prime_core, pi_core, quotient, sylow)
-from oracles import naive_derived_subgroup, naive_is_normal, naive_normal_closure
+from oracles import (naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
+                     naive_normal_closure, naive_normal_subgroups, naive_pi_core_over)
 from strategies import generating_sets
 
 
@@ -115,6 +118,77 @@ def test_p_separable(atlas_groups):
     assert is_p_separable(triv, 5)[0]
 
 
+A5_GENS = [parse_cycle_string("(1,2,3)", 5), parse_cycle_string("(1,2,3,4,5)", 5)]
+S5_GENS = [parse_cycle_string("(1,2)", 5), parse_cycle_string("(1,2,3,4,5)", 5)]
+
+
+@given(generating_sets(max_degree=5))
+@example(A5_GENS)
+@example(S5_GENS)
+def test_is_p_separable_matches_naive(gens):
+    G = make_group(gens, "G")
+    for p in (2, 3, 5, 7):
+        ok, cert = is_p_separable(G, p)
+        assert ok == naive_is_p_separable(G.elements, p)
+        assert cert.terms[0].element_set() == G.element_set()
+        for term in cert.terms:
+            assert naive_is_normal(G.elements, term.elements)
+        # a stalled series puts G in front of the part that was climbed
+        series = cert.terms if ok else cert.terms[1:]
+        assert series[-1].order == 1
+        assert len(cert.step_labels) == len(series) - 1
+        for big, small, label in zip(series, series[1:], cert.step_labels):
+            index = big.order // small.order
+            assert index > 1
+            assert label == ("p-group" if index % p == 0 else "p'-group")
+            assert is_pi_number(index, {p}) or index % p != 0
+        if not ok:
+            others = frozenset(prime_factors(G.order)) - {p}
+            top = series[0].element_set()
+            assert len(top) < G.order
+            assert naive_pi_core_over(G.elements, {p}, top) == top
+            assert naive_pi_core_over(G.elements, others, top) == top
+
+
+@given(generating_sets(max_degree=5))
+@example(A5_GENS)
+@example(S5_GENS)
+def test_pi_core_over_matches_naive(gens):
+    G = make_group(gens, "G")
+    primes = prime_factors(G.order)
+    for N_set in naive_normal_subgroups(G.elements):
+        N = subgroup_from_elements(N_set, "N")
+        for p in primes:
+            for pi in (frozenset({p}), frozenset(primes) - {p}):
+                assert pi_core(G, pi, over=N).element_set() == \
+                    naive_pi_core_over(G.elements, pi, N_set)
+
+
+def test_pi_core_over_requires_normal():
+    s3 = symmetric(3)
+    c2 = make_group([parse_cycle_string("(1,2)", 3)], "C2")
+    with pytest.raises(NotNormal):
+        pi_core(s3, frozenset({3}), over=c2)
+
+
+def test_pi_core_over_trivial_shares_the_memo():
+    s4 = symmetric(4)
+    triv = make_group([], "1", degree=4)
+    assert pi_core(s4, frozenset({2}), over=triv) is pi_core(s4, frozenset({2}))
+
+
+def test_is_p_separable_builds_no_quotient(atlas, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_p_separable left G")
+    for fn in ("quotient", "p_core", "p_prime_core"):
+        monkeypatch.setattr(structure, fn, refuse)
+    for entry in atlas.values():
+        G = entry.group
+        fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+        for p in entry.primes:
+            assert is_p_separable(fresh, p)[0]
+
+
 def test_soluble_implies_separable(atlas_groups):
     for G in atlas_groups.values():
         assert is_soluble(G)[0]
@@ -149,6 +223,13 @@ def test_hall_search_is_deterministic(atlas_groups):
     a = p_complement(G, 7, cfg)
     b = p_complement(G, 7, cfg)
     assert a.element_set() == b.element_set()
+
+
+def test_p_complement_memoised_per_config(atlas_groups):
+    G = atlas_groups["GammaL(1,8)"]
+    a = p_complement(G, 7, HallSearchConfig(seed=7))
+    assert p_complement(G, 7, HallSearchConfig(seed=7)) is a
+    assert p_complement(G, 7, HallSearchConfig(seed=8)) is not a
 
 
 def test_hall_subgroup_general(atlas_groups):
@@ -213,6 +294,21 @@ def test_normal_closure_matches_naive(gens, data):
     seeds = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=2))
     assert normal_closure(G, seeds, "N").element_set() == \
         frozenset(naive_normal_closure(G.elements, seeds))
+
+
+def test_grown_subgroups_keep_their_generators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grown subgroup was rescanned for generators")
+    monkeypatch.setattr(perm, "generating_set", refuse)
+    s4 = symmetric(4)
+    grown = [normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
+             sylow(s4, 2), p_complement(s4, 2), *normal_subgroups(s4)[1:],
+             # the whole of E4 is only reached as a join of two C2s
+             normal_subgroups(elementary_abelian(2, 2))[-1]]
+    for H in grown:
+        assert H.elements == tuple(sorted(H.elements))
+        assert mulclose(list(H.generators)) == set(H.elements)
+        assert H.identity not in H.generators
 
 
 def test_normal_subgroups_examples(atlas_groups):
