@@ -37,11 +37,7 @@ class ClassGraph:
         return tuple(v.size for v in self.vertices)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return _adjacency(len(self.vertices), self.edges)
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
@@ -54,11 +50,16 @@ def p_regular_classes(G: Group, p: int) -> tuple[ConjClass, ...]:
     return tuple(c for c in conjugacy_classes(G) if c.element_order % p != 0)
 
 
-def _components(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+def _adjacency(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
+    return adj
+
+
+def _components(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    adj = _adjacency(n, edges)
     seen: set[int] = set()
     comps = []
     for start in range(n):
@@ -121,13 +122,18 @@ def is_triangle_free(g: ClassGraph) -> bool:
 
 
 def diameter(g: ClassGraph) -> int | None:
-    """Max shortest-path distance when connected and non-empty, else None."""
+    """Max shortest-path distance when connected and non-empty, else None.
+
+    Twins (equal closed neighbourhoods) have equal eccentricity, so one
+    breadth-first search per twin class suffices.
+    """
     n = len(g.vertices)
     if n == 0 or len(g.components) != 1:
         return None
     adj = g.adjacency()
+    twins = {frozenset(adj[v] | {v}): v for v in range(n)}
     worst = 0
-    for src in range(n):
+    for src in twins.values():
         dist = {src: 0}
         frontier = [src]
         while frontier:

@@ -7,10 +7,12 @@ compose left-to-right: ``(a * b)(x) == b(a(x))``, i.e. apply ``a`` first.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded
+from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded,
+                     require)
 from .numtheory import p_part, prime_factors
 
 DEFAULT_MAX_ORDER = 20000
@@ -293,7 +295,9 @@ def make_group(generators: Iterable[Permutation], name: str, *,
 
     Enumeration order is breadth-first over right multiplication by the
     generators, sorting each new layer lexicographically, so the element
-    tuple is a pure function of the generating set.
+    tuple is a pure function of the generating set.  The closure's products
+    are kept as the group's right-multiplication table until the class
+    build takes it (see ``_right_table``).
     """
     gens = []
     for g in generators:
@@ -317,22 +321,32 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         raise ValueError("degree must be >= 1")
 
     ident = Permutation.identity(deg)
-    seen = {ident}
+    pos = {ident: 0}
     elements = [ident]
+    right = [array("I") for _ in gens]
     frontier = [ident]
     while frontier:
-        layer = set()
-        for x in frontier:
-            for g in gens:
+        # a product already placed is kept as its position, a new one as the
+        # single copy the layer keeps until the sorted layer is placed
+        layer: dict[Permutation, Permutation] = {}
+        rows = []
+        for g in gens:
+            row = []
+            for x in frontier:
                 y = x * g
-                if y not in seen:
-                    layer.add(y)
-        if len(seen) + len(layer) > cap:
+                j = pos.get(y)
+                row.append(layer.setdefault(y, y) if j is None else j)
+            rows.append(row)
+        if len(pos) + len(layer) > cap:
             raise OrderCapExceeded(name, cap)
         frontier = sorted(layer)
-        seen.update(layer)
+        pos.update(zip(frontier, range(len(elements), len(elements) + len(frontier))))
         elements.extend(frontier)
-    return Group(name, deg, tuple(gens), tuple(elements))
+        for r, row in zip(right, rows):
+            r.extend(j if type(j) is int else pos[j] for j in row)
+    G = Group(name, deg, tuple(gens), tuple(elements))
+    G._cache["right_table"] = right
+    return G
 
 
 def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
@@ -453,25 +467,69 @@ def center(G: Group) -> Group:
     return G._memo("center", build)
 
 
+def _right_table(G: Group) -> list[array]:
+    """``right[k][i]``: the position of ``elements[i] * generators[k]``.
+
+    Taken from the cache where ``make_group`` left it (so it lives only until
+    the class build), else built from a position dict.
+    """
+    right = G._cache.pop("right_table", None)
+    if right is None:
+        pos = {x.images: i for i, x in enumerate(G.elements)}
+        right = [array("I", [pos[tuple(map(g.images.__getitem__, x.images))]
+                             for x in G.elements])
+                 for g in G.generators]
+    return right
+
+
 def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
+    """Conjugacy classes as element sets, in order of their first element.
+
+    Works on positions 0..n-1.  A spanning tree of the Cayley graph from
+    the identity gives each other position t as parent[t] * generators[k];
+    the position of g^-1 * x then follows from its parent's, and
+    conjugation by g is one more right multiplication.
+    """
     def build():
-        maps = conjugation_maps(G.generators or (G.identity,))
-        unseen = set(G.elements)
+        n = G.order
+        right = _right_table(G)
+        e = G.elements.index(G.identity)  # 0 in both element orders
+        tree = []       # (t, parent, k) in breadth-first order
+        reached = bytearray(n)
+        reached[e] = 1
+        frontier = [e]
+        while frontier:
+            new = []
+            for s in frontier:
+                for k, r in enumerate(right):
+                    t = r[s]
+                    if not reached[t]:
+                        reached[t] = 1
+                        tree.append((t, s, k))
+                        new.append(t)
+            frontier = new
+        require(len(tree) == n - 1, f"generators of {G.name!r} do not generate it")
+        conj = []
+        for rk in right:
+            left = [0] * n  # left[i]: position of g^-1 * elements[i]
+            left[e] = rk.index(e)
+            for t, s, k in tree:
+                left[t] = right[k][left[s]]
+            conj.append(list(map(rk.__getitem__, left)))
+        seen = bytearray(n)
         orbits = []
-        for x in G.elements:
-            if x not in unseen:
+        for i in range(n):
+            if seen[i]:
                 continue
-            orbit = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for m in maps:
-                    z = bulk_conjugate(y, m)
-                    if z not in orbit:
-                        orbit.add(z)
-                        stack.append(z)
-            unseen -= orbit
-            orbits.append(frozenset(orbit))
+            seen[i] = 1
+            orbit = [i]
+            for y in orbit:
+                for c in conj:
+                    z = c[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            orbits.append(frozenset(map(G.elements.__getitem__, orbit)))
         return orbits
     return G._memo("class_orbits", build)
 

@@ -173,13 +173,13 @@ def p_core(G: Group, p: int) -> Group:
     return G._memo(("p_core", p), build)
 
 
-def pi_core(G: Group, primes: frozenset[int], name: str | None = None, *,
-            over: Group | None = None) -> Group:
+def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> Group:
     """The preimage of O_pi(G/N) for N = ``over`` (None: N = 1, giving O_pi(G)).
 
     That is the largest normal M >= N with |M:N| a pi-number: the normal
     closure of N and the pi-class representatives g with |ncl(N, g):N| a
-    pi-number, none larger than |N| * pi_part(|G:N|).
+    pi-number, none larger than |N| * pi_part(|G:N|).  It is memoised and
+    named by pi and N alone, e.g. ``O_{2,3}(G)`` or ``O_{2}(G mod N)``.
     """
     N = over if over is not None else closed_subgroup((), [G.identity], "1")
     _require_normal(G, N)
@@ -197,8 +197,9 @@ def pi_core(G: Group, primes: frozenset[int], name: str | None = None, *,
                 continue
             if is_pi_number(nc.order // N.order, primes):
                 gens.append(g)
-        default = f"O_pi({G.name})" if N.order == 1 else f"O_pi({G.name} mod {N.name})"
-        return normal_closure(G, [*N.generators, *gens], name or default, cap=cap)
+        pi = ",".join(map(str, sorted(primes)))
+        name = f"O_{{{pi}}}({G.name})" if N.order == 1 else f"O_{{{pi}}}({G.name} mod {N.name})"
+        return normal_closure(G, [*N.generators, *gens], name, cap=cap)
     return G._memo(("pi_core", primes, N.element_set()), build)
 
 
@@ -206,7 +207,7 @@ def p_prime_core(G: Group, p: int) -> Group:
     """O_{p'}(G): the largest normal p'-subgroup."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
-    return pi_core(G, frozenset(prime_factors(G.order)) - {p}, name=f"O_{p}'({G.name})")
+    return pi_core(G, frozenset(prime_factors(G.order)) - {p})
 
 
 def _require_normal(G: Group, N: Group) -> None:

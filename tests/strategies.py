@@ -16,3 +16,23 @@ def generating_sets(draw, max_degree=5, max_gens=3):
     """One to ``max_gens`` permutations of a common degree up to ``max_degree``."""
     degree = draw(st.integers(2, max_degree))
     return draw(st.lists(permutations(degree), min_size=1, max_size=max_gens))
+
+
+@st.composite
+def graphs_with_twins(draw, max_base=5, max_vertices=8):
+    """(n, edges) on a random graph with some vertices copied as twins.
+
+    A copy gets its original's neighbours and, when drawn adjacent, an edge
+    to the original too (equal closed neighbourhoods); otherwise it is a
+    non-adjacent twin with the same open neighbourhood.
+    """
+    n = draw(st.integers(1, max_base))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {e for e in pairs if draw(st.booleans())}
+    for _ in range(draw(st.integers(0, max_vertices - n))):
+        v = draw(st.integers(0, n - 1))
+        edges |= {(u, n) for u in range(n) if (min(u, v), max(u, v)) in edges}
+        if draw(st.booleans()):
+            edges.add((v, n))
+        n += 1
+    return n, frozenset(edges)

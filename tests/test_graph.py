@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given
 
 from classgraph.construct import cyclic, generalized_quaternion
 from classgraph.errors import NoVertices
-from classgraph.graph import (build_graph, central_p_prime_part, coprime_class_span,
-                              diameter, is_triangle_free, p_regular_classes, to_dot)
+from classgraph.graph import (ClassGraph, _components, build_graph, central_p_prime_part,
+                              coprime_class_span, diameter, is_triangle_free, p_regular_classes, to_dot)
 from classgraph.perm import conjugacy_classes
 from oracles import naive_diameter, naive_is_triangle_free
+from strategies import graphs_with_twins
 
 
 def test_p_regular_classes_c7c6(atlas_groups):
@@ -105,6 +107,19 @@ def test_diameter_matches_naive(atlas_groups):
     for name in ["Sigma4", "GammaL(1,8)", "E16:C15", "(C5xC5):Q8"]:
         g = build_graph(atlas_groups[name], 2)
         assert diameter(g) == naive_diameter(len(g.vertices), g.edges), name
+
+
+@given(graphs_with_twins())
+@example((1, frozenset()))
+@example((2, frozenset()))
+@example((5, frozenset({(0, 1), (0, 2), (1, 2), (3, 4)})))  # disconnected, twins 1 and 2
+@example((5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)})))  # twins 3 and 4
+@example((6, frozenset({(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)})))  # leaves 3, 5 differ
+def test_diameter_matches_naive_with_twins(graph):
+    n, edges = graph
+    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges,
+                   components=_components(n, edges), shape="other")
+    assert diameter(g) == naive_diameter(n, edges)
 
 
 def test_components_partition(atlas_groups):

@@ -13,7 +13,8 @@ from classgraph.perm import (Permutation, center, centralizer, centralizer_order
                              element_order, extend_hom, make_group, mulclose,
                              parse_cycle_string, subgroup_from_elements)
 from oracles import (naive_center, naive_centralizer, naive_class_sizes,
-                     naive_closure, naive_element_order, naive_extend_hom)
+                     naive_closure, naive_conjugacy_classes, naive_element_order,
+                     naive_extend_hom)
 from strategies import generating_sets, permutations
 
 
@@ -155,6 +156,39 @@ def test_conjugacy_classes_a4_d10(atlas_groups):
     d10 = atlas_groups["D10"]
     assert sorted(c.size for c in conjugacy_classes(d10)) == [1, 2, 2, 5]
     assert naive_class_sizes(d10.elements) == [1, 2, 2, 5]
+
+
+@given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
+def test_class_orbits_match_naive(gens):
+    G = make_group(gens, "G")  # hands its right-multiplication table over
+    S = subgroup_from_elements(G.elements, "S")  # sorted, builds one itself
+    trivial = make_group([], "1", degree=gens[0].degree)  # no generators
+    assert "right_table" in G._cache and "right_table" not in S._cache
+    for H in (G, S, trivial):
+        naive = set(naive_conjugacy_classes(H.elements))
+        orbits = perm_module._class_orbits(H)
+        assert set(orbits) == naive and len(orbits) == len(naive)
+        # listed in order of each class's first element
+        firsts = [min(map(H.elements.index, orbit)) for orbit in orbits]
+        assert firsts == sorted(firsts)
+        assert {g for cls in conjugacy_classes(H) for g in class_elements(H, cls)} \
+            == H.element_set()
+        assert "right_table" not in H._cache  # released by the class build
+
+
+def test_conjugacy_classes_conjugate_no_permutations(monkeypatch):
+    s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
+    a4 = subgroup_from_elements(
+        [g for g in s4.elements if sum(len(c) - 1 for c in g.cycles()) % 2 == 0], "A4")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class orbits conjugated a Permutation")
+
+    monkeypatch.setattr(perm_module, "bulk_conjugate", refuse)
+    monkeypatch.setattr(Permutation, "conjugate", refuse)
+    assert sorted(c.size for c in conjugacy_classes(s4)) == [1, 3, 6, 6, 8]
+    assert sorted(c.size for c in conjugacy_classes(a4)) == [1, 3, 4, 4]
 
 
 def test_class_order_is_deterministic(atlas_groups):

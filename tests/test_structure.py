@@ -177,6 +177,17 @@ def test_pi_core_over_trivial_shares_the_memo():
     assert pi_core(s4, frozenset({2}), over=triv) is pi_core(s4, frozenset({2}))
 
 
+def test_core_name_does_not_depend_on_first_caller():
+    fresh = symmetric(3)
+    name = p_prime_core(fresh, 2).name
+    after = symmetric(3)
+    is_p_separable(after, 2)
+    assert p_prime_core(after, 2).name == name == "O_{3}(Sigma3)"
+    assert pi_core(after, frozenset({2, 3})).name == "O_{2,3}(Sigma3)"
+    N = pi_core(after, frozenset({3}))
+    assert pi_core(after, frozenset({2}), over=N).name == "O_{2}(Sigma3 mod O_{3}(Sigma3))"
+
+
 def test_is_p_separable_builds_no_quotient(atlas, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("is_p_separable left G")
