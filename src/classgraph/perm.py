@@ -243,7 +243,8 @@ class Group:
 
     Immutable after construction; derived data is cached lazily.  Groups
     from ``make_group`` list ``elements`` breadth-first over generator
-    products, each layer sorted; ``closed_subgroup`` sorts them.
+    products, each layer sorted; ``closed_subgroup`` sorts them.  Either
+    way the identity comes first.
     """
 
     __slots__ = ("name", "degree", "generators", "elements", "order",
@@ -295,9 +296,10 @@ def make_group(generators: Iterable[Permutation], name: str, *,
 
     Enumeration order is breadth-first over right multiplication by the
     generators, sorting each new layer lexicographically, so the element
-    tuple is a pure function of the generating set.  The closure's products
-    are kept as the group's right-multiplication table until the class
-    build takes it (see ``_right_table``).
+    tuple is a pure function of the generating set.  Products are formed on
+    image tuples, and where each lands is kept as the group's
+    right-multiplication table until the class build takes it (see
+    ``_right_table``).
     """
     gens = []
     for g in generators:
@@ -321,29 +323,37 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         raise ValueError("degree must be >= 1")
 
     ident = Permutation.identity(deg)
-    pos = {ident: 0}
+    pos = {ident.images: [0]}  # images -> a one-item list holding the position
     elements = [ident]
     right = [array("I") for _ in gens]
-    frontier = [ident]
+    frontier = [ident.images]
     while frontier:
-        # a product already placed is kept as its position, a new one as the
-        # single copy the layer keeps until the sorted layer is placed
-        layer: dict[Permutation, Permutation] = {}
+        # rows hold each product as its element's position cell; a new
+        # product enters pos once and its cell is filled when its layer is
+        # sorted, so no duplicate product outlives its step
+        layer = []  # (images, cell) of the new elements
         rows = []
+        spare = [0]  # the cell pos.setdefault gives a product not yet placed
         for g in gens:
+            image = g.images.__getitem__
             row = []
             for x in frontier:
-                y = x * g
-                j = pos.get(y)
-                row.append(layer.setdefault(y, y) if j is None else j)
+                y = tuple(map(image, x))  # x * g
+                c = pos.setdefault(y, spare)
+                if c is spare:
+                    layer.append((y, c))
+                    spare = [0]
+                row.append(c)
             rows.append(row)
-        if len(pos) + len(layer) > cap:
+        if len(pos) > cap:
             raise OrderCapExceeded(name, cap)
-        frontier = sorted(layer)
-        pos.update(zip(frontier, range(len(elements), len(elements) + len(frontier))))
-        elements.extend(frontier)
+        layer.sort()  # by images, the order of Permutation.__lt__
+        for i, (_, c) in enumerate(layer, len(elements)):
+            c[0] = i
+        frontier = [y for y, _ in layer]
+        elements.extend(map(Permutation._raw, frontier))
         for r, row in zip(right, rows):
-            r.extend(j if type(j) is int else pos[j] for j in row)
+            r.extend([c[0] for c in row])
     G = Group(name, deg, tuple(gens), tuple(elements))
     G._cache["right_table"] = right
     return G
@@ -470,8 +480,8 @@ def center(G: Group) -> Group:
 def _right_table(G: Group) -> list[array]:
     """``right[k][i]``: the position of ``elements[i] * generators[k]``.
 
-    Taken from the cache where ``make_group`` left it (so it lives only until
-    the class build), else built from a position dict.
+    Taken from the cache where ``make_group`` left it (the class build is its
+    only reader, and removes it), else built from a position dict.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
@@ -485,19 +495,18 @@ def _right_table(G: Group) -> list[array]:
 def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
     """Conjugacy classes as element sets, in order of their first element.
 
-    Works on positions 0..n-1.  A spanning tree of the Cayley graph from
-    the identity gives each other position t as parent[t] * generators[k];
-    the position of g^-1 * x then follows from its parent's, and
-    conjugation by g is one more right multiplication.
+    Works on positions 0..n-1, the identity at 0.  A spanning tree of the
+    Cayley graph from the identity gives each other position t as
+    parent[t] * generators[k]; the position of g^-1 * x then follows from
+    its parent's, and conjugation by g is one more right multiplication.
     """
     def build():
         n = G.order
         right = _right_table(G)
-        e = G.elements.index(G.identity)  # 0 in both element orders
         tree = []       # (t, parent, k) in breadth-first order
         reached = bytearray(n)
-        reached[e] = 1
-        frontier = [e]
+        reached[0] = 1
+        frontier = [0]
         while frontier:
             new = []
             for s in frontier:
@@ -512,7 +521,7 @@ def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
         conj = []
         for rk in right:
             left = [0] * n  # left[i]: position of g^-1 * elements[i]
-            left[e] = rk.index(e)
+            left[0] = rk.index(0)
             for t, s, k in tree:
                 left[t] = right[k][left[s]]
             conj.append(list(map(rk.__getitem__, left)))

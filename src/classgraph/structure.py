@@ -179,7 +179,8 @@ def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> G
     That is the largest normal M >= N with |M:N| a pi-number: the normal
     closure of N and the pi-class representatives g with |ncl(N, g):N| a
     pi-number, none larger than |N| * pi_part(|G:N|).  It is memoised and
-    named by pi and N alone, e.g. ``O_{2,3}(G)`` or ``O_{2}(G mod N)``.
+    named by pi and |N| alone, e.g. ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``,
+    or ``1<G`` for the empty prime set.
     """
     N = over if over is not None else closed_subgroup((), [G.identity], "1")
     _require_normal(G, N)
@@ -197,8 +198,9 @@ def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> G
                 continue
             if is_pi_number(nc.order // N.order, primes):
                 gens.append(g)
+        top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
         pi = ",".join(map(str, sorted(primes)))
-        name = f"O_{{{pi}}}({G.name})" if N.order == 1 else f"O_{{{pi}}}({G.name} mod {N.name})"
+        name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
         return normal_closure(G, [*N.generators, *gens], name, cap=cap)
     return G._memo(("pi_core", primes, N.element_set()), build)
 

@@ -11,8 +11,8 @@ from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   symmetric)
 from classgraph.errors import NotASubgroup, NotNormal, IsoCapExceeded
 from classgraph.numtheory import is_pi_number, p_part, prime_factors
-from classgraph.perm import (Group, center, conjugacy_classes, make_group, mulclose,
-                             parse_cycle_string, subgroup_from_elements)
+from classgraph.perm import (Group, center, closed_subgroup, conjugacy_classes, make_group,
+                             mulclose, parse_cycle_string, subgroup_from_elements)
 from classgraph.structure import (HallSearchConfig, derived_subgroup, hall_subgroup,
                                   is_isomorphic, is_p_separable, is_soluble,
                                   normal_closure, normal_subgroups, p_complement,
@@ -185,7 +185,10 @@ def test_core_name_does_not_depend_on_first_caller():
     assert p_prime_core(after, 2).name == name == "O_{3}(Sigma3)"
     assert pi_core(after, frozenset({2, 3})).name == "O_{2,3}(Sigma3)"
     N = pi_core(after, frozenset({3}))
-    assert pi_core(after, frozenset({2}), over=N).name == "O_{2}(Sigma3 mod O_{3}(Sigma3))"
+    same = closed_subgroup(N.generators, N.elements, "another name")
+    for M in (same, N):
+        assert pi_core(after, frozenset({2}), over=M).name == "O_{2}(Sigma3 mod |N|=3)"
+    assert p_prime_core(cyclic(4), 2).name == "1<C4"  # no other prime divides |C4|
 
 
 def test_is_p_separable_builds_no_quotient(atlas, monkeypatch):
