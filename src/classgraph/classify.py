@@ -13,7 +13,7 @@ from .errors import (ComplementSearchExhausted, NoCaseMatches,
 from .graph import build_graph, is_triangle_free
 from .numtheory import (is_pi_number, is_prime, is_prime_power, p_part,
                         prime_factors)
-from .perm import (Group, center, conjugacy_classes, element_order_map,
+from .perm import (Group, center, class_index, conjugacy_classes, element_order_map,
                    subgroup_from_elements)
 from .structure import (HallSearchConfig, _search_subgroup, hall_subgroup,
                         is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
@@ -51,12 +51,25 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
     for n in kernel.generators:
         for g in G.generators:
             require(n.conjugate(g) in kernel, "kernel is not normal")
+    require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
+    mul = G.product()
     for k in kernel.elements:
         if k.is_identity():
             continue
         for g in G.elements:
-            if g.commutes_with(k):
+            if mul(g, k) is mul(k, g):
                 require(g in kernel, "centralizer escapes the kernel")
+
+
+def _is_frobenius_kernel(G: Group, N: Group) -> bool:
+    """Whether N (normal in G) holds C_G(k) for each nontrivial k in N.
+
+    C_N(k) is C_G(k) n N, so the inclusion holds exactly when
+    |G|/|cl_G(k)| = |N|/|cl_N(k)|; one k per class of N suffices.
+    """
+    idx = class_index(G)
+    return all(G.order * c.size == N.order * idx[c.representative].size
+               for c in conjugacy_classes(N) if c.element_order > 1)
 
 
 def is_frobenius(G: Group,
@@ -73,16 +86,7 @@ def is_frobenius(G: Group,
         for N in normal_subgroups(G):
             if N.is_trivial() or N.order == G.order:
                 continue
-            ok = True
-            for k in N.elements:
-                if k.is_identity():
-                    continue
-                cnt = sum(1 for g in G.elements if g.commutes_with(k))
-                inside = sum(1 for g in N.elements if g.commutes_with(k))
-                if cnt != inside:
-                    ok = False
-                    break
-            if not ok:
+            if not _is_frobenius_kernel(G, N):
                 continue
             index = G.order // N.order
             primes = frozenset(prime_factors(index))

@@ -212,8 +212,7 @@ def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]
     for g in K.generators:
         if g not in gen_images:
             raise NotAnAutomorphism(f"no image given for generator {g!r} of {K.name!r}")
-    phi = extend_hom(K.generators, [gen_images[g] for g in K.generators],
-                     K.identity, K.identity)
+    phi = extend_hom(K.generators, [gen_images[g] for g in K.generators], K, K)
     if phi is None:
         raise NotAnAutomorphism("assignment is not multiplicative")
     if len(phi) != K.order or len(set(phi.values())) != K.order:

@@ -8,7 +8,7 @@ prime.  Graphs at this scale are analyzed by direct enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NoVertices, PreconditionViolated
 from .numtheory import is_prime
@@ -32,12 +32,19 @@ class ClassGraph:
     edges: frozenset[tuple[int, int]]
     components: tuple[tuple[int, ...], ...]
     shape: str
+    # built at most once and shared by every query; not part of the value
+    adjacency_cache: dict[int, set[int]] | None = field(
+        default=None, compare=False, repr=False)
 
     def vertex_sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.vertices)
 
     def adjacency(self) -> dict[int, set[int]]:
-        return _adjacency(len(self.vertices), self.edges)
+        """Vertex -> neighbour set; one shared map, not to be mutated."""
+        if self.adjacency_cache is None:
+            object.__setattr__(self, "adjacency_cache",
+                               _adjacency(len(self.vertices), self.edges))
+        return self.adjacency_cache
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
@@ -58,11 +65,10 @@ def _adjacency(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, set[int]]
     return adj
 
 
-def _components(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    adj = _adjacency(n, edges)
+def _components(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], ...]:
     seen: set[int] = set()
     comps = []
-    for start in range(n):
+    for start in range(len(adj)):
         if start in seen:
             continue
         comp = {start}
@@ -107,9 +113,10 @@ def build_graph(G: Group, p: int | None = None) -> ClassGraph:
             if math.gcd(verts[i].size, verts[j].size) > 1:
                 edges.add((i, j))
     fedges = frozenset(edges)
-    comps = _components(len(verts), fedges)
+    adj = _adjacency(len(verts), fedges)
+    comps = _components(adj)
     return ClassGraph(prime=p, vertices=verts, edges=fedges, components=comps,
-                      shape=_shape(len(verts), fedges, comps))
+                      shape=_shape(len(verts), fedges, comps), adjacency_cache=adj)
 
 
 def is_triangle_free(g: ClassGraph) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded,
@@ -265,7 +266,8 @@ class Group:
 
     @property
     def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+        """The group's own identity element, listed first."""
+        return self.elements[0]
 
     def element_set(self) -> frozenset[Permutation]:
         return self._element_set
@@ -274,8 +276,54 @@ class Group:
         return self.order == 1
 
     def is_abelian(self) -> bool:
-        return self._memo("abelian", lambda: all(
-            a.commutes_with(b) for a in self.generators for b in self.generators))
+        def build():
+            mul = self.product()
+            return all(mul(a, b) is mul(b, a)
+                       for a in self.generators for b in self.generators)
+        return self._memo("abelian", build)
+
+    def base(self) -> tuple[int, ...]:
+        """Points whose images separate the elements, chosen greedily.
+
+        A point joins the base when its images split elements that the
+        points before it do not; the identity group has the empty base.
+        """
+        def build():
+            elems = self.elements
+            base: list[int] = []
+            keys = [()] * self.order
+            distinct = 1
+            for b in range(self.degree):
+                if distinct == self.order:
+                    break
+                trial = [k + (x.images[b],) for k, x in zip(keys, elems)]
+                n = len(set(trial))
+                if n > distinct:
+                    base.append(b)
+                    keys, distinct = trial, n
+            return tuple(base)
+        return self._memo("base", build)
+
+    def product(self) -> Callable[[Permutation, Permutation], Permutation]:
+        """Multiplication of members, returning the group's own elements.
+
+        A member is fixed by its images on ``base()``, so x*y is the
+        element whose base images are y's images at x's base images: one
+        dict lookup instead of composing degree-length tuples.  Only
+        members may be passed; callers check their inputs once (see
+        ``require_members``), and products of members are members.
+        """
+        def build():
+            base = self.base()
+            if len(base) == 1:
+                (b,) = base
+                by_image = {x.images[b]: x for x in self.elements}
+                return lambda x, y: by_image[y.images[x.images[b]]]
+            at_base = itemgetter(*base) if base else (lambda images: ())
+            by_images = {at_base(x.images): x for x in self.elements}
+            return lambda x, y: by_images[tuple(map(y.images.__getitem__,
+                                                    at_base(x.images)))]
+        return self._memo("product", build)
 
     def _memo(self, key: str, fn: Callable):
         if key not in self._cache:
@@ -359,8 +407,15 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     return G
 
 
+def require_members(G: Group, elems: Iterable[Permutation], what: str) -> None:
+    """Raise NotAMember unless every element of ``elems`` lies in G."""
+    if not G.element_set().issuperset(elems):
+        raise NotAMember(f"not every {what} lies in {G.name!r}")
+
+
 def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
-             start: Iterable[Permutation] | None = None) -> set[Permutation]:
+             start: Iterable[Permutation] | None = None,
+             group: Group | None = None) -> set[Permutation]:
     """The element set of <gens>, enumerated as right cosets of ``start``.
 
     ``start`` is the closed set generated by a prefix of ``gens`` (None: the
@@ -368,19 +423,28 @@ def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
     representative and a generator outside the cosets found so far adds the
     coset start*y (Dimino's coset extension; Butler, LNCS 559).  With
     ``cap`` set, enumeration stops once the set holds more than ``cap``.
+    Inside a ``group``, ``gens`` and ``start`` must be members of it
+    (NotAMember otherwise) and products are its ``product()``; without one,
+    ``Permutation.__mul__``.
     """
-    if not gens:
+    if group is not None:
+        require_members(group, gens, "generator")
+        mul, ident = group.product(), group.identity
+    elif gens:
+        mul, ident = Permutation.__mul__, Permutation.identity(gens[0].degree)
+    else:
         return set(start or ())
-    ident = Permutation.identity(gens[0].degree)
     elems = set(start) if start else {ident}
-    known = [h for h in elems if h != ident]
+    if group is not None:
+        require_members(group, elems, "start element")
+    known = list(elems - {ident})
     reps = [ident]
     for r in reps:
         for g in gens:
-            y = r * g
+            y = mul(r, g)
             if y not in elems:
                 elems.add(y)
-                elems.update([h * y for h in known])
+                elems.update([mul(h, y) for h in known])
                 reps.append(y)
                 if cap is not None and len(elems) > cap:
                     return elems
@@ -388,28 +452,32 @@ def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
 
 
 def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
-               ident_a: Permutation, ident_b: Permutation
-               ) -> dict[Permutation, Permutation] | None:
+               A: Group, B: Group) -> dict[Permutation, Permutation] | None:
     """Extend gens[i] -> images[i] multiplicatively over <gens>, breadth-first.
 
-    Returns the map on <gens>, or None when two words for one element get
-    different images (not a homomorphism).
+    ``gens`` must lie in A and ``images`` in B (NotAMember otherwise); both
+    sides multiply through their group's ``product()``.  Returns the map on
+    <gens>, or None when two words for one element get different images
+    (not a homomorphism).
     """
-    hom = {ident_a: ident_b}
+    require_members(A, gens, "generator")
+    require_members(B, images, "image")
+    mul_a, mul_b = A.product(), B.product()
+    hom = {A.identity: B.identity}
     pairs = list(zip(gens, images))
-    frontier = [ident_a]
+    frontier = [A.identity]
     while frontier:
         new = []
         for x in frontier:
             hx = hom[x]
             for g, hg in pairs:
-                y = x * g
-                hy = hx * hg
+                y = mul_a(x, g)
+                hy = mul_b(hx, hg)
                 prev = hom.get(y)
                 if prev is None:
                     hom[y] = hy
                     new.append(y)
-                elif prev != hy:
+                elif prev is not hy:
                     return None
         frontier = new
     return hom
@@ -455,24 +523,18 @@ def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
 
 def centralizer(G: Group, x: Permutation) -> Group:
     """The subgroup of G commuting with x, by linear scan."""
-    if x not in G:
-        raise NotAMember(f"element is not in {G.name!r}")
-    elems = [g for g in G.elements if g.commutes_with(x)]
+    require_members(G, (x,), "element")
+    mul = G.product()
+    elems = [g for g in G.elements if mul(g, x) is mul(x, g)]
     return subgroup_from_elements(elems, f"C_{G.name}({x.cycle_string()})")
-
-
-def centralizer_order(G: Group, x: Permutation) -> int:
-    """|centralizer(G, x)| without building the subgroup."""
-    if x not in G:
-        raise NotAMember(f"element is not in {G.name!r}")
-    return sum(1 for g in G.elements if g.commutes_with(x))
 
 
 def center(G: Group) -> Group:
     """Elements commuting with every generator (hence with all of G)."""
     def build():
         gens = G.generators
-        elems = [g for g in G.elements if all(g.commutes_with(h) for h in gens)]
+        mul = G.product()
+        elems = [g for g in G.elements if all(mul(g, h) is mul(h, g) for h in gens)]
         return subgroup_from_elements(elems, f"Z({G.name})")
     return G._memo("center", build)
 
@@ -481,13 +543,13 @@ def _right_table(G: Group) -> list[array]:
     """``right[k][i]``: the position of ``elements[i] * generators[k]``.
 
     Taken from the cache where ``make_group`` left it (the class build is its
-    only reader, and removes it), else built from a position dict.
+    only reader, and removes it), else built through the group's product.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
-        pos = {x.images: i for i, x in enumerate(G.elements)}
-        right = [array("I", [pos[tuple(map(g.images.__getitem__, x.images))]
-                             for x in G.elements])
+        mul = G.product()
+        pos = {x: i for i, x in enumerate(G.elements)}
+        right = [array("I", [pos[mul(x, g)] for x in G.elements])
                  for g in G.generators]
     return right
 

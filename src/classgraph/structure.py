@@ -14,7 +14,7 @@ from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
 from .perm import (Group, Permutation, bulk_conjugate, center, class_index,
                    closed_subgroup, conjugacy_classes, conjugation_maps,
                    element_order_map, extend_hom, make_group, mulclose,
-                   p_part_element, subgroup_from_elements)
+                   p_part_element, require_members, subgroup_from_elements)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -66,13 +66,14 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
     """
     maps = conjugation_maps(G.generators)
     todo = list(seeds)
+    require_members(G, todo, "seed")
     gens: list[Permutation] = []
     elems = {G.identity}
     for x in todo:  # grows while it is walked
         if x in elems:
             continue
         gens.append(x)
-        elems = mulclose(gens, cap=cap, start=elems)
+        elems = mulclose(gens, cap=cap, start=elems, group=G)
         if cap is not None and len(elems) > cap:
             raise OrderCapExceeded(name, cap)
         todo.extend(bulk_conjugate(x, m) for m in maps)
@@ -81,7 +82,8 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
 
 def derived_subgroup(G: Group) -> Group:
     def build():
-        comms = [(~a * ~b) * (a * b) for a in G.generators for b in G.generators]
+        mul = G.product()
+        comms = [mul(mul(~a, ~b), mul(a, b)) for a in G.generators for b in G.generators]
         return normal_closure(G, comms, f"[{G.name},{G.name}]")
     return G._memo("derived", build)
 
@@ -129,7 +131,7 @@ def sylow(G: Group, p: int) -> Group:
                 yp = p_part_element(y, p)
                 if yp in cur:
                     continue
-                trial = mulclose(cur_gens + [yp], cap=target, start=cur)
+                trial = mulclose(cur_gens + [yp], cap=target, start=cur, group=G)
                 if len(trial) <= target and len(trial) == p_part(len(trial), p):
                     cur = trial
                     cur_gens.append(yp)
@@ -230,13 +232,14 @@ def quotient(G: Group, N: Group) -> Quotient:
     Returns the quotient as a permutation group of degree |G:N| together
     with the projection map from every element of G to its coset action.
     """
+    require_members(G, G.generators, "generator")
     _require_normal(G, N)
-    n_elems = N.elements
+    mul = G.product()
     coset_rep: dict[Permutation, Permutation] = {}
     for g in G.elements:
         if g in coset_rep:
             continue
-        coset = [n * g for n in n_elems]
+        coset = [mul(n, g) for n in N.elements]
         rep = min(coset)
         for e in coset:
             coset_rep[e] = rep
@@ -245,16 +248,16 @@ def quotient(G: Group, N: Group) -> Quotient:
     nq = len(reps)
 
     def act(x: Permutation) -> Permutation:
-        return Permutation._raw(tuple(rep_index[coset_rep[r * x]] for r in reps))
+        return Permutation._raw(tuple(rep_index[coset_rep[mul(r, x)]] for r in reps))
 
     # the coset action is a homomorphism, so extend it from the generators
     # instead of acting with every element
     qgens = [act(g) for g in G.generators]
-    projection = extend_hom(G.generators, qgens, G.identity, Permutation.identity(nq))
+    Q = make_group(qgens, f"{G.name}/{N.name}", degree=nq, max_order=nq)
+    projection = extend_hom(G.generators, qgens, G, Q)
     if projection is None:
         raise NotAHomomorphism(f"coset action of {G.name!r} on {N.name!r} "
                                "is not multiplicative")
-    Q = make_group(qgens, f"{G.name}/{N.name}", degree=nq, max_order=nq)
     return Quotient(Q, projection)
 
 
@@ -319,7 +322,7 @@ def _search_subgroup(G: Group, target_order: int,
                 break
             if x in cur:
                 continue
-            trial = mulclose(gens + [x], cap=target_order, start=cur)
+            trial = mulclose(gens + [x], cap=target_order, start=cur, group=G)
             if len(trial) <= target_order and order_ok(len(trial)):
                 cur = trial
                 gens.append(x)
@@ -383,7 +386,7 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                             or B.element_set() <= A.element_set()):
                         continue
                     gens = A.generators + tuple(b for b in B.generators if b not in A)
-                    join = frozenset(mulclose(gens, start=A.element_set()))
+                    join = frozenset(mulclose(gens, start=A.element_set(), group=G))
                     if join not in lattice:
                         J = closed_subgroup(gens, join, f"join{len(lattice)}<{G.name}")
                         lattice[join] = J
@@ -419,7 +422,7 @@ def _minimal_generating_sequence(G: Group) -> list[Permutation]:
         for x in by_order:
             if x in cur:
                 continue
-            trial = mulclose(gens + [x], start=cur)
+            trial = mulclose(gens + [x], start=cur, group=G)
             if len(trial) > len(best_set):
                 best, best_set = x, trial
             if len(best_set) == G.order:
@@ -458,10 +461,11 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
         pools.append(pool)
 
     # pairwise word invariants for a cheap precheck
-    def word_inv(x, y, idx):
-        return (inv(idx, x * y), inv(idx, y * x))
+    def word_inv(x, y, idx, mul):
+        return (inv(idx, mul(x, y)), inv(idx, mul(y, x)))
 
-    target_pair = [[word_inv(gens[i], gens[j], idx_a) for j in range(i)]
+    mul_a, mul_b = A.product(), B.product()
+    target_pair = [[word_inv(gens[i], gens[j], idx_a, mul_a) for j in range(i)]
                    for i in range(len(gens))]
 
     assignment: list[Permutation] = []
@@ -472,11 +476,11 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
         if i == len(gens):
             return True
         for cand in pools[i]:
-            if any(word_inv(assignment[j], cand, idx_b) != target_pair[i][j]
+            if any(word_inv(assignment[j], cand, idx_b, mul_b) != target_pair[i][j]
                    for j in range(i)):
                 continue
             assignment.append(cand)
-            hom = extend_hom(gens[: i + 1], assignment, A.identity, B.identity)
+            hom = extend_hom(gens[: i + 1], assignment, A, B)
             if (hom is not None and len(set(hom.values())) == len(hom)
                     and backtrack(i + 1)):
                 return True

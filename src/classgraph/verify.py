@@ -150,6 +150,7 @@ def _check_coprime_commuting_divisibility(G: Group):
     def build():
         classes = class_index(G)
         orders = element_order_map(G)
+        mul = G.product()
         sample = _stride_sample(G.elements)
         bad = 0
         checked = 0
@@ -159,10 +160,11 @@ def _check_coprime_commuting_divisibility(G: Group):
             for y in sample:
                 if math.gcd(ox, orders[y]) != 1:
                     continue
-                if not x.commutes_with(y):
+                xy = mul(x, y)
+                if xy is not mul(y, x):
                     continue
                 checked += 1
-                sxy = classes[x * y].size
+                sxy = classes[xy].size
                 if sxy % sx != 0 or sxy % classes[y].size != 0:
                     bad += 1
         return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
@@ -252,8 +254,9 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph,
         # the complement found must be centralized by some Sylow p-subgroup
         if sylow(G, p).order == 1:
             return True, "p-nilpotent, quasi-Frobenius; Sylow p trivial"
+        mul = G.product()
         for S in sylow_conjugates(G, p):
-            if all(s.commutes_with(c) for c in qf.complement.generators for s in S):
+            if all(mul(s, c) is mul(c, s) for c in qf.complement.generators for s in S):
                 return True, ("p-nilpotent, quasi-Frobenius, complement "
                               "centralized by a Sylow p-subgroup")
         return False, "no Sylow p-subgroup centralizes the found complement"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from classgraph.errors import NotAMember
 from classgraph.perm import Permutation
 
 
@@ -76,6 +77,13 @@ def naive_class_sizes(elements):
 
 def naive_centralizer(elements, x):
     return {g for g in elements if g * x == x * g}
+
+
+def centralizer_order(G, x):
+    """|C_G(x)| by counting the elements of G that commute with x."""
+    if x not in G:
+        raise NotAMember(f"element is not in {G.name!r}")
+    return sum(1 for g in G.elements if g.commutes_with(x))
 
 
 def naive_center(elements):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
 
 from classgraph import classify
 from classgraph.classify import (count_p_regular_classes, higman_structure_check,
@@ -12,9 +13,10 @@ from classgraph.classify import (count_p_regular_classes, higman_structure_check
 from classgraph.construct import (cyclic, direct_product, elementary_abelian,
                                   symmetric)
 from classgraph.errors import PreconditionViolated
-from classgraph.perm import Group, center
-from classgraph.structure import HallSearchConfig, p_complement
-from oracles import naive_centralizer, naive_is_normal
+from classgraph.perm import Group, center, make_group, parse_cycle_string
+from classgraph.structure import HallSearchConfig, normal_subgroups, p_complement
+from oracles import centralizer_order, naive_centralizer, naive_is_normal
+from strategies import generating_sets
 
 
 @pytest.mark.parametrize("name, test", [("Sigma3", is_frobenius),
@@ -64,6 +66,17 @@ def test_frobenius_witness_invariants(atlas_groups):
         for k in w.kernel.elements:
             if not k.is_identity():
                 assert naive_centralizer(G.elements, k) <= w.kernel.element_set()
+
+
+@given(generating_sets())
+@example([parse_cycle_string("(1,2,3,4,5)", 5), parse_cycle_string("(2,3,5,4)", 5)])  # C5:C4
+@example([parse_cycle_string("(1,2,3)", 4), parse_cycle_string("(1,2)(3,4)", 4)])  # A4
+def test_frobenius_kernel_test_matches_commuting_counts(gens):
+    G = make_group(gens, "G")
+    for N in normal_subgroups(G):
+        expected = all(centralizer_order(G, k) == centralizer_order(N, k)
+                       for k in N.elements if not k.is_identity())
+        assert classify._is_frobenius_kernel(G, N) == expected
 
 
 def test_frobenius_none_when_center_nontrivial(atlas_groups):

@@ -7,10 +7,12 @@ import math
 import pytest
 from hypothesis import example, given
 
+from classgraph import graph as graph_module
 from classgraph.construct import cyclic, generalized_quaternion
 from classgraph.errors import NoVertices
-from classgraph.graph import (ClassGraph, _components, build_graph, central_p_prime_part,
-                              coprime_class_span, diameter, is_triangle_free, p_regular_classes, to_dot)
+from classgraph.graph import (ClassGraph, _adjacency, _components, build_graph,
+                              central_p_prime_part, coprime_class_span, diameter,
+                              is_triangle_free, p_regular_classes, to_dot)
 from classgraph.perm import conjugacy_classes
 from oracles import naive_diameter, naive_is_triangle_free
 from strategies import graphs_with_twins
@@ -118,8 +120,19 @@ def test_diameter_matches_naive(atlas_groups):
 def test_diameter_matches_naive_with_twins(graph):
     n, edges = graph
     g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges,
-                   components=_components(n, edges), shape="other")
+                   components=_components(_adjacency(n, edges)), shape="other")
     assert diameter(g) == naive_diameter(n, edges)
+
+
+def test_adjacency_built_once_and_not_part_of_the_value(atlas_groups, monkeypatch):
+    g = build_graph(atlas_groups["Sigma4"], 5)  # connected, diameter 2
+    monkeypatch.setattr(graph_module, "_adjacency", None)  # no second build
+    assert is_triangle_free(g) == naive_is_triangle_free(g.vertex_sizes())
+    assert diameter(g) == naive_diameter(len(g.vertices), g.edges)
+    assert g.adjacency() is g.adjacency()
+    bare = ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape)
+    assert bare.adjacency_cache is None
+    assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
 
 
 def test_components_partition(atlas_groups):

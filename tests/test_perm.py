@@ -8,13 +8,12 @@ from hypothesis import example, given, strategies as st
 from classgraph import perm as perm_module
 from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
                                OrderCapExceeded)
-from classgraph.perm import (Permutation, center, centralizer, centralizer_order,
-                             class_elements, class_of, conjugacy_classes,
-                             element_order, extend_hom, make_group, mulclose,
-                             parse_cycle_string, subgroup_from_elements)
-from oracles import (naive_center, naive_centralizer, naive_class_sizes,
-                     naive_closure, naive_conjugacy_classes, naive_element_order,
-                     naive_extend_hom)
+from classgraph.perm import (Permutation, center, centralizer, class_elements, class_of,
+                             conjugacy_classes, element_order, extend_hom, make_group,
+                             mulclose, parse_cycle_string, subgroup_from_elements)
+from oracles import (centralizer_order, naive_center, naive_centralizer,
+                     naive_class_sizes, naive_closure, naive_conjugacy_classes,
+                     naive_element_order, naive_extend_hom)
 from strategies import generating_sets, permutations
 
 
@@ -330,9 +329,38 @@ def test_extend_hom_matches_naive(gens, data):
     else:
         images = data.draw(st.lists(permutations(data.draw(st.integers(2, 3))),
                                     min_size=len(gens), max_size=len(gens)))
-    ident_a = Permutation.identity(degree)
-    ident_b = Permutation.identity(images[0].degree)
     expected = naive_extend_hom(gens, images)
-    assert extend_hom(gens, images, ident_a, ident_b) == expected
+    assert extend_hom(gens, images, make_group(gens, "A"), make_group(images, "B")) == expected
     if kind != "arbitrary":
         assert expected is not None  # genuine homomorphisms
+
+
+def _regular(G):
+    """G's right-regular representation: degree |G|, so one point is a base."""
+    pos = {x: i for i, x in enumerate(G.elements)}
+    gens = [Permutation([pos[x * g] for x in G.elements]) for g in G.generators]
+    return make_group(gens, f"R({G.name})", degree=G.order)
+
+
+@given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])  # S4: a base of three points
+def test_product_matches_composition(gens):
+    G = make_group(gens, "G")
+    R = _regular(G)
+    assert len(R.base()) == (1 if G.order > 1 else 0)
+    for H in (G, R):
+        keys = {tuple(x.images[b] for b in H.base()) for x in H.elements}
+        assert len(keys) == H.order  # the base images separate the elements
+        own = {id(x) for x in H.elements}
+        mul = H.product()
+        for x in H.elements:
+            for y in H.elements:
+                z = mul(x, y)
+                assert z == x * y and id(z) in own
+
+
+def test_base_of_natural_and_regular_actions():
+    s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
+    assert s4.base() == (0, 1, 2)
+    assert _regular(s4).base() == (0,)
+    assert make_group([], "1", degree=3).base() == ()

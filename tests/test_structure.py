@@ -9,17 +9,18 @@ from classgraph import perm, structure
 from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   elementary_abelian, generalized_quaternion,
                                   symmetric)
-from classgraph.errors import NotASubgroup, NotNormal, IsoCapExceeded
+from classgraph.errors import IsoCapExceeded, NotAMember, NotASubgroup, NotNormal
 from classgraph.numtheory import is_pi_number, p_part, prime_factors
-from classgraph.perm import (Group, center, closed_subgroup, conjugacy_classes, make_group,
-                             mulclose, parse_cycle_string, subgroup_from_elements)
+from classgraph.perm import (Group, Permutation, center, closed_subgroup, conjugacy_classes,
+                             extend_hom, make_group, mulclose, parse_cycle_string,
+                             subgroup_from_elements)
 from classgraph.structure import (HallSearchConfig, derived_subgroup, hall_subgroup,
                                   is_isomorphic, is_p_separable, is_soluble,
                                   normal_closure, normal_subgroups, p_complement,
                                   p_core, p_prime_core, pi_core, quotient, sylow)
 from oracles import (naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
                      naive_normal_closure, naive_normal_subgroups, naive_pi_core_over)
-from strategies import generating_sets
+from strategies import generating_sets, permutations
 
 
 def test_soluble_s3():
@@ -366,3 +367,56 @@ def test_center_quotient_of_q8():
     q8 = generalized_quaternion(8)
     Q, _ = quotient(q8, center(q8))
     assert is_isomorphic(Q, elementary_abelian(2, 2))
+
+
+def test_products_in_a_group_reject_non_members():
+    s3 = symmetric(3)
+    c3 = make_group([parse_cycle_string("(1,2,3)", 3)], "C3")
+    t = parse_cycle_string("(1,2)", 3)  # in S3, not in C3
+    with pytest.raises(NotAMember):
+        mulclose([t], group=c3)
+    with pytest.raises(NotAMember):
+        mulclose(list(c3.generators), start={c3.identity, t}, group=c3)
+    with pytest.raises(NotAMember):
+        extend_hom([t], [t], c3, s3)  # generator outside A
+    with pytest.raises(NotAMember):
+        extend_hom(list(c3.generators), [t], c3, c3)  # image outside B
+    bad = Group("bad", 3, (t,), c3.elements)  # lists a generator it does not contain
+    with pytest.raises(NotAMember):
+        quotient(bad, closed_subgroup((), [c3.identity], "1"))
+
+
+def test_products_inside_a_group_compose_no_permutations(atlas_groups, monkeypatch):
+    G = atlas_groups["(C5xC5):SL(2,3)"]  # order 600, regular action of degree 600
+    G = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Permutation.__mul__ called inside a group")
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    normals = normal_subgroups(G)
+    assert [N.order for N in normals] == [1, 25, 50, 200, 600]
+    Q, proj = quotient(G, normals[1])
+    assert Q.order == 24 and len(proj) == 600
+    assert p_complement(G, 5).order == 24
+
+
+@given(generating_sets(), st.data())
+def test_is_isomorphic_to_relabelled_copy(gens, data):
+    c = data.draw(permutations(gens[0].degree))
+    G = make_group(gens, "G")
+    H = make_group([g.conjugate(c) for g in gens], "G^c")
+    assert is_isomorphic(G, H) and is_isomorphic(H, G)
+
+
+@pytest.mark.parametrize("prefilter", [True, False])
+def test_is_isomorphic_rejects_equal_orders(atlas_groups, monkeypatch, prefilter):
+    if not prefilter:  # let every pair reach the backtracking search
+        monkeypatch.setattr(structure, "_fingerprint", lambda G: G.order)
+    pairs = [(cyclic(4), elementary_abelian(2, 2)),
+             (dihedral(8), generalized_quaternion(8)),
+             (alternating(4), dihedral(12)),
+             (atlas_groups["C3:C4"], dihedral(12))]
+    for A, B in pairs:
+        A = Group(A.name, A.degree, A.generators, A.elements)  # no cached fingerprint
+        assert not is_isomorphic(A, B) and not is_isomorphic(B, A)
