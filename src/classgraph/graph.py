@@ -34,7 +34,7 @@ class ClassGraph:
     shape: str
     # built at most once and shared by every query; not part of the value
     adjacency_cache: dict[int, set[int]] | None = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     def vertex_sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.vertices)
@@ -115,8 +115,10 @@ def build_graph(G: Group, p: int | None = None) -> ClassGraph:
     fedges = frozenset(edges)
     adj = _adjacency(len(verts), fedges)
     comps = _components(adj)
-    return ClassGraph(prime=p, vertices=verts, edges=fedges, components=comps,
-                      shape=_shape(len(verts), fedges, comps), adjacency_cache=adj)
+    g = ClassGraph(prime=p, vertices=verts, edges=fedges, components=comps,
+                   shape=_shape(len(verts), fedges, comps))
+    object.__setattr__(g, "adjacency_cache", adj)
+    return g
 
 
 def is_triangle_free(g: ClassGraph) -> bool:

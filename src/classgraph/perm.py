@@ -310,12 +310,12 @@ class Group:
         A member is fixed by its images on ``base()``, so x*y is the
         element whose base images are y's images at x's base images: one
         dict lookup instead of composing degree-length tuples.  Only
-        members may be passed; callers check their inputs once (see
+        members may be passed; entry points check their inputs (see
         ``require_members``), and products of members are members.
         """
         def build():
             base = self.base()
-            if len(base) == 1:
+            if len(base) == 1:  # a scalar key: about 4x cheaper than a 1-tuple
                 (b,) = base
                 by_image = {x.images[b]: x for x in self.elements}
                 return lambda x, y: by_image[y.images[x.images[b]]]

@@ -133,6 +133,9 @@ def test_adjacency_built_once_and_not_part_of_the_value(atlas_groups, monkeypatc
     bare = ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape)
     assert bare.adjacency_cache is None
     assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
+    with pytest.raises(TypeError):  # the map follows from the edges; no caller sets it
+        ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape,
+                   adjacency_cache={})
 
 
 def test_components_partition(atlas_groups):
