@@ -59,7 +59,7 @@ class Permutation:
         b = other.images
         if len(a) != len(b):
             raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
-        return Permutation._raw(tuple(map(b.__getitem__, a)))
+        return Permutation._raw(_then(a)(b))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -163,10 +163,22 @@ def _unpickle_perm(images: tuple[int, ...]) -> Permutation:
     return Permutation._raw(images)
 
 
+def _then(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map from the images of b to the images of a*b, b's images read at a's.
+
+    Every product and conjugate of image tuples is composed here, in C by
+    ``itemgetter``; it returns a scalar for a single item, so images of
+    fewer than two points are read one by one.
+    """
+    if len(a) > 1:
+        return itemgetter(*a)
+    return lambda b: tuple([b[i] for i in a])
+
+
 def _conj_images(x_img: tuple[int, ...], g_img: tuple[int, ...],
                  ginv_img: tuple[int, ...]) -> tuple[int, ...]:
-    """Images of g^-1 * x * g, composed with C-level map calls."""
-    return tuple(map(g_img.__getitem__, map(x_img.__getitem__, ginv_img)))
+    """Images of g^-1 * x * g."""
+    return _then(_then(ginv_img)(x_img))(g_img)
 
 
 def conjugation_maps(gens: Sequence[Permutation]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -319,10 +331,9 @@ class Group:
                 (b,) = base
                 by_image = {x.images[b]: x for x in self.elements}
                 return lambda x, y: by_image[y.images[x.images[b]]]
-            at_base = itemgetter(*base) if base else (lambda images: ())
+            at_base = _then(base)
             by_images = {at_base(x.images): x for x in self.elements}
-            return lambda x, y: by_images[tuple(map(y.images.__getitem__,
-                                                    at_base(x.images)))]
+            return lambda x, y: by_images[_then(at_base(x.images))(y.images)]
         return self._memo("product", build)
 
     def _memo(self, key: str, fn: Callable):
@@ -380,19 +391,17 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         # product enters pos once and its cell is filled when its layer is
         # sorted, so no duplicate product outlives its step
         layer = []  # (images, cell) of the new elements
-        rows = []
         spare = [0]  # the cell pos.setdefault gives a product not yet placed
-        for g in gens:
-            image = g.images.__getitem__
-            row = []
-            for x in frontier:
-                y = tuple(map(image, x))  # x * g
+        rows = [[] for _ in gens]
+        for x in frontier:
+            then_x = _then(x)
+            for g, row in zip(gens, rows):
+                y = then_x(g.images)  # x * g
                 c = pos.setdefault(y, spare)
                 if c is spare:
                     layer.append((y, c))
                     spare = [0]
                 row.append(c)
-            rows.append(row)
         if len(pos) > cap:
             raise OrderCapExceeded(name, cap)
         layer.sort()  # by images, the order of Permutation.__lt__

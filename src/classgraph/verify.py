@@ -17,7 +17,7 @@ from .errors import HallSearchExhausted
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
-from .perm import Group, center, class_index, conjugacy_classes, element_order_map
+from .perm import Group, center, class_index, conjugacy_classes
 from .structure import (HallSearchConfig, Quotient, hall_subgroup, is_isomorphic,
                         is_p_separable, is_soluble, normal_subgroups, p_complement,
                         p_core, p_prime_core, quotient, sylow, sylow_conjugates)
@@ -149,24 +149,28 @@ def _check_quotient_class_divisibility(G: Group):
 def _check_coprime_commuting_divisibility(G: Group):
     def build():
         classes = class_index(G)
-        orders = element_order_map(G)
         mul = G.product()
         sample = _stride_sample(G.elements)
+        by_order: dict[int, list] = {}
+        for y in sample:
+            by_order.setdefault(classes[y].element_order, []).append(y)
         bad = 0
         checked = 0
         for x in sample:
-            ox = orders[x]
-            sx = classes[x].size
-            for y in sample:
-                if math.gcd(ox, orders[y]) != 1:
+            cx = classes[x]
+            ox = cx.element_order
+            sx = cx.size
+            for oy, ys in by_order.items():
+                if math.gcd(ox, oy) != 1:
                     continue
-                xy = mul(x, y)
-                if xy is not mul(y, x):
-                    continue
-                checked += 1
-                sxy = classes[xy].size
-                if sxy % sx != 0 or sxy % classes[y].size != 0:
-                    bad += 1
+                for y in ys:
+                    xy = mul(x, y)
+                    if xy is not mul(y, x):
+                        continue
+                    checked += 1
+                    sxy = classes[xy].size
+                    if sxy % sx != 0 or sxy % classes[y].size != 0:
+                        bad += 1
         return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
     return G._memo("coprime_div_check", build)
 

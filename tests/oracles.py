@@ -14,6 +14,35 @@ from classgraph.errors import NotAMember
 from classgraph.perm import Permutation
 
 
+def naive_compose(a, b):
+    """a * b (apply a first), one point at a time."""
+    images = []
+    for x in range(a.degree):
+        images.append(b.images[a.images[x]])
+    return Permutation(images)
+
+
+def naive_conjugate(x, g):
+    """g^-1 * x * g, as the relabelling that sends g(i) to g(x(i))."""
+    images = [None] * x.degree
+    for i in range(x.degree):
+        images[g.images[i]] = g.images[x.images[i]]
+    return Permutation(images)
+
+
+def naive_layered_closure(gens, degree):
+    """The elements of <gens> listed breadth-first over right multiplication
+    by the generators, each new layer sorted, multiplied with naive_compose."""
+    elements = [Permutation(range(degree))]
+    seen = set(elements)
+    frontier = elements
+    while frontier:
+        frontier = sorted({naive_compose(x, g) for x in frontier for g in gens} - seen)
+        seen.update(frontier)
+        elements = elements + frontier
+    return elements
+
+
 def naive_closure(gens):
     """Repeated pairwise multiplication until stable."""
     if not gens:

@@ -8,12 +8,15 @@ from hypothesis import example, given, strategies as st
 from classgraph import perm as perm_module
 from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
                                OrderCapExceeded)
-from classgraph.perm import (Permutation, center, centralizer, class_elements, class_of,
-                             conjugacy_classes, element_order, extend_hom, make_group,
-                             mulclose, parse_cycle_string, subgroup_from_elements)
+from classgraph.construct import cyclic, symmetric
+from classgraph.perm import (Permutation, bulk_conjugate, center, centralizer, class_elements,
+                             class_of, conjugacy_classes, conjugation_maps, element_order,
+                             extend_hom, make_group, mulclose, parse_cycle_string,
+                             subgroup_from_elements)
 from oracles import (centralizer_order, naive_center, naive_centralizer,
-                     naive_class_sizes, naive_closure, naive_conjugacy_classes,
-                     naive_element_order, naive_extend_hom)
+                     naive_class_sizes, naive_closure, naive_compose, naive_conjugacy_classes,
+                     naive_conjugate, naive_element_order, naive_extend_hom,
+                     naive_layered_closure)
 from strategies import generating_sets, permutations
 
 
@@ -47,6 +50,41 @@ def test_conjugate_matches_definition():
     x = perm("(1,2,3)", 4)
     g = perm("(3,4)", 4)
     assert x.conjugate(g) == g.inverse() * x * g
+
+
+@given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])  # S4
+@example([perm("(1,2)", 2)])
+def test_composition_matches_pointwise_oracle(gens):
+    maps = conjugation_maps(gens)
+    for x in gens:
+        for g, m in zip(gens, maps):
+            assert x * g == naive_compose(x, g)
+            assert x.conjugate(g) == naive_conjugate(x, g)
+            assert bulk_conjugate(x, m) == naive_conjugate(x, g)
+
+
+@given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])  # S4
+@example([perm("(1,2)", 2)])
+def test_make_group_matches_layered_closure(gens):
+    G = make_group(gens, "G")
+    assert list(G.elements) == naive_layered_closure(G.generators, G.degree)
+    pos = {x: i for i, x in enumerate(G.elements)}
+    right = G._cache["right_table"]
+    assert [list(r) for r in right] == [
+        [pos[naive_compose(x, g)] for x in G.elements] for g in G.generators]
+
+
+def test_degree_one_results_are_one_tuples():
+    e = Permutation.identity(1)
+    results = [e * e, e.conjugate(e), bulk_conjugate(e, conjugation_maps([e])[0])]
+    results += [e ** k for k in (1, -1, 2, -2)]
+    groups = [make_group([Permutation((0,))], "t"), cyclic(1), symmetric(1)]
+    for G in groups:
+        results += list(G.elements) + [G.product()(G.identity, G.identity)]
+    for r in results:
+        assert r.images == (0,) and r == e
 
 
 def test_degree_mismatch():
