@@ -4,7 +4,6 @@ structure of CP-groups, class-size criteria, and the triangle-free case match.""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import construct
@@ -15,7 +14,7 @@ from .numtheory import (is_pi_number, is_prime, is_prime_power, p_part,
                         prime_factors)
 from .perm import (Group, center, class_index, conjugacy_classes, element_order_map,
                    subgroup_from_elements)
-from .structure import (HallSearchConfig, _search_subgroup, hall_subgroup,
+from .structure import (HallSearchConfig, _search_subgroup, coset_classes, hall_subgroup,
                         is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
                         p_complement, p_core, pi_core, quotient, sylow)
 
@@ -32,7 +31,11 @@ class FrobeniusWitness:
 
 @dataclass(frozen=True)
 class QuasiFrobeniusWitness:
-    """Frobenius data of G/Z(G) plus the preimages of kernel and complement."""
+    """Frobenius data of G/Z(G) plus the preimages of kernel and complement.
+
+    When Z(G) = 1 the quotient is G itself: ``quotient_witness`` is
+    ``is_frobenius(G)``'s witness, and kernel and complement are its own.
+    """
 
     quotient_witness: FrobeniusWitness
     kernel: Group          # preimage in G
@@ -107,19 +110,29 @@ def is_frobenius(G: Group,
 def is_quasi_frobenius(G: Group,
                        cfg: HallSearchConfig = HallSearchConfig()
                        ) -> Optional[QuasiFrobeniusWitness]:
-    """Apply the Frobenius test to G/Z(G) and pull the witness back to G."""
+    """Apply the Frobenius test to G/Z(G) and pull the witness back to G.
+
+    When Z(G) = 1 the test runs on G itself, through the memoised
+    ``is_frobenius(G, cfg)``, and no quotient is built.
+    """
     def build():
         Z = center(G)
         if Z.order == G.order:
             return None
-        Q, proj = quotient(G, Z)
-        w = is_frobenius(Q, cfg)
-        if w is None:
-            return None
-        kern_pre = subgroup_from_elements(
-            [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
-        comp_pre = subgroup_from_elements(
-            [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
+        if Z.order == 1:
+            w = is_frobenius(G, cfg)
+            if w is None:
+                return None
+            kern_pre, comp_pre = w.kernel, w.complement
+        else:
+            Q, proj = quotient(G, Z)
+            w = is_frobenius(Q, cfg)
+            if w is None:
+                return None
+            kern_pre = subgroup_from_elements(
+                [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
+            comp_pre = subgroup_from_elements(
+                [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
         return QuasiFrobeniusWitness(
             quotient_witness=w, kernel=kern_pre, complement=comp_pre,
             kernel_abelian=kern_pre.is_abelian(),
@@ -196,11 +209,21 @@ def higman_structure_check(H: Group) -> PrimePowerStructureReport:
                                      "no structure case matched")
 
 
-def count_p_regular_classes(G: Group, p: int) -> int:
-    """Number of classes with representative order coprime to p, central included."""
+def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> int:
+    """Number of classes with representative order coprime to p, central included.
+
+    With ``over`` = N normal in G, the number of p-regular classes of G/N,
+    read inside G as the distinct ``coset_classes`` entries of the p-regular
+    classes of G.  Those cover every p-regular class of G/N: when xN has
+    p'-order, the p-part of x lies in N, so xN is the image of x's p'-part.
+    """
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
-    return sum(1 for c in conjugacy_classes(G) if c.element_order % p != 0)
+    classes = conjugacy_classes(G)
+    if over is None:
+        return sum(1 for c in classes if c.element_order % p != 0)
+    return len({cosets for c, cosets in zip(classes, coset_classes(G, over))
+                if c.element_order % p != 0})
 
 
 def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int], mode: str,
@@ -251,10 +274,7 @@ class ComplementCase:
 
 _CASE_SHAPES = {"i": {"d", "e"}, "ii": {"a", "b", "c", "e"}, "iii": {"f"}}
 
-
-@lru_cache(maxsize=1)
-def _case_iii_target() -> Group:
-    return construct.atlas_group("(C5xC5):Q8")
+_CASE_III_TARGET = "(C5xC5):Q8"
 
 
 def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
@@ -284,9 +304,11 @@ def complement_case(G: Group, p: int,
     H = p_complement(G, p, cfg)
     matches: list[ComplementCase] = []
 
-    if H.order == _case_iii_target().order and is_isomorphic(H, _case_iii_target()):
-        matches.append(ComplementCase("iii", graph.shape,
-                                      {"target": _case_iii_target().name}))
+    # the target is built only for a complement of its declared order
+    if H.order == construct.atlas_order(_CASE_III_TARGET):
+        target = construct.atlas_group(_CASE_III_TARGET)
+        if is_isomorphic(H, target):
+            matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
 
     if is_prime_power(H.order):
         q = prime_factors(H.order)[0]

@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .construct import (GroupSpec, builtin_atlas, group_to_spec, parse_corpus,
-                        serialize_corpus)
-from .errors import ClassGraphError
+from .construct import (GroupSpec, atlas_group, builtin_atlas, group_to_spec,
+                        parse_corpus, serialize_corpus)
+from .errors import ClassGraphError, UnknownAtlasGroup
 from .graph import build_graph, to_dot
 from .perm import Group
 from .structure import HallSearchConfig
@@ -43,11 +43,11 @@ def _load_specs(path: Path) -> list[GroupSpec]:
 def _resolve_group(ref: str, max_order: int | None) -> Group:
     if ref.startswith("atlas:"):
         name = ref[len("atlas:"):]
-        for entry in builtin_atlas():
-            if entry.group.name == name:
-                return entry.group
-        raise ClassGraphError(
-            f"no atlas group named {name!r}; run `classgraph atlas --list`")
+        try:
+            return atlas_group(name)
+        except UnknownAtlasGroup:
+            raise UnknownAtlasGroup(
+                f"no atlas group named {name!r}; run `classgraph atlas --list`") from None
     specs = _load_specs(Path(ref))
     if len(specs) != 1:
         raise ClassGraphError(

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParameter,
-                     NotAHomomorphism, NotAnAutomorphism, require)
+                     NotAHomomorphism, NotAnAutomorphism, UnknownAtlasGroup, require)
 from .numtheory import is_prime
 from .perm import Group, Permutation, extend_hom, make_group, parse_cycle_string
 
@@ -581,59 +581,94 @@ def _e9_q8() -> Group:
     return semidirect_product(e9, q8, action, "E9:Q8")
 
 
+class _AtlasRow(NamedTuple):
+    name: str
+    build: Callable[[], Group]
+    primes: tuple[int, ...]
+    tags: tuple[str, ...]
+    order: int
+
+
+# Every named group the verification suite exercises, with test primes.  Tags
+# name the scenario each group instantiates (graph shape at a prime,
+# classification case, membership in the triangle-free list for the ordinary
+# graph).  Builders run only when their entry is asked for (atlas_group).
+_ATLAS = tuple(_AtlasRow(*row) for row in (
+    ("Sigma3", lambda: symmetric(3), (2, 3, 5),
+     ("ordinary-triangle-free", "shape:a@5", "shape:d@2", "shape:d@3"), 6),
+    ("Sigma4", lambda: symmetric(4), (2, 3, 5), ("has-ordinary-triangle", "shape:d@2"), 24),
+    ("A4", lambda: alternating(4), (2, 3, 5),
+     ("ordinary-triangle-free", "shape:e@2", "shape:d@3", "shape:b@5"), 12),
+    ("D10", lambda: dihedral(10), (2, 5, 3),
+     ("ordinary-triangle-free", "shape:e@2", "shape:d@5", "shape:b@3"), 10),
+    ("D12", lambda: dihedral(12), (2, 3, 5),
+     ("ordinary-triangle-free", "shape:d@2", "shape:e@3", "shape:c@5"), 12),
+    ("C3:C4", _c3_c4, (2, 3, 5),
+     ("ordinary-triangle-free", "shape:d@2", "shape:e@3", "shape:c@5",
+      "case:ii-with-central-involution"), 12),
+    ("C7:C3", lambda: affine_prime_group(7, 2, "C7:C3"), (3, 7, 2),
+     ("ordinary-triangle-free", "shape:e@3", "shape:e@7", "shape:c@2"), 21),
+    ("Q8", lambda: generalized_quaternion(8), (2, 3), ("empty-p-regular-graph@2",), 8),
+    ("C5:C4", lambda: affine_prime_group(5, 2, "C5:C4"), (2, 5, 3),
+     ("shape:d@2", "complete-graph@5"), 20),
+    ("C7:C6", lambda: affine_prime_group(7, 3, "C7:C6"), (2, 3, 7, 5),
+     ("shape:b@2", "shape:a@3"), 42),
+    ("GammaL(1,8)", lambda: one_dim_affine_group(2, 3, frobenius=True, name="GammaL(1,8)"),
+     (2, 3, 7, 5), ("connected-gamma_p-disconnected-gamma_H@7", "shape:b@3"), 168),
+    ("E25:Sigma3", _e25_sigma3, (2, 3, 5, 7),
+     ("shape:e@5", "case:ii-at-shape-e", "noncentral-sizes-divisible-by-p@5"), 150),
+    ("E16:C15", lambda: one_dim_affine_group(2, 4, name="E16:C15"), (2, 3, 5, 7),
+     ("shape:b@5", "disconnected-with-triangles@3"), 240),
+    ("E9:C8", _e9_c8, (2, 3, 5), ("shape:d@2", "abelian-p-complement"), 72),
+    ("E9:Q8", _e9_q8, (2, 3, 5), ("shape:d@2",), 72),
+    ("Q8:C9", _q8_c9, (2, 3, 5), ("building-block",), 72),
+    ("C2x(Q8:C9)", lambda: direct_product(cyclic(2), _q8_c9(), "C2x(Q8:C9)"), (2, 3, 5),
+     ("shape:e@3", "case:i", "six-p-regular-classes@3"), 144),
+    ("ES27:Q8", _es27_q8, (2, 3, 5),
+     ("shape:d@2", "central-intersection-order-3"), 216),
+    ("(C5xC5):Q8", _c5c5_q8, (2, 5, 3), ("case-iii-target",), 200),
+    ("(C5xC5):SL(2,3)", _c5c5_sl23, (2, 3, 5, 7), ("shape:f@3", "case:iii"), 600),
+))
+_ATLAS_BY_NAME = {row.name: row for row in _ATLAS}
+
+
+def _atlas_row(name: str) -> _AtlasRow:
+    row = _ATLAS_BY_NAME.get(name)
+    if row is None:
+        raise UnknownAtlasGroup(f"no atlas group named {name!r}")
+    return row
+
+
+def atlas_order(name: str) -> int:
+    """The declared order of a built-in atlas group, without building it."""
+    return _atlas_row(name).order
+
+
+@lru_cache(maxsize=None)
+def atlas_group(name: str) -> Group:
+    """The built-in atlas group of this name, built on first use and memoised.
+
+    Only the named entry is constructed; its name and order are checked
+    against the table.  Raises UnknownAtlasGroup (a KeyError) for a name
+    not in the atlas.
+    """
+    row = _atlas_row(name)
+    G = row.build()
+    require(G.name == name and G.order == row.order,
+            f"atlas entry {name!r} built {G.name!r} of order {G.order}, "
+            f"expected order {row.order}")
+    return G
+
+
 @lru_cache(maxsize=1)
 def builtin_atlas() -> tuple[AtlasEntry, ...]:
-    """Every named group the verification suite exercises, with test primes.
+    """Every atlas entry, in table order, with its test primes and tags.
 
-    Tags name the scenario each group instantiates (graph shape at a prime,
-    classification case, membership in the triangle-free list for the
-    ordinary graph).  Orders are checked at construction time.
+    The groups are ``atlas_group``'s own objects, so either route shares
+    one group and its memoised data.
     """
-    entries: list[tuple[Group, tuple[int, ...], tuple[str, ...], int]] = [
-        (symmetric(3), (2, 3, 5), ("ordinary-triangle-free", "shape:a@5", "shape:d@2", "shape:d@3"), 6),
-        (symmetric(4), (2, 3, 5), ("has-ordinary-triangle", "shape:d@2"), 24),
-        (alternating(4), (2, 3, 5), ("ordinary-triangle-free", "shape:e@2", "shape:d@3", "shape:b@5"), 12),
-        (dihedral(10), (2, 5, 3), ("ordinary-triangle-free", "shape:e@2", "shape:d@5", "shape:b@3"), 10),
-        (dihedral(12), (2, 3, 5), ("ordinary-triangle-free", "shape:d@2", "shape:e@3", "shape:c@5"), 12),
-        (_c3_c4(), (2, 3, 5), ("ordinary-triangle-free", "shape:d@2", "shape:e@3", "shape:c@5",
-                               "case:ii-with-central-involution"), 12),
-        (affine_prime_group(7, 2, "C7:C3"), (3, 7, 2),
-         ("ordinary-triangle-free", "shape:e@3", "shape:e@7", "shape:c@2"), 21),
-        (generalized_quaternion(8), (2, 3), ("empty-p-regular-graph@2",), 8),
-        (affine_prime_group(5, 2, "C5:C4"), (2, 5, 3),
-         ("shape:d@2", "complete-graph@5"), 20),
-        (affine_prime_group(7, 3, "C7:C6"), (2, 3, 7, 5),
-         ("shape:b@2", "shape:a@3"), 42),
-        (one_dim_affine_group(2, 3, frobenius=True, name="GammaL(1,8)"),
-         (2, 3, 7, 5),
-         ("connected-gamma_p-disconnected-gamma_H@7", "shape:b@3"), 168),
-        (_e25_sigma3(), (2, 3, 5, 7), ("shape:e@5", "case:ii-at-shape-e",
-                                       "noncentral-sizes-divisible-by-p@5"), 150),
-        (one_dim_affine_group(2, 4, name="E16:C15"), (2, 3, 5, 7),
-         ("shape:b@5", "disconnected-with-triangles@3"), 240),
-        (_e9_c8(), (2, 3, 5), ("shape:d@2", "abelian-p-complement"), 72),
-        (_e9_q8(), (2, 3, 5), ("shape:d@2",), 72),
-        (_q8_c9(), (2, 3, 5), ("building-block",), 72),
-        (direct_product(cyclic(2), _q8_c9(), "C2x(Q8:C9)"), (2, 3, 5),
-         ("shape:e@3", "case:i", "six-p-regular-classes@3"), 144),
-        (_es27_q8(), (2, 3, 5), ("shape:d@2", "central-intersection-order-3"), 216),
-        (_c5c5_q8(), (2, 5, 3), ("case-iii-target",), 200),
-        (_c5c5_sl23(), (2, 3, 5, 7), ("shape:f@3", "case:iii"), 600),
-    ]
-    atlas = []
-    for group, primes, tags, expected_order in entries:
-        require(group.order == expected_order,
-                f"{group.name} has order {group.order}, expected {expected_order}")
-        atlas.append(AtlasEntry(group=group, primes=primes, tags=tags))
-    return tuple(atlas)
-
-
-def atlas_group(name: str) -> Group:
-    """Look up a built-in atlas group by name."""
-    for entry in builtin_atlas():
-        if entry.group.name == name:
-            return entry.group
-    raise KeyError(f"no atlas group named {name!r}")
+    return tuple(AtlasEntry(group=atlas_group(row.name), primes=row.primes, tags=row.tags)
+                 for row in _ATLAS)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ class InvalidParameter(ClassGraphError):
     """Parameters do not describe a valid group in the requested family."""
 
 
+class UnknownAtlasGroup(ClassGraphError, KeyError):
+    """No built-in atlas group has the requested name.
+
+    Also a KeyError, for callers that look names up with ``except KeyError``;
+    its message reads as written, not quoted as a KeyError's would be.
+    """
+
+    __str__ = Exception.__str__
+
+
 class NotAnAutomorphism(ClassGraphError):
     """A generator assignment does not extend to an automorphism."""
 

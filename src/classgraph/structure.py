@@ -11,8 +11,8 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotAHomomorphism, NotASubgroup, NotNormal, OrderCapExceeded,
                      PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
-from .perm import (Group, Permutation, bulk_conjugate, center, class_index,
-                   closed_subgroup, conjugacy_classes, conjugation_maps,
+from .perm import (Group, Permutation, bulk_conjugate, center, class_elements,
+                   class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
                    element_order_map, extend_hom, make_group, mulclose,
                    p_part_element, require_members, subgroup_from_elements)
 
@@ -54,6 +54,11 @@ class Quotient(NamedTuple):
 # ---------------------------------------------------------------------------
 # derived series and solubility
 
+def _generator_conjugations(G: Group) -> list:
+    """``conjugation_maps(G.generators)``, made once per group."""
+    return G._memo("conjugation_maps", lambda: conjugation_maps(G.generators))
+
+
 def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
                    cap: int | None = None) -> Group:
     """Smallest normal subgroup of G containing the seed elements.
@@ -64,7 +69,7 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
     cosets.  With ``cap`` set, growth past that many elements raises
     OrderCapExceeded.
     """
-    maps = conjugation_maps(G.generators)
+    maps = _generator_conjugations(G)
     todo = list(seeds)
     require_members(G, todo, "seed")
     gens: list[Permutation] = []
@@ -148,7 +153,7 @@ def sylow_conjugates(G: Group, p: int) -> Iterator[frozenset[Permutation]]:
     sylow(G, p) itself.  Uncached: a caller that stops early pays only for
     the conjugates it saw."""
     P = sylow(G, p).element_set()
-    maps = conjugation_maps(G.generators)
+    maps = _generator_conjugations(G)
     seen = {P}
     frontier = [P]
     yield P
@@ -226,14 +231,9 @@ def _require_normal(G: Group, N: Group) -> None:
 # ---------------------------------------------------------------------------
 # quotients
 
-def quotient(G: Group, N: Group) -> Quotient:
-    """The action of G on the right cosets of a normal subgroup N.
-
-    Returns the quotient as a permutation group of degree |G:N| together
-    with the projection map from every element of G to its coset action.
-    """
-    require_members(G, G.generators, "generator")
-    _require_normal(G, N)
+def _coset_labels(G: Group, N: Group) -> tuple[dict[Permutation, int], list[Permutation]]:
+    """The right N-coset of each element of G, as a number, and the cosets'
+    least elements; cosets are numbered in the order of those elements."""
     mul = G.product()
     coset_rep: dict[Permutation, Permutation] = {}
     for g in G.elements:
@@ -245,10 +245,43 @@ def quotient(G: Group, N: Group) -> Quotient:
             coset_rep[e] = rep
     reps = sorted(set(coset_rep.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
+    return {g: rep_index[r] for g, r in coset_rep.items()}, reps
+
+
+def coset_classes(G: Group, N: Group) -> tuple[frozenset[int], ...]:
+    """The conjugacy classes of G/N, read inside G: one entry per class of G.
+
+    For x in the i-th class of ``conjugacy_classes(G)``, entry i is the set
+    of N-cosets (numbered as ``quotient`` numbers its points) that cl_G(x)
+    meets.  That set is cl_{G/N}(xN), so its size is |cl_{G/N}(xN)|, and
+    classes of G with equal entries lie over one class of G/N.  No quotient
+    group is built; the result is memoised per N.
+    """
+    _require_normal(G, N)
+
+    def build():
+        label, _ = _coset_labels(G, N)
+        return tuple(frozenset(map(label.__getitem__, class_elements(G, c)))
+                     for c in conjugacy_classes(G))
+    return G._memo(("coset_classes", N.element_set()), build)
+
+
+def quotient(G: Group, N: Group) -> Quotient:
+    """The action of G on the right cosets of a normal subgroup N.
+
+    Returns the quotient as a permutation group of degree |G:N| together
+    with the projection map from every element of G to its coset action.
+    Class sizes and class counts of G/N need no quotient group; see
+    ``coset_classes``.
+    """
+    require_members(G, G.generators, "generator")
+    _require_normal(G, N)
+    mul = G.product()
+    label, reps = _coset_labels(G, N)
     nq = len(reps)
 
     def act(x: Permutation) -> Permutation:
-        return Permutation._raw(tuple(rep_index[coset_rep[mul(r, x)]] for r in reps))
+        return Permutation._raw(tuple(label[mul(r, x)] for r in reps))
 
     # the coset action is a homomorphism, so extend it from the generators
     # instead of acting with every element

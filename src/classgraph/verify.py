@@ -18,7 +18,7 @@ from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
 from .perm import Group, center, class_index, conjugacy_classes
-from .structure import (HallSearchConfig, Quotient, hall_subgroup, is_isomorphic,
+from .structure import (HallSearchConfig, coset_classes, hall_subgroup, is_isomorphic,
                         is_p_separable, is_soluble, normal_subgroups, p_complement,
                         p_core, p_prime_core, quotient, sylow, sylow_conjugates)
 
@@ -98,9 +98,12 @@ def _stride_sample(items: tuple, limit: int = _SAMPLE_LIMIT) -> list:
     return [items[i] for i in idx]
 
 
-def _cached_quotient(G: Group, N: Group) -> Quotient:
-    key = ("quotient", N.element_set())
-    return G._memo(key, lambda: quotient(G, N))
+def _mod_p_core(G: Group, p: int) -> Group:
+    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group, memoised."""
+    core = p_core(G, p)
+    if core.order == 1:
+        return G
+    return G._memo(("quotient", core.element_set()), lambda: quotient(G, core)).group
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +134,15 @@ def _check_normal_class_divisibility(G: Group):
 
 
 def _check_quotient_class_divisibility(G: Group):
+    # |cl_{G/N}(xN)| is the number of N-cosets that cl_G(x) meets
     def build():
         bad = 0
-        classes = class_index(G)
+        classes = conjugacy_classes(G)
         for N in normal_subgroups(G):
             if N.order == 1 or N.order == G.order:
                 continue
-            Q, proj = _cached_quotient(G, N)
-            qclasses = class_index(Q)
-            for x in _stride_sample(G.elements):
-                if classes[x].size % qclasses[proj[x]].size != 0:
+            for c, cosets in zip(classes, coset_classes(G, N)):
+                if c.size % len(cosets) != 0:
                     bad += 1
         return bad == 0, f"{bad} coset-class divisibility failures"
     return G._memo("quotient_div_check", build)
@@ -179,9 +181,8 @@ def _check_count_stable(G: Group, p: int):
     core = p_core(G, p)
     if core.order == 1:
         return (True, "trivial p-core; counts agree by construction")
-    Q, _ = _cached_quotient(G, core)
     a = count_p_regular_classes(G, p)
-    b = count_p_regular_classes(Q, p)
+    b = count_p_regular_classes(G, p, over=core)
     return a == b, f"{a} p-regular classes in the group, {b} in the quotient"
 
 
@@ -401,8 +402,7 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
                 return False, "not a two-prime Frobenius group with abelian parts"
             if k != 4:
                 return False, f"expected 4 p-regular classes, found {k}"
-        core = p_core(G, p)
-        Q, _ = _cached_quotient(G, core)
+        Q = _mod_p_core(G, p)
         cands = _quotient_candidates(shape, p, Q.order)
         matched = [c.name for c in cands if is_isomorphic(Q, c)]
         if matched:
@@ -447,12 +447,11 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
             return False, "H meets the center nontrivially"
         if k != 4:
             return False, f"expected 4 p-regular classes, found {k}"
-        core = p_core(G, p)
-        Q, _ = _cached_quotient(G, core)
-        target = construct.atlas_group("(C5xC5):SL(2,3)")
-        if Q.order != target.order:
-            return False, f"quotient order {Q.order}, expected {target.order}"
-        if not is_isomorphic(Q, target):
+        Q = _mod_p_core(G, p)
+        target_order = construct.atlas_order("(C5xC5):SL(2,3)")
+        if Q.order != target_order:
+            return False, f"quotient order {Q.order}, expected {target_order}"
+        if not is_isomorphic(Q, construct.atlas_group("(C5xC5):SL(2,3)")):
             return False, "quotient is not isomorphic to the order-600 target"
         notes.append("quotient isomorphic to (C5xC5):SL(2,3)")
     else:

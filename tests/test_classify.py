@@ -10,11 +10,14 @@ from classgraph.classify import (count_p_regular_classes, higman_structure_check
                                  is_elementary_abelian, is_frobenius,
                                  is_quasi_frobenius, pi_class_size_criterion,
                                  complement_case)
-from classgraph.construct import (cyclic, direct_product, elementary_abelian,
-                                  symmetric)
+from classgraph.construct import (affine_prime_group, cyclic, direct_product,
+                                  elementary_abelian, symmetric)
 from classgraph.errors import PreconditionViolated
-from classgraph.perm import Group, center, make_group, parse_cycle_string
-from classgraph.structure import HallSearchConfig, normal_subgroups, p_complement
+from classgraph.numtheory import prime_factors
+from classgraph.perm import (Group, center, make_group, parse_cycle_string,
+                             subgroup_from_elements)
+from classgraph.structure import (HallSearchConfig, normal_subgroups, p_complement,
+                                  p_core, quotient)
 from oracles import centralizer_order, naive_centralizer, naive_is_normal
 from strategies import generating_sets
 
@@ -106,6 +109,46 @@ def test_quasi_frobenius_absent_for_abelian():
     assert is_quasi_frobenius(cyclic(12)) is None
 
 
+def _quasi_frobenius_by_quotient(G):
+    """Kernel and complement orders and abelian flags, through G/Z(G) built."""
+    Q, proj = quotient(G, center(G))
+    w = is_frobenius(Q)
+    if w is None:
+        return None
+    kernel = subgroup_from_elements([g for g in G.elements if proj[g] in w.kernel], "K")
+    comp = subgroup_from_elements([g for g in G.elements if proj[g] in w.complement], "H")
+    return kernel.order, comp.order, kernel.is_abelian(), comp.is_abelian()
+
+
+@given(generating_sets())
+@example([parse_cycle_string("(1,2,3,4,5)", 5), parse_cycle_string("(2,3,5,4)", 5)])  # C5:C4
+@example([parse_cycle_string("(1,2,3)", 4), parse_cycle_string("(1,2)(3,4)", 4)])  # A4
+def test_quasi_frobenius_of_a_centreless_group_matches_the_quotient_route(gens):
+    G = make_group(gens, "G")
+    if G.order == 1 or center(G).order > 1:
+        return
+    w = is_quasi_frobenius(G)
+    expected = _quasi_frobenius_by_quotient(G)
+    if expected is None:
+        assert w is None
+        return
+    assert (w.kernel.order, w.complement.order,
+            w.kernel_abelian, w.complement_abelian) == expected
+    # G/Z(G) is G itself: the witness is the memoised Frobenius one
+    assert w.quotient_witness is is_frobenius(G)
+
+
+def test_quasi_frobenius_of_a_centreless_group_builds_no_quotient(atlas_groups,
+                                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient by a trivial centre")
+    monkeypatch.setattr(classify, "quotient", refuse)
+    G = atlas_groups["C7:C6"]
+    G = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+    w = is_quasi_frobenius(G)
+    assert (w.kernel.order, w.complement.order) == (7, 6)
+
+
 def test_higman_examples(atlas_groups):
     r = higman_structure_check(atlas_groups["Sigma3"])
     assert r.t == 3 and r.quotient_case == "cyclic" and r.quotient_order == 2
@@ -135,6 +178,17 @@ def test_count_p_regular_classes(atlas_groups):
     assert count_p_regular_classes(atlas_groups["Sigma3"], 3) == 2
     assert count_p_regular_classes(atlas_groups["C2x(Q8:C9)"], 3) == 6
     assert count_p_regular_classes(atlas_groups["Q8"], 2) == 1
+
+
+@given(generating_sets())
+@example([parse_cycle_string("(1,2)", 5), parse_cycle_string("(1,2,3,4,5)", 5)])
+def test_p_regular_count_over_a_normal_subgroup_matches_the_quotient(gens):
+    # every prime dividing |G|, over O_p(G) and over every normal subgroup
+    G = make_group(gens, "G")
+    for p in prime_factors(G.order):
+        for N in (p_core(G, p), *normal_subgroups(G)):
+            Q = quotient(G, N).group
+            assert count_p_regular_classes(G, p, over=N) == count_p_regular_classes(Q, p)
 
 
 def test_pi_criterion_direct_product():
@@ -176,6 +230,13 @@ def test_complement_case_examples(atlas_groups):
 
     case = complement_case(atlas_groups["(C5xC5):SL(2,3)"], 3)
     assert case.case == "iii" and case.shape == "f"
+
+
+def test_complement_case_builds_the_case_iii_target_only_for_its_order(monkeypatch):
+    def refuse(name):
+        raise AssertionError(f"built atlas group {name!r}")
+    monkeypatch.setattr(classify.construct, "atlas_group", refuse)
+    assert complement_case(affine_prime_group(7, 3, "C7:C6"), 2).case == "ii"
 
 
 def test_complement_case_shape_pairing(atlas):

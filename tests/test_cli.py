@@ -63,7 +63,8 @@ def test_analyze_rejects_multi_record_file(tmp_path, capsys):
 
 def test_analyze_unknown_atlas_name(capsys):
     assert main(["analyze", "--group", "atlas:Nope", "--prime", "2"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no atlas group named 'Nope'; run `classgraph atlas --list`\n")
 
 
 def test_analyze_missing_file(capsys):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import re
+from functools import lru_cache
 
 import pytest
 
+from classgraph import construct
 from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
                                   dihedral, direct_product, elementary_abelian,
                                   generalized_quaternion, group_to_spec,
@@ -14,9 +16,9 @@ from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
                                   semidihedral, semidirect_product,
                                   serialize_corpus, standard_family, symmetric,
                                   alternating, embedded_factors)
-from classgraph.errors import (BadCycle, CorpusSyntaxError, DuplicateName,
-                               InvalidParameter, NotAHomomorphism,
-                               NotAnAutomorphism, OrderCapExceeded)
+from classgraph.errors import (BadCycle, ClassGraphError, CorpusSyntaxError,
+                               DuplicateName, InvalidParameter, NotAHomomorphism,
+                               NotAnAutomorphism, OrderCapExceeded, UnknownAtlasGroup)
 from classgraph.perm import center, conjugacy_classes, make_group
 from classgraph.structure import is_isomorphic
 from oracles import naive_class_sizes
@@ -241,6 +243,55 @@ def test_atlas_named_examples(atlas_groups):
     assert atlas_groups["(C5xC5):SL(2,3)"].order == 600
     from classgraph.graph import build_graph
     assert len(build_graph(atlas_groups["Sigma3"]).vertices) == 2
+
+
+@pytest.fixture
+def empty_atlas_memos(monkeypatch):
+    """Both atlas lookups with empty memos; the shared ones return afterwards."""
+    monkeypatch.setattr(construct, "atlas_group",
+                        lru_cache(maxsize=None)(construct.atlas_group.__wrapped__))
+    monkeypatch.setattr(construct, "builtin_atlas",
+                        lru_cache(maxsize=1)(construct.builtin_atlas.__wrapped__))
+
+
+def test_atlas_group_builds_only_its_own_entry(empty_atlas_memos, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("another atlas entry was built")
+    for name in ("cyclic", "dihedral", "generalized_quaternion", "semidihedral",
+                 "elementary_abelian", "symmetric", "alternating", "direct_product",
+                 "semidirect_product", "one_dim_affine_group", "heisenberg3"):
+        monkeypatch.setattr(construct, name, refuse)
+    built = []
+    affine = construct.affine_prime_group
+
+    def recording(*args, **kwargs):
+        built.append(args)
+        return affine(*args, **kwargs)
+    monkeypatch.setattr(construct, "affine_prime_group", recording)
+    G = construct.atlas_group("C7:C6")
+    assert (G.name, G.order) == ("C7:C6", 42)
+    assert construct.atlas_group("C7:C6") is G
+    assert built == [(7, 3, "C7:C6")]  # not C7:C3 or C5:C4, made the same way
+
+
+@pytest.mark.parametrize("atlas_first", [True, False])
+def test_atlas_group_is_the_group_the_atlas_lists(empty_atlas_memos, atlas_first):
+    first = None if atlas_first else construct.atlas_group("(C5xC5):Q8")
+    entries = construct.builtin_atlas()
+    for entry in entries:
+        assert construct.atlas_group(entry.group.name) is entry.group
+    if first is not None:
+        assert first in [entry.group for entry in entries]
+
+
+def test_unknown_atlas_name_raises_a_library_error():
+    with pytest.raises(UnknownAtlasGroup) as info:
+        construct.atlas_group("Nope")
+    assert isinstance(info.value, ClassGraphError) and isinstance(info.value, KeyError)
+    assert str(info.value) == "no atlas group named 'Nope'"
+    with pytest.raises(KeyError):
+        construct.atlas_order("Nope")
+    assert construct.atlas_order("(C5xC5):SL(2,3)") == 600
 
 
 # --- corpus -----------------------------------------------------------------

@@ -11,13 +11,14 @@ from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   symmetric)
 from classgraph.errors import IsoCapExceeded, NotAMember, NotASubgroup, NotNormal
 from classgraph.numtheory import is_pi_number, p_part, prime_factors
-from classgraph.perm import (Group, Permutation, center, closed_subgroup, conjugacy_classes,
-                             extend_hom, make_group, mulclose, parse_cycle_string,
-                             subgroup_from_elements)
-from classgraph.structure import (HallSearchConfig, derived_subgroup, hall_subgroup,
-                                  is_isomorphic, is_p_separable, is_soluble,
-                                  normal_closure, normal_subgroups, p_complement,
-                                  p_core, p_prime_core, pi_core, quotient, sylow)
+from classgraph.perm import (Group, Permutation, center, class_elements, class_index,
+                             closed_subgroup, conjugacy_classes, extend_hom, make_group,
+                             mulclose, parse_cycle_string, subgroup_from_elements)
+from classgraph.structure import (HallSearchConfig, coset_classes, derived_subgroup,
+                                  hall_subgroup, is_isomorphic, is_p_separable,
+                                  is_soluble, normal_closure, normal_subgroups,
+                                  p_complement, p_core, p_prime_core, pi_core,
+                                  quotient, sylow)
 from oracles import (naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
                      naive_normal_closure, naive_normal_subgroups, naive_pi_core_over)
 from strategies import generating_sets, permutations
@@ -294,6 +295,45 @@ def test_quotient_rejects_bad_inputs():
         quotient(s3, c2)
     with pytest.raises(NotASubgroup):
         quotient(s3, cyclic(2))  # wrong degree
+
+
+@given(generating_sets())
+@example(S5_GENS)
+def test_coset_classes_match_the_quotient(gens):
+    # the quotient acts on the cosets as numbered, and the coset N lies at 0,
+    # so q -> q(0) is a bijection from G/N onto the coset numbers
+    G = make_group(gens, "G")
+    classes = conjugacy_classes(G)
+    for N in normal_subgroups(G):
+        Q, proj = quotient(G, N)
+        q_classes = class_index(Q)
+        cosets = coset_classes(G, N)
+        assert len(cosets) == len(classes)
+        for c, labels in zip(classes, cosets):
+            qc = q_classes[proj[c.representative]]
+            assert len(labels) == qc.size
+            assert labels == {q(0) for q in class_elements(Q, qc)}
+
+
+def test_coset_classes_require_a_normal_subgroup():
+    s3 = symmetric(3)
+    c2 = make_group([parse_cycle_string("(1,2)", 3)], "C2")
+    with pytest.raises(NotNormal):
+        coset_classes(s3, c2)
+
+
+def test_normal_closures_conjugate_by_maps_made_once(monkeypatch):
+    made = []
+    maps = structure.conjugation_maps
+
+    def recording(gens):
+        made.append(tuple(gens))
+        return maps(gens)
+    monkeypatch.setattr(structure, "conjugation_maps", recording)
+    G = symmetric(4)
+    normal_subgroups(G)
+    p_core(G, 2)
+    assert made == [G.generators]
 
 
 def test_normal_closure_minimal():

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import classgraph
-from classgraph import verify
+from classgraph import classify, structure, verify
 from classgraph.construct import alternating, parse_corpus
+from classgraph.perm import Group
 from classgraph.structure import HallSearchConfig
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
                                run_corpus, verify_pair)
@@ -209,6 +210,36 @@ def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
                 assert (c.status, c.detail) == ("fail", "RuntimeError: broken check")
             else:
                 assert c.status != "fail"
+
+
+def test_class_checks_read_quotients_inside_the_group(atlas, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class check built a quotient group")
+    for module in (structure, verify, classify):
+        monkeypatch.setattr(module, "quotient", refuse)
+    for entry in atlas.values():
+        G = entry.group
+        fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+        assert verify._check_quotient_class_divisibility(fresh) == (
+            True, "0 coset-class divisibility failures")
+        for p in entry.primes:
+            ok, detail = verify._check_count_stable(fresh, p)
+            assert ok, (G.name, p, detail)
+
+
+@pytest.mark.parametrize("name, p", [("C7:C6", 3), ("C7:C6", 2), ("(C5xC5):SL(2,3)", 3)])
+def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, monkeypatch,
+                                                                 name, p):
+    # shapes a, b and f with O_p(G) = 1, each with a centreless p-complement
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient by a trivial subgroup")
+    for module in (structure, verify, classify):
+        monkeypatch.setattr(module, "quotient", refuse)
+    G = atlas_groups[name]
+    fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+    checks = _by_id(verify_pair(fresh, p))
+    assert checks["shape-refinement"].status == "pass"
+    assert all(c.status != "fail" for c in checks.values())
 
 
 def test_library_has_no_assert_statements():
