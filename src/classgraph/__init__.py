@@ -9,11 +9,10 @@ from .construct import (ActionSpec, AtlasEntry, GroupSpec, atlas_group,
                         builtin_atlas, cyclic, dihedral, direct_product,
                         elementary_abelian, generalized_quaternion, parse_corpus,
                         semidihedral, semidirect_product, serialize_corpus,
-                        standard_family, symmetric, alternating)
+                        symmetric, alternating)
 from .classify import (FrobeniusWitness, QuasiFrobeniusWitness, ComplementCase,
-                       count_p_regular_classes, higman_structure_check,
-                       is_frobenius, is_quasi_frobenius, pi_class_size_criterion,
-                       complement_case)
+                       count_p_regular_classes, is_frobenius, is_quasi_frobenius,
+                       pi_class_size_criterion, complement_case)
 from .errors import ClassGraphError
 from .graph import (ClassGraph, build_graph, coprime_class_span, diameter,
                     is_triangle_free, p_regular_classes, to_dot)
@@ -36,12 +35,11 @@ __all__ = [
     "builtin_atlas", "center", "centralizer", "conjugacy_classes",
     "coprime_class_span", "count_p_regular_classes", "cyclic", "diameter",
     "dihedral", "direct_product", "element_order", "elementary_abelian",
-    "generalized_quaternion", "hall_subgroup", "higman_structure_check",
-    "is_frobenius", "is_isomorphic", "is_p_separable", "is_quasi_frobenius",
+    "generalized_quaternion", "hall_subgroup", "is_frobenius", "is_isomorphic",
+    "is_p_separable", "is_quasi_frobenius",
     "is_soluble", "is_triangle_free", "make_group", "normal_subgroups",
     "p_complement", "p_core", "p_prime_core", "p_regular_classes",
     "parse_corpus", "parse_cycle_string", "pi_class_size_criterion", "quotient",
     "run_corpus", "semidihedral", "semidirect_product", "serialize_corpus",
-    "standard_family", "sylow", "symmetric", "complement_case", "to_dot",
-    "verify_pair",
+    "sylow", "symmetric", "complement_case", "to_dot", "verify_pair",
 ]

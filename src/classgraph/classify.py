@@ -1,5 +1,5 @@
-"""Structural predicates: Frobenius and quasi-Frobenius detection, prime-power
-structure of CP-groups, class-size criteria, and the triangle-free case match."""
+"""Structural predicates: Frobenius and quasi-Frobenius detection, class-size
+criteria, and the triangle-free case match."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ from . import construct
 from .errors import (ComplementSearchExhausted, NoCaseMatches,
                      PreconditionViolated, require)
 from .graph import build_graph, is_triangle_free
-from .numtheory import (is_pi_number, is_prime, is_prime_power, p_part,
-                        prime_factors)
+from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
 from .perm import (Group, center, class_index, conjugacy_classes, element_order_map,
                    subgroup_from_elements)
-from .structure import (HallSearchConfig, _search_subgroup, coset_classes, hall_subgroup,
-                        is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
-                        p_complement, p_core, pi_core, quotient, sylow)
+from .structure import (HallSearchConfig, _is_normal, _search_subgroup, coset_classes,
+                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble,
+                        normal_subgroups, p_complement, pi_core, quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,7 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
     require(kernel.order * complement.order == G.order, "orders do not multiply to |G|")
     require(kernel.element_set() & complement.element_set() == {G.identity},
             "kernel and complement meet nontrivially")
-    for n in kernel.generators:
-        for g in G.generators:
-            require(n.conjugate(g) in kernel, "kernel is not normal")
+    require(_is_normal(G, kernel), "kernel is not normal")
     require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
     mul = G.product()
     for k in kernel.elements:
@@ -138,75 +135,6 @@ def is_quasi_frobenius(G: Group,
             kernel_abelian=kern_pre.is_abelian(),
             complement_abelian=comp_pre.is_abelian())
     return G._memo(("quasi_frobenius", cfg), build)
-
-
-@dataclass(frozen=True)
-class PrimePowerStructureReport:
-    """Outcome of the prime-power-order structure check for soluble groups
-    in which every element has prime power order."""
-
-    t: int | None                  # the prime with a nontrivial normal t-subgroup
-    core_order: int
-    quotient_case: str             # "whole-group" | "cyclic" | "generalized_quaternion"
-    #                              | "two-prime-cyclic-sylow" | "unrecognized"
-    quotient_order: int
-    detail: str
-
-
-def higman_structure_check(H: Group) -> PrimePowerStructureReport:
-    """Classify H/O_t(H) for a soluble group with all elements of prime power order.
-
-    Possible shapes: trivial quotient, cyclic of prime power order (prime
-    different from t), generalized quaternion with t odd, or order t^a*s^b
-    with cyclic Sylow subgroups and s = k*t^a + 1.
-    """
-    orders = element_order_map(H)
-    for g, n in orders.items():
-        if n > 1 and not is_prime_power(n):
-            raise PreconditionViolated(
-                f"element of composite order {n} in {H.name!r}")
-    if not is_soluble(H)[0]:
-        raise PreconditionViolated(f"{H.name!r} is not soluble")
-    if H.order == 1:
-        return PrimePowerStructureReport(None, 1, "whole-group", 1, "trivial group")
-
-    require(len(prime_factors(H.order)) <= 2, "more than two primes")
-    t = None
-    for q in prime_factors(H.order):
-        if p_core(H, q).order > 1:
-            t = q
-            break
-    require(t is not None, "no nontrivial prime core in a soluble group")
-    M = p_core(H, t)
-    if M.order == H.order:
-        return PrimePowerStructureReport(t, M.order, "whole-group", 1,
-                                         "the group equals its core")
-    Q, _ = quotient(H, M)
-    qorder = Q.order
-    # cyclic of prime power order, the prime differing from t
-    if is_prime_power(qorder) and prime_factors(qorder)[0] != t:
-        if any(orders_q == qorder for orders_q in element_order_map(Q).values()):
-            return PrimePowerStructureReport(
-                t, M.order, "cyclic", qorder, f"cyclic of order {qorder}")
-    if qorder >= 8 and qorder & (qorder - 1) == 0 and t % 2 == 1:
-        if is_isomorphic(Q, construct.generalized_quaternion(qorder)):
-            return PrimePowerStructureReport(
-                t, M.order, "generalized_quaternion", qorder,
-                f"generalized quaternion of order {qorder}")
-    qprimes = prime_factors(qorder)
-    if len(qprimes) == 2 and t in qprimes:
-        s = next(q for q in qprimes if q != t)
-        ta = p_part(qorder, t)
-        cyclic_sylows = all(
-            any(element_order_map(Q)[g] == p_part(qorder, q)
-                for g in Q.elements)
-            for q in qprimes)
-        if cyclic_sylows and (s - 1) % ta == 0:
-            return PrimePowerStructureReport(
-                t, M.order, "two-prime-cyclic-sylow", qorder,
-                f"order {t}^a*{s}^b with cyclic Sylow subgroups")
-    return PrimePowerStructureReport(t, M.order, "unrecognized", qorder,
-                                     "no structure case matched")
 
 
 def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> int:

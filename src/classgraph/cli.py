@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .construct import (GroupSpec, atlas_group, builtin_atlas, group_to_spec,
                         parse_corpus, serialize_corpus)
-from .errors import ClassGraphError, UnknownAtlasGroup
+from .errors import ClassGraphError, InvalidParameter, UnknownAtlasGroup
 from .graph import build_graph, to_dot
+from .numtheory import is_prime
 from .perm import Group
 from .structure import HallSearchConfig
 from .verify import run_corpus, verify_pair
@@ -28,7 +29,40 @@ def _max_order(args) -> int | None:
     if getattr(args, "max_order", None) is not None:
         return args.max_order
     env = os.environ.get(ENV_MAX_ORDER)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidParameter(f"{ENV_MAX_ORDER}={env!r} is not an integer") from None
+
+
+def _primes_mode(text: str) -> tuple:
+    """The --primes value as a ``run_corpus`` prime mode; argparse exits 2 on error."""
+    if text == "all":
+        return ("all",)
+    if text.startswith("upto:"):
+        bound = text[len("upto:"):]
+        if not bound.isdecimal() or int(bound) < 2:
+            raise argparse.ArgumentTypeError(f"'upto:N' needs an integer N >= 2, not {bound!r}")
+        return ("upto", int(bound))
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not toks or not all(tok.isdecimal() for tok in toks):
+        raise argparse.ArgumentTypeError(
+            f"expected 'all', 'upto:N' or a comma-separated list of primes, not {text!r}")
+    primes = [int(tok) for tok in toks]
+    for q in primes:
+        if not is_prime(q):
+            raise argparse.ArgumentTypeError(f"{q} is not prime")
+    if len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError(f"a prime is repeated in {text!r}")
+    return ("list", primes)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, not {text!r}")
+    return int(text)
 
 
 def _load_specs(path: Path) -> list[GroupSpec]:
@@ -96,13 +130,7 @@ def cmd_verify(args) -> int:
     if args.corpus:
         for spec in _load_specs(Path(args.corpus)):
             groups.append(spec.build(max_order=cap))
-    if args.primes == "all":
-        mode: tuple = ("all",)
-    elif args.primes.startswith("upto:"):
-        mode = ("upto", int(args.primes.split(":", 1)[1]))
-    else:
-        mode = ("list", [int(tok) for tok in args.primes.split(",") if tok])
-    summary = run_corpus(groups, mode, _cfg(args), jobs=args.jobs)
+    summary = run_corpus(groups, args.primes, _cfg(args), jobs=args.jobs)
 
     counts = summary.counts()
     for r in summary.counterexamples():
@@ -157,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="order cap for group closures")
         p.add_argument("--seed", type=lambda s: int(s, 0), default=0xC1A55,
                        help="seed for randomized subgroup searches")
-        p.add_argument("--restarts", type=int, default=200,
+        p.add_argument("--restarts", type=_positive_int, default=200,
                        help="restart budget for randomized searches")
 
     p = sub.add_parser("analyze", help="verify one (group, prime) pair")
@@ -173,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus file or directory of .jsonl files")
     p.add_argument("--atlas", action="store_true",
                    help="include the built-in atlas (default when no corpus)")
-    p.add_argument("--primes", default="all",
+    p.add_argument("--primes", type=_primes_mode, default="all",
                    help="'all' (dividing primes plus one more), 'upto:N', "
                         "or a comma-separated list")
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers over (group, prime) pairs")
     add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -8,7 +8,8 @@ from functools import lru_cache
 from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParameter,
-                     NotAHomomorphism, NotAnAutomorphism, UnknownAtlasGroup, require)
+                     NotAHomomorphism, NotAnAutomorphism, OrderCapExceeded,
+                     UnknownAtlasGroup, require)
 from .numtheory import is_prime
 from .perm import Group, Permutation, extend_hom, make_group, parse_cycle_string
 
@@ -42,27 +43,6 @@ class ActionSpec:
 
 # ---------------------------------------------------------------------------
 # standard families
-
-def standard_family(kind: str, *params: int, max_order: int | None = None) -> Group:
-    """Build one of the standard families.
-
-    kind is one of: cyclic, dihedral, generalized_quaternion, semidihedral,
-    elementary_abelian, symmetric, alternating.  Dihedral, quaternion and
-    semidihedral parameters are the group ORDER.
-    """
-    builders = {
-        "cyclic": cyclic,
-        "dihedral": dihedral,
-        "generalized_quaternion": generalized_quaternion,
-        "semidihedral": semidihedral,
-        "elementary_abelian": elementary_abelian,
-        "symmetric": symmetric,
-        "alternating": alternating,
-    }
-    if kind not in builders:
-        raise InvalidParameter(f"unknown family {kind!r}")
-    return builders[kind](*params, max_order=max_order)
-
 
 def cyclic(n: int, *, max_order: int | None = None) -> Group:
     if n < 1:
@@ -226,36 +206,29 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
 
     The action data is validated twice: each H-generator image must extend
     to an automorphism of K, and the generator assignment must extend to a
-    homomorphism H -> Aut(K) (checked while propagating over all of H).
+    homomorphism H -> Aut(K), by ``extend_hom``.
     """
     for h in H.generators:
         if h not in action.images:
             raise NotAHomomorphism(f"action gives no image for generator {h!r}")
-    gen_auts = {h: _extend_automorphism(K, action.images[h]) for h in H.generators}
-
-    # beta[h] = the automorphism k -> h k h^-1 of K; propagate over H by BFS
-    # and verify consistency, which is exactly the homomorphism property.
-    ident_map = {k: k for k in K.elements}
-    beta: dict[Permutation, dict] = {H.identity: ident_map}
-    frontier = [H.identity]
-    while frontier:
-        new = []
-        for h in frontier:
-            bh = beta[h]
-            for g in H.generators:
-                hg = h * g
-                phi_g = gen_auts[g]
-                composed = {k: bh[phi_g[k]] for k in K.elements}
-                if hg in beta:
-                    if beta[hg] != composed:
-                        raise NotAHomomorphism(
-                            "generator assignment does not respect the relations of H")
-                else:
-                    beta[hg] = composed
-                    new.append(hg)
-        frontier = new
-
     k_index = {k: i for i, k in enumerate(K.elements)}
+    # beta[h] is the automorphism k -> h k h^-1 as a permutation of K's
+    # positions.  Products compose left to right, so beta(h*g) = phi_g * beta(h)
+    # and h -> beta(h)^-1 is the homomorphism that extend_hom walks.
+    inverse_auts = []
+    for h in H.generators:
+        phi = _extend_automorphism(K, action.images[h])
+        inverse_auts.append(~Permutation._raw(tuple(k_index[phi[k]] for k in K.elements)))
+    no_hom = "generator assignment does not respect the relations of H"
+    try:  # the image of a homomorphism has at most |H| elements
+        A = make_group(inverse_auts, f"Aut<{name}", degree=K.order, max_order=H.order)
+    except OrderCapExceeded:
+        raise NotAHomomorphism(no_hom) from None
+    hom = extend_hom(H.generators, inverse_auts, H, A)
+    if hom is None:
+        raise NotAHomomorphism(no_hom)
+    beta = {h: (~a).images for h, a in hom.items()}
+
     h_index = {h: i for i, h in enumerate(H.elements)}
     nH = H.order
 
@@ -267,7 +240,7 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
         images = [0] * (K.order * nH)
         for k in K.elements:
             for h in H.elements:
-                images[point(k, h)] = point(k * beta[h][k0], h)
+                images[point(k, h)] = point(k * K.elements[beta[h][k_index[k0]]], h)
         gens.append(Permutation(images))
     for h0 in H.generators:  # right multiplication by (1, h0)
         images = [0] * (K.order * nH)
@@ -281,18 +254,6 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
         raise NotAHomomorphism(
             f"product closure has order {G.order}, expected {K.order * H.order}")
     return G
-
-
-def embedded_factors(G: Group, K: Group, H: Group) -> tuple[Group, Group]:
-    """The embedded copies of K and H inside semidirect_product(K, H, ...)."""
-    nK = len(K.generators)
-    k_gens = G.generators[:nK]
-    h_gens = G.generators[nK:]
-    emb_K = (make_group(k_gens, f"{K.name}<{G.name}", max_order=K.order)
-             if k_gens else make_group([], f"{K.name}<{G.name}", degree=G.degree))
-    emb_H = (make_group(h_gens, f"{H.name}<{G.name}", max_order=H.order)
-             if h_gens else make_group([], f"{H.name}<{G.name}", degree=G.degree))
-    return emb_K, emb_H
 
 
 # ---------------------------------------------------------------------------

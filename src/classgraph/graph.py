@@ -8,20 +8,21 @@ prime.  Graphs at this scale are analyzed by direct enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoVertices, PreconditionViolated
 from .numtheory import is_prime
 from .perm import ConjClass, Group, center, conjugacy_classes, subgroup_from_elements
 from .structure import normal_closure
 
-SHAPES = ("a", "b", "c", "d", "e", "f", "other")
-
 
 @dataclass(frozen=True)
 class ClassGraph:
-    """An analyzed class graph: vertices, edges, components, and shape code.
+    """A class graph: its vertices and edges, from which the rest is read.
 
+    ``neighbours``, ``components`` and ``shape`` are computed from the
+    edges on first read and cached; they are not part of the value.
     Shapes: (a) two isolated vertices, (b) three vertices and one edge,
     (c) two disjoint edges, (d) one vertex, (e) one edge on two vertices,
     (f) a path on three vertices; anything else is "other".
@@ -30,24 +31,60 @@ class ClassGraph:
     prime: int | None
     vertices: tuple[ConjClass, ...]
     edges: frozenset[tuple[int, int]]
-    components: tuple[tuple[int, ...], ...]
-    shape: str
-    # built at most once and shared by every query; not part of the value
-    adjacency_cache: dict[int, set[int]] | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     def vertex_sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.vertices)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """Vertex -> neighbour set; one shared map, not to be mutated."""
-        if self.adjacency_cache is None:
-            object.__setattr__(self, "adjacency_cache",
-                               _adjacency(len(self.vertices), self.edges))
-        return self.adjacency_cache
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """One bitmask per vertex, bit j set when vertex j is adjacent."""
+        nb = [0] * len(self.vertices)
+        for i, j in self.edges:
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+        return tuple(nb)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the components, each sorted, by least vertex."""
+        nb = self.neighbours
+        comps = []
+        unseen = (1 << len(nb)) - 1
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
+                frontier = _reach(nb, frontier) & ~comp
+                comp |= frontier
+            unseen &= ~comp
+            comps.append(tuple(v for v in range(len(nb)) if comp >> v & 1))
+        return tuple(comps)
+
+    @cached_property
+    def shape(self) -> str:
+        n, ne, comps = len(self.vertices), len(self.edges), self.components
+        if n == 1:
+            return "d"
+        if n == 2:
+            return "a" if ne == 0 else "e"
+        if n == 3 and ne == 1 and len(comps) == 2:
+            return "b"
+        if n == 3 and ne == 2 and len(comps) == 1:
+            return "f"
+        if n == 4 and ne == 2 and all(len(c) == 2 for c in comps):
+            return "c"
+        return "other"
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
+
+
+def _reach(nb: tuple[int, ...], frontier: int) -> int:
+    """The union of the neighbourhoods of the vertices in ``frontier``."""
+    out = 0
+    for v, mask in enumerate(nb):
+        if frontier >> v & 1:
+            out |= mask
+    return out
 
 
 def p_regular_classes(G: Group, p: int) -> tuple[ConjClass, ...]:
@@ -57,105 +94,44 @@ def p_regular_classes(G: Group, p: int) -> tuple[ConjClass, ...]:
     return tuple(c for c in conjugacy_classes(G) if c.element_order % p != 0)
 
 
-def _adjacency(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _components(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def _shape(n: int, edges: frozenset[tuple[int, int]],
-           comps: tuple[tuple[int, ...], ...]) -> str:
-    ne = len(edges)
-    nc = len(comps)
-    if n == 1:
-        return "d"
-    if n == 2:
-        return "a" if ne == 0 else "e"
-    if n == 3 and ne == 1 and nc == 2:
-        return "b"
-    if n == 3 and ne == 2 and nc == 1:
-        return "f"
-    if n == 4 and ne == 2 and nc == 2 and all(len(c) == 2 for c in comps):
-        return "c"
-    return "other"
-
-
 def build_graph(G: Group, p: int | None = None) -> ClassGraph:
     """The common-divisor graph on non-central classes (p-regular if p given)."""
     if p is None:
         verts = tuple(c for c in conjugacy_classes(G) if not c.is_central)
     else:
         verts = tuple(c for c in p_regular_classes(G, p) if not c.is_central)
-    edges = set()
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if math.gcd(verts[i].size, verts[j].size) > 1:
-                edges.add((i, j))
-    fedges = frozenset(edges)
-    adj = _adjacency(len(verts), fedges)
-    comps = _components(adj)
-    g = ClassGraph(prime=p, vertices=verts, edges=fedges, components=comps,
-                   shape=_shape(len(verts), fedges, comps))
-    object.__setattr__(g, "adjacency_cache", adj)
-    return g
+    edges = frozenset((i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
+                      if math.gcd(verts[i].size, verts[j].size) > 1)
+    return ClassGraph(prime=p, vertices=verts, edges=edges)
 
 
 def is_triangle_free(g: ClassGraph) -> bool:
     """True iff no three vertices are pairwise adjacent."""
-    adj = g.adjacency()
-    for i, j in sorted(g.edges):
-        if adj[i] & adj[j]:
-            return False
-    return True
+    nb = g.neighbours
+    return not any(nb[i] & nb[j] for i, j in g.edges)
 
 
 def diameter(g: ClassGraph) -> int | None:
     """Max shortest-path distance when connected and non-empty, else None.
 
     Twins (equal closed neighbourhoods) have equal eccentricity, so one
-    breadth-first search per twin class suffices.
+    breadth-first search per twin class suffices; each step expands the
+    whole frontier at once.
     """
     n = len(g.vertices)
     if n == 0 or len(g.components) != 1:
         return None
-    adj = g.adjacency()
-    twins = {frozenset(adj[v] | {v}): v for v in range(n)}
+    nb = g.neighbours
+    twins = {nb[v] | 1 << v: v for v in range(n)}
     worst = 0
     for src in twins.values():
-        dist = {src: 0}
-        frontier = [src]
+        seen = frontier = 1 << src
+        ecc = -1
         while frontier:
-            new = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        new.append(w)
-            frontier = new
-        if len(dist) < n:
-            return None
-        worst = max(worst, max(dist.values()))
+            ecc += 1
+            frontier = _reach(nb, frontier) & ~seen
+            seen |= frontier
+        worst = max(worst, ecc)
     return worst
 
 

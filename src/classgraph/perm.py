@@ -656,5 +656,6 @@ def class_of(G: Group, x: Permutation) -> ConjClass:
 
 
 def element_order_map(G: Group) -> dict[Permutation, int]:
-    """Cached map from each element to its order."""
-    return G._memo("order_map", lambda: {g: g.order() for g in G.elements})
+    """Cached map from each element to its order, read from its class."""
+    return G._memo("order_map", lambda: {
+        g: cls.element_order for g, cls in class_index(G).items()})

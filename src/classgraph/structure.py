@@ -219,13 +219,18 @@ def p_prime_core(G: Group, p: int) -> Group:
     return pi_core(G, frozenset(prime_factors(G.order)) - {p})
 
 
+def _is_normal(G: Group, N: Group) -> bool:
+    """Whether N's generators, conjugated by G's generators, stay in N: for
+    a subgroup N of G, whether N is normal."""
+    maps = _generator_conjugations(G)
+    return all(bulk_conjugate(n, m) in N for n in N.generators for m in maps)
+
+
 def _require_normal(G: Group, N: Group) -> None:
     if N.degree != G.degree or not N.element_set() <= G.element_set():
         raise NotASubgroup(f"{N.name!r} is not a subgroup of {G.name!r}")
-    for n in N.generators:
-        for g in G.generators:
-            if n.conjugate(g) not in N:
-                raise NotNormal(f"{N.name!r} is not normal in {G.name!r}")
+    if not _is_normal(G, N):
+        raise NotNormal(f"{N.name!r} is not normal in {G.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,8 @@ def _search_subgroup(G: Group, target_order: int,
     shuffle the candidate order with a seeded generator.
     """
     rng = random.Random(cfg.seed)
-    base = sorted(candidates, key=lambda g: (-g.order(), g.images))
+    orders = element_order_map(G)
+    base = sorted(candidates, key=lambda g: (-orders[g], g.images))
     for attempt in range(cfg.restarts):
         order = list(base)
         if attempt > 0:
@@ -449,7 +455,8 @@ def _minimal_generating_sequence(G: Group) -> list[Permutation]:
     """A short generating sequence, greedily maximizing closure growth."""
     gens: list[Permutation] = []
     cur: set[Permutation] = {G.identity}
-    by_order = sorted(G.elements, key=lambda g: (-g.order(), g.images))
+    orders = element_order_map(G)
+    by_order = sorted(G.elements, key=lambda g: (-orders[g], g.images))
     while len(cur) < G.order:
         best, best_set = None, cur
         for x in by_order:

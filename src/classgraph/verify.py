@@ -18,9 +18,10 @@ from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
 from .perm import Group, center, class_index, conjugacy_classes
-from .structure import (HallSearchConfig, coset_classes, hall_subgroup, is_isomorphic,
-                        is_p_separable, is_soluble, normal_subgroups, p_complement,
-                        p_core, p_prime_core, quotient, sylow, sylow_conjugates)
+from .structure import (HallSearchConfig, _is_normal, coset_classes, hall_subgroup,
+                        is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
+                        p_complement, p_core, p_prime_core, quotient, sylow,
+                        sylow_conjugates)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -210,12 +211,11 @@ def _check_two_complete_components(graph: ClassGraph):
         return True, "graph connected or empty; nothing to check"
     if len(graph.components) != 2:
         return False, f"{len(graph.components)} components"
-    adj = graph.adjacency()
+    nb = graph.neighbours
     for comp in graph.components:
-        for a in comp:
-            for b in comp:
-                if a < b and b not in adj[a]:
-                    return False, f"component {comp} is not complete"
+        whole = sum(1 << v for v in comp)
+        if any(nb[v] | 1 << v != whole for v in comp):
+            return False, f"component {comp} is not complete"
     return True, "two components, both complete"
 
 
@@ -290,10 +290,8 @@ def _check_coprime_span(G: Group, p: int, graph: ClassGraph):
         span = coprime_class_span(G, p, max_class=b0).span
         if not span.is_abelian():
             return False, f"span for max class of size {b0.size} is not abelian"
-        for s in span.generators:
-            for g in G.generators:
-                if s.conjugate(g) not in span:
-                    return False, "span is not normal"
+        if not _is_normal(G, span):
+            return False, "span is not normal"
         if math.gcd(span.order, p) != 1:
             return False, "span order is divisible by p"
         if not zp.element_set() <= span.element_set():

@@ -156,6 +156,29 @@ def naive_diameter(n, edges):
     return None if worst == inf else int(worst)
 
 
+def naive_components(n, edges):
+    """Vertex sets of the components, each sorted, by least vertex: every
+    vertex takes the least label among its neighbours until none changes."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return tuple(tuple(v for v in range(n) if label[v] == root)
+                 for root in sorted(set(label)))
+
+
+def naive_has_triangle(n, edges):
+    """Whether some three vertices are pairwise joined, over all triples."""
+    edges = set(edges)
+    return any({(a, b), (a, c), (b, c)} <= edges
+               for a, b, c in combinations(range(n), 3))
+
+
 def _strip_primes(n, primes):
     """n with every factor from ``primes`` divided out."""
     for q in primes:

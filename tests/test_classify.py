@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given
 
 from classgraph import classify
-from classgraph.classify import (count_p_regular_classes, higman_structure_check,
-                                 is_elementary_abelian, is_frobenius,
-                                 is_quasi_frobenius, pi_class_size_criterion,
-                                 complement_case)
+from classgraph.classify import (count_p_regular_classes, is_elementary_abelian,
+                                 is_frobenius, is_quasi_frobenius,
+                                 pi_class_size_criterion, complement_case)
 from classgraph.construct import (affine_prime_group, cyclic, direct_product,
                                   elementary_abelian, symmetric)
 from classgraph.errors import PreconditionViolated
@@ -147,31 +146,6 @@ def test_quasi_frobenius_of_a_centreless_group_builds_no_quotient(atlas_groups,
     G = Group(G.name, G.degree, G.generators, G.elements)  # no caches
     w = is_quasi_frobenius(G)
     assert (w.kernel.order, w.complement.order) == (7, 6)
-
-
-def test_higman_examples(atlas_groups):
-    r = higman_structure_check(atlas_groups["Sigma3"])
-    assert r.t == 3 and r.quotient_case == "cyclic" and r.quotient_order == 2
-    r = higman_structure_check(atlas_groups["Q8"])
-    assert r.quotient_case == "whole-group"
-    r = higman_structure_check(atlas_groups["A4"])
-    assert r.t == 2 and r.quotient_case == "cyclic" and r.quotient_order == 3
-
-
-def test_higman_two_prime_case(atlas_groups):
-    # C7:C3 has all elements of prime power order; 3 = k*7^a + 1 fails, but
-    # with t = 7 the quotient is cyclic of order 3
-    r = higman_structure_check(atlas_groups["C7:C3"])
-    assert r.t == 7 and r.quotient_case == "cyclic"
-
-
-def test_higman_precondition(atlas_groups):
-    with pytest.raises(PreconditionViolated):
-        higman_structure_check(atlas_groups["C7:C6"])  # has order-6 elements
-    from classgraph.construct import alternating
-    # A5 is a CP-group but not soluble
-    with pytest.raises(PreconditionViolated):
-        higman_structure_check(alternating(5))
 
 
 def test_count_p_regular_classes(atlas_groups):

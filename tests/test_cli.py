@@ -126,3 +126,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--group", "atlas:Sigma3"])  # missing --prime
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "4"],                 # not prime
+    ["verify", "--primes", "upto:x"],            # malformed bound
+    ["verify", "--primes", "2,2"],               # repeated prime
+    ["verify", "--primes", "2,x"],               # not an integer
+    ["analyze", "--group", "atlas:Sigma3", "--prime", "2", "--restarts", "0"],
+    ["verify", "--jobs", "-3"],
+])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+def test_primes_list_tolerates_spaces(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"name":"S3","degree":3,"generators":["(1,2)","(1,2,3)"]}\n')
+    assert main(["verify", "--corpus", str(corpus), "--primes", "2, 3"]) == 0
+    assert "pairs=2 " in capsys.readouterr().out
+
+
+def test_non_integer_max_order_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CLASSGRAPH_MAX_ORDER", "abc")
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: CLASSGRAPH_MAX_ORDER='abc' is not an integer\n")

@@ -14,8 +14,7 @@ from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
                                   generalized_quaternion, group_to_spec,
                                   heisenberg3, one_dim_affine_group, parse_corpus,
                                   semidihedral, semidirect_product,
-                                  serialize_corpus, standard_family, symmetric,
-                                  alternating, embedded_factors)
+                                  serialize_corpus, symmetric, alternating)
 from classgraph.errors import (BadCycle, ClassGraphError, CorpusSyntaxError,
                                DuplicateName, InvalidParameter, NotAHomomorphism,
                                NotAnAutomorphism, OrderCapExceeded, UnknownAtlasGroup)
@@ -77,18 +76,6 @@ def test_symmetric_alternating():
     assert alternating(6).order == 360
 
 
-def test_standard_family_dispatch():
-    assert standard_family("cyclic", 5).order == 5
-    assert standard_family("dihedral", 10).order == 10
-    assert standard_family("generalized_quaternion", 8).order == 8
-    assert standard_family("semidihedral", 16).order == 16
-    assert standard_family("elementary_abelian", 3, 2).order == 9
-    assert standard_family("symmetric", 4).order == 24
-    assert standard_family("alternating", 4).order == 12
-    with pytest.raises(InvalidParameter):
-        standard_family("sporadic", 1)
-
-
 def test_direct_product():
     c6 = direct_product(cyclic(2), cyclic(3))
     assert c6.order == 6
@@ -141,7 +128,9 @@ def test_semidirect_kernel_normal_complement_disjoint():
     x = c3.generators[0]
     G = semidirect_product(c3, c4, ActionSpec({c4.generators[0]: {x: x * x}}),
                            "C3:C4")
-    K, H = embedded_factors(G, c3, c4)
+    # the product's generators are K's, then H's, each acting on the pairs
+    K = make_group(G.generators[:1], "C3<C3:C4", max_order=3)
+    H = make_group(G.generators[1:], "C4<C3:C4", max_order=4)
     assert K.order == 3 and H.order == 4
     assert K.element_set() & H.element_set() == {G.identity}
     for n in K.generators:

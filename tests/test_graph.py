@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 
-from classgraph import graph as graph_module
 from classgraph.construct import cyclic, generalized_quaternion
 from classgraph.errors import NoVertices
-from classgraph.graph import (ClassGraph, _adjacency, _components, build_graph,
-                              central_p_prime_part, coprime_class_span, diameter,
-                              is_triangle_free, p_regular_classes, to_dot)
+from classgraph.graph import (ClassGraph, build_graph, central_p_prime_part,
+                              coprime_class_span, diameter, is_triangle_free,
+                              p_regular_classes, to_dot)
 from classgraph.perm import conjugacy_classes
-from oracles import naive_diameter, naive_is_triangle_free
+from classgraph.verify import _check_two_complete_components
+from oracles import (naive_components, naive_diameter, naive_has_triangle,
+                     naive_is_triangle_free)
 from strategies import graphs_with_twins
 
 
@@ -119,23 +121,44 @@ def test_diameter_matches_naive(atlas_groups):
 @example((6, frozenset({(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)})))  # leaves 3, 5 differ
 def test_diameter_matches_naive_with_twins(graph):
     n, edges = graph
-    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges,
-                   components=_components(_adjacency(n, edges)), shape="other")
+    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges)
     assert diameter(g) == naive_diameter(n, edges)
 
 
+@given(graphs_with_twins())
+@example((4, frozenset({(0, 1), (2, 3)})))  # two complete components
+@example((5, frozenset({(0, 1), (2, 3), (3, 4)})))  # the second one a path
+@example((6, frozenset({(0, 1), (2, 3), (4, 5)})))  # three components
+def test_mask_queries_match_naive(graph):
+    n, edges = graph
+    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges)
+    comps = naive_components(n, edges)
+    assert g.components == comps
+    assert is_triangle_free(g) == (not naive_has_triangle(n, edges))
+    assert diameter(g) == naive_diameter(n, edges)
+    cliques = all((a, b) in edges for c in comps for a, b in combinations(c, 2))
+    two_complete = len(comps) <= 1 or (len(comps) == 2 and cliques)
+    assert _check_two_complete_components(g)[0] == two_complete
+
+
 def test_adjacency_built_once_and_not_part_of_the_value(atlas_groups, monkeypatch):
+    builds = []
+    build = ClassGraph.neighbours.func
+    monkeypatch.setattr(ClassGraph.neighbours, "func",
+                        lambda self: builds.append(self) or build(self))
     g = build_graph(atlas_groups["Sigma4"], 5)  # connected, diameter 2
-    monkeypatch.setattr(graph_module, "_adjacency", None)  # no second build
+    assert not builds  # nothing is derived until a query reads it
     assert is_triangle_free(g) == naive_is_triangle_free(g.vertex_sizes())
     assert diameter(g) == naive_diameter(len(g.vertices), g.edges)
-    assert g.adjacency() is g.adjacency()
-    bare = ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape)
-    assert bare.adjacency_cache is None
+    assert g.components == naive_components(len(g.vertices), g.edges)
+    assert g.neighbours is g.neighbours and builds == [g]
+    bare = ClassGraph(g.prime, g.vertices, g.edges)
+    assert not {"neighbours", "components", "shape"} & vars(bare).keys()
     assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
-    with pytest.raises(TypeError):  # the map follows from the edges; no caller sets it
-        ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape,
-                   adjacency_cache={})
+    with pytest.raises(TypeError):  # they follow from the edges; no caller sets them
+        ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape)
+    with pytest.raises(TypeError):
+        ClassGraph(g.prime, g.vertices, g.edges, neighbours=g.neighbours)
 
 
 def test_components_partition(atlas_groups):
