@@ -127,9 +127,9 @@ def is_quasi_frobenius(G: Group,
             if w is None:
                 return None
             kern_pre = subgroup_from_elements(
-                [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
+                G, [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
             comp_pre = subgroup_from_elements(
-                [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
+                G, [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
         return QuasiFrobeniusWitness(
             quotient_witness=w, kernel=kern_pre, complement=comp_pre,
             kernel_abelian=kern_pre.is_abelian(),
@@ -206,7 +206,7 @@ _CASE_III_TARGET = "(C5xC5):Q8"
 
 
 def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
-    return subgroup_from_elements(A.element_set() & B.element_set(), name)
+    return subgroup_from_elements(A, A.element_set() & B.element_set(), name)
 
 
 def complement_case(G: Group, p: int,

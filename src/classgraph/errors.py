@@ -25,7 +25,8 @@ class NotAMember(ClassGraphError):
 
 
 class InvalidParameter(ClassGraphError):
-    """Parameters do not describe a valid group in the requested family."""
+    """Parameters are invalid: not a group in the requested family, or not a
+    valid setting (an order cap, a prime mode)."""
 
 
 class UnknownAtlasGroup(ClassGraphError, KeyError):

@@ -170,7 +170,7 @@ def central_p_prime_part(G: Group, p: int) -> Group:
     """The p-complement of the center of G."""
     z = center(G)
     elems = [g for g in z.elements if g.order() % p != 0]
-    return subgroup_from_elements(elems, f"Z({G.name})_{p}'")
+    return subgroup_from_elements(G, elems, f"Z({G.name})_{p}'")
 
 
 def to_dot(g: ClassGraph, graph_name: str = "gamma") -> str:

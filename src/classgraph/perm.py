@@ -422,30 +422,22 @@ def require_members(G: Group, elems: Iterable[Permutation], what: str) -> None:
         raise NotAMember(f"not every {what} lies in {G.name!r}")
 
 
-def mulclose(gens: Sequence[Permutation], *, cap: int | None = None,
-             start: Iterable[Permutation] | None = None,
-             group: Group | None = None) -> set[Permutation]:
-    """The element set of <gens>, enumerated as right cosets of ``start``.
+def mulclose(gens: Sequence[Permutation], *, group: Group, cap: int | None = None,
+             start: Iterable[Permutation] | None = None) -> set[Permutation]:
+    """The element set of <gens> in ``group``, enumerated as right cosets of ``start``.
 
     ``start`` is the closed set generated by a prefix of ``gens`` (None: the
     trivial group); it is copied, not mutated.  A product y = r*g of a coset
     representative and a generator outside the cosets found so far adds the
     coset start*y (Dimino's coset extension; Butler, LNCS 559).  With
     ``cap`` set, enumeration stops once the set holds more than ``cap``.
-    Inside a ``group``, ``gens`` and ``start`` must be members of it
-    (NotAMember otherwise) and products are its ``product()``; without one,
-    ``Permutation.__mul__``.
+    ``gens`` and ``start`` must be members of ``group`` (NotAMember
+    otherwise), and products are its ``product()``.
     """
-    if group is not None:
-        require_members(group, gens, "generator")
-        mul, ident = group.product(), group.identity
-    elif gens:
-        mul, ident = Permutation.__mul__, Permutation.identity(gens[0].degree)
-    else:
-        return set(start or ())
+    require_members(group, gens, "generator")
+    mul, ident = group.product(), group.identity
     elems = set(start) if start else {ident}
-    if group is not None:
-        require_members(group, elems, "start element")
+    require_members(group, elems, "start element")
     known = list(elems - {ident})
     reps = [ident]
     for r in reps:
@@ -492,22 +484,27 @@ def extend_hom(gens: Sequence[Permutation], images: Sequence[Permutation],
     return hom
 
 
-def generating_set(elements: Iterable[Permutation]
+def generating_set(G: Group, candidates: Iterable[Permutation], cap: int,
+                   order_ok: Callable[[int], bool]
                    ) -> tuple[list[Permutation], set[Permutation]]:
-    """A small generating set for a set of elements, with its closure.
+    """One greedy pass over ``candidates``: generators in G, with their closure.
 
-    Scans elements by descending order then lexicographically, adjoining
-    any element not yet generated; the closure stops past the set's size.
+    Takes the candidates in the order given and adjoins each one not yet
+    generated whose closure stays within ``cap`` elements and has an order
+    that ``order_ok`` accepts; the pass ends once the closure has ``cap``
+    elements.
     """
-    elems = sorted(set(elements), key=lambda g: (-g.order(), g.images))
     gens: list[Permutation] = []
-    cur = {Permutation.identity(elems[0].degree)} if elems else set()
-    for x in elems:
-        if x not in cur:
+    cur = {G.identity}
+    for x in candidates:
+        if len(cur) == cap:
+            break
+        if x in cur:
+            continue
+        trial = mulclose(gens + [x], cap=cap, start=cur, group=G)
+        if len(trial) <= cap and order_ok(len(trial)):
+            cur = trial
             gens.append(x)
-            cur = mulclose(gens, cap=len(elems), start=cur)
-            if len(cur) > len(elems):
-                break
     return gens, cur
 
 
@@ -518,14 +515,20 @@ def closed_subgroup(gens: Sequence[Permutation], elems: Iterable[Permutation],
     return Group(name, elems[0].degree, tuple(gens), tuple(elems))
 
 
-def subgroup_from_elements(elements: Iterable[Permutation], name: str) -> Group:
-    """The subgroup on a closed element set, its elements in sorted order.
+def subgroup_from_elements(G: Group, elements: Iterable[Permutation],
+                           name: str) -> Group:
+    """The subgroup of G on a closed element set, its elements in sorted order.
 
-    Raises NotASubgroup if the set is not closed.
+    Generators are picked by one ``generating_set`` pass over the set, by
+    descending element order then lexicographically, whose closure is
+    capped at the set's size.  Raises NotAMember if an element lies outside
+    G and NotASubgroup if the set is not closed.
     """
     elems = set(elements)
-    gens, closure = generating_set(elems)
-    if not elems or len(closure) != len(elems):
+    require_members(G, elems, "element")
+    scan = sorted(elems, key=lambda g: (-g.order(), g.images))
+    gens, closure = generating_set(G, scan, len(elems), lambda n: True)
+    if closure != elems:
         raise NotASubgroup(f"{name!r}: element set of size {len(elems)} is not closed")
     return closed_subgroup(gens, elems, name)
 
@@ -535,7 +538,7 @@ def centralizer(G: Group, x: Permutation) -> Group:
     require_members(G, (x,), "element")
     mul = G.product()
     elems = [g for g in G.elements if mul(g, x) is mul(x, g)]
-    return subgroup_from_elements(elems, f"C_{G.name}({x.cycle_string()})")
+    return subgroup_from_elements(G, elems, f"C_{G.name}({x.cycle_string()})")
 
 
 def center(G: Group) -> Group:
@@ -544,7 +547,7 @@ def center(G: Group) -> Group:
         gens = G.generators
         mul = G.product()
         elems = [g for g in G.elements if all(mul(g, h) is mul(h, g) for h in gens)]
-        return subgroup_from_elements(elems, f"Z({G.name})")
+        return subgroup_from_elements(G, elems, f"Z({G.name})")
     return G._memo("center", build)
 
 

@@ -13,8 +13,8 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
 from .perm import (Group, Permutation, bulk_conjugate, center, class_elements,
                    class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
-                   element_order_map, extend_hom, make_group, mulclose,
-                   p_part_element, require_members, subgroup_from_elements)
+                   element_order_map, extend_hom, generating_set, make_group, mulclose,
+                   p_part_element, require_members)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -170,14 +170,10 @@ def sylow_conjugates(G: Group, p: int) -> Iterator[frozenset[Permutation]]:
 
 
 def p_core(G: Group, p: int) -> Group:
-    """O_p(G): the intersection of the conjugates of one Sylow p-subgroup."""
+    """O_p(G): the largest normal p-subgroup, ``pi_core(G, {p})``."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
-
-    def build():
-        core = frozenset.intersection(*sylow_conjugates(G, p))
-        return subgroup_from_elements(core, f"O_{p}({G.name})")
-    return G._memo(("p_core", p), build)
+    return pi_core(G, frozenset({p}))
 
 
 def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> Group:
@@ -343,9 +339,9 @@ def _search_subgroup(G: Group, target_order: int,
                      exc: type[Exception]) -> Group:
     """Greedy growth with seeded random restarts.
 
-    Adjoins a candidate whenever the closure stays within target size and
-    satisfies ``order_ok``.  The first pass is deterministic; later passes
-    shuffle the candidate order with a seeded generator.
+    Each pass is one ``generating_set`` pass capped at the target order.
+    The first pass is deterministic; later passes shuffle the candidate
+    order with a seeded generator.
     """
     rng = random.Random(cfg.seed)
     orders = element_order_map(G)
@@ -354,17 +350,7 @@ def _search_subgroup(G: Group, target_order: int,
         order = list(base)
         if attempt > 0:
             rng.shuffle(order)
-        cur: set[Permutation] = {G.identity}
-        gens: list[Permutation] = []
-        for x in order:
-            if len(cur) == target_order:
-                break
-            if x in cur:
-                continue
-            trial = mulclose(gens + [x], cap=target_order, start=cur, group=G)
-            if len(trial) <= target_order and order_ok(len(trial)):
-                cur = trial
-                gens.append(x)
+        gens, cur = generating_set(G, order, target_order, order_ok)
         if len(cur) == target_order:
             return closed_subgroup(gens, cur, name)
     raise exc(f"search for {name!r} of order {target_order} in {G.name!r} "
@@ -399,11 +385,12 @@ def p_complement(G: Group, p: int,
 # normal subgroups
 
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
-    """All normal subgroups: class closures, closed under joins.
+    """All normal subgroups: class closures, closed under joins with them.
 
     Every normal subgroup is generated by the conjugacy classes it
-    contains, so the join-closure of the single-class normal closures
-    exhausts the lattice.
+    contains, so it is the join of the single-class normal closures (the
+    seeds) it contains.  Each member is therefore joined only with the
+    seeds it does not already contain, and the lattice is still complete.
     """
     def build():
         seeds: dict[frozenset, Group] = {}
@@ -420,11 +407,10 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
         while frontier:
             new = []
             for A in frontier:
-                for B in list(lattice.values()):
-                    if (A.element_set() <= B.element_set()
-                            or B.element_set() <= A.element_set()):
+                for S in seeds.values():
+                    if S.element_set() <= A.element_set():
                         continue
-                    gens = A.generators + tuple(b for b in B.generators if b not in A)
+                    gens = A.generators + tuple(s for s in S.generators if s not in A)
                     join = frozenset(mulclose(gens, start=A.element_set(), group=G))
                     if join not in lattice:
                         J = closed_subgroup(gens, join, f"join{len(lattice)}<{G.name}")

@@ -13,7 +13,7 @@ from . import construct
 from .classify import (ComplementCase, count_p_regular_classes, intersection_subgroup,
                        is_elementary_abelian, is_frobenius, is_quasi_frobenius,
                        pi_class_size_criterion, complement_case)
-from .errors import HallSearchExhausted
+from .errors import HallSearchExhausted, InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
@@ -199,8 +199,10 @@ def _check_graph_consistency(G: Group, graph: ClassGraph):
             share = graph.vertices[i].prime_support & graph.vertices[j].prime_support
             if share and (i, j) not in graph.edges:
                 return False, f"missing edge ({i},{j})"
+    component_of = {v: k for k, comp in enumerate(graph.components) for v in comp}
     covered = sorted(v for comp in graph.components for v in comp)
-    if covered != list(range(len(graph.vertices))):
+    if (covered != list(range(len(graph.vertices)))
+            or any(component_of[i] != component_of[j] for i, j in graph.edges)):
         return False, "components do not partition the vertices"
     return True, (f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
                   f"shape {graph.shape}")
@@ -630,11 +632,14 @@ def primes_for(G: Group, mode: tuple) -> tuple[int, ...]:
             q = next_prime(q)
         return tuple(out)
     if kind == "list":
-        for q in mode[1]:
+        primes = tuple(mode[1])
+        for q in primes:
             if not is_prime(q):
-                raise ValueError(f"{q} is not prime")
-        return tuple(mode[1])
-    raise ValueError(f"unknown prime mode {mode!r}")
+                raise InvalidParameter(f"{q} is not prime")
+        if len(set(primes)) != len(primes):
+            raise InvalidParameter(f"a prime is repeated in {list(primes)}")
+        return primes
+    raise InvalidParameter(f"unknown prime mode {mode!r}")
 
 
 def _verify_group_worker(args) -> list[VerificationReport]:

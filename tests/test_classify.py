@@ -114,8 +114,8 @@ def _quasi_frobenius_by_quotient(G):
     w = is_frobenius(Q)
     if w is None:
         return None
-    kernel = subgroup_from_elements([g for g in G.elements if proj[g] in w.kernel], "K")
-    comp = subgroup_from_elements([g for g in G.elements if proj[g] in w.complement], "H")
+    kernel = subgroup_from_elements(G, [g for g in G.elements if proj[g] in w.kernel], "K")
+    comp = subgroup_from_elements(G, [g for g in G.elements if proj[g] in w.complement], "H")
     return kernel.order, comp.order, kernel.is_abelian(), comp.is_abelian()
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from classgraph import perm as perm_module
 from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
                                OrderCapExceeded)
-from classgraph.construct import cyclic, symmetric
+from classgraph.construct import alternating, cyclic, symmetric
 from classgraph.perm import (Permutation, bulk_conjugate, center, centralizer, class_elements,
                              class_of, conjugacy_classes, conjugation_maps, element_order,
                              extend_hom, make_group, mulclose, parse_cycle_string,
@@ -199,7 +199,7 @@ def test_conjugacy_classes_a4_d10(atlas_groups):
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
 def test_class_orbits_match_naive(gens):
     G = make_group(gens, "G")  # hands its right-multiplication table over
-    S = subgroup_from_elements(G.elements, "S")  # sorted, builds one itself
+    S = subgroup_from_elements(G, G.elements, "S")  # sorted, builds one itself
     trivial = make_group([], "1", degree=gens[0].degree)  # no generators
     assert "right_table" in G._cache and "right_table" not in S._cache
     for H in (G, S, trivial):
@@ -217,7 +217,7 @@ def test_class_orbits_match_naive(gens):
 def test_conjugacy_classes_conjugate_no_permutations(monkeypatch):
     s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
     a4 = subgroup_from_elements(
-        [g for g in s4.elements if sum(len(c) - 1 for c in g.cycles()) % 2 == 0], "A4")
+        s4, [g for g in s4.elements if sum(len(c) - 1 for c in g.cycles()) % 2 == 0], "A4")
 
     def refuse(*args, **kwargs):
         raise AssertionError("class orbits conjugated a Permutation")
@@ -272,9 +272,9 @@ def test_subgroup_from_elements_rejects_non_closed():
     s3 = make_group([perm("(1,2)", 3), perm("(1,2,3)", 3)], "S3")
     not_closed = [s3.identity, perm("(1,2)", 3), perm("(1,2,3)", 3)]
     with pytest.raises(NotASubgroup, match="'bad'.*size 3"):
-        subgroup_from_elements(not_closed, "bad")
+        subgroup_from_elements(s3, not_closed, "bad")
     with pytest.raises(NotASubgroup):
-        subgroup_from_elements([], "empty")
+        subgroup_from_elements(s3, [], "empty")
 
 
 def test_subgroup_from_elements_rejects_without_closing_the_group(monkeypatch):
@@ -287,28 +287,30 @@ def test_subgroup_from_elements_rejects_without_closing_the_group(monkeypatch):
         return out
 
     monkeypatch.setattr(perm_module, "mulclose", recording)
-    c8 = perm("(1,2,3,4,5,6,7,8)", 8)
-    not_closed = [c8 ** k for k in range(8)] + [perm("(1,2)", 8)]  # generates S8
+    a6 = alternating(6)
+    c5 = perm("(1,2,3,4,5)", 6)
+    not_closed = [c5 ** k for k in range(5)] + [perm("(4,5,6)", 6)]  # generates A6
     with pytest.raises(NotASubgroup):
-        subgroup_from_elements(not_closed, "bad")
-    assert max(sizes) < 100  # the closure stopped near the set's size, not at 40320
+        subgroup_from_elements(a6, not_closed, "bad")
+    assert max(sizes) < 20  # the closure stopped near the set's size, not at 360
 
 
 @given(generating_sets())
 def test_subgroup_from_elements_matches_closure(gens):
+    G = make_group(gens, "G")
     for k in range(1, len(gens) + 1):
-        H = mulclose(gens[:k])
-        S = subgroup_from_elements(H, "H")
+        H = mulclose(gens[:k], group=G)
+        S = subgroup_from_elements(G, H, "H")
         assert S.element_set() == H
         assert S.elements == tuple(sorted(H))
         assert set(S.generators) <= H - {S.identity}
-        assert mulclose(S.generators) | {S.identity} == H
-        R = subgroup_from_elements(list(reversed(sorted(H))), "H")
+        assert mulclose(S.generators, group=G) == H
+        R = subgroup_from_elements(G, list(reversed(sorted(H))), "H")
         assert (R.generators, R.elements) == (S.generators, S.elements)
         if len(H) > 2:  # |H| - 1 does not divide |H|
             x = max(H)
             with pytest.raises(NotASubgroup):
-                subgroup_from_elements(H - {x}, "H-x")
+                subgroup_from_elements(G, H - {x}, "H-x")
 
 
 def test_subgroup_from_elements_does_not_close_again(monkeypatch):
@@ -319,33 +321,35 @@ def test_subgroup_from_elements_does_not_close_again(monkeypatch):
         raise AssertionError("subgroup_from_elements called make_group")
 
     monkeypatch.setattr(perm_module, "make_group", closing_again)
-    a4 = subgroup_from_elements(even, "A4")
+    a4 = subgroup_from_elements(s4, even, "A4")
     assert a4.order == 12 and a4.element_set() == set(even)
-    trivial = subgroup_from_elements([s4.identity], "1")
+    trivial = subgroup_from_elements(s4, [s4.identity], "1")
     assert trivial.elements == (s4.identity,) and trivial.generators == ()
 
 
 @given(generating_sets())
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
 def test_mulclose_matches_naive(gens):
+    G = make_group(gens, "G")
     full = naive_closure(gens)
     for k in range(len(gens) + 1):
-        start = mulclose(gens[:k])
+        start = mulclose(gens[:k], group=G)
         before = set(start)
-        assert mulclose(gens, start=start) == full
+        assert mulclose(gens, start=start, group=G) == full
         assert start == before  # the start set is copied, not extended in place
 
 
 @given(generating_sets(), st.data())
 def test_mulclose_cap(gens, data):
+    G = make_group(gens, "G")
     full = naive_closure(gens)
     k = data.draw(st.integers(0, len(gens)))
-    start = mulclose(gens[:k])
-    cap = data.draw(st.integers(max(len(start), 1), 130))  # callers start within the cap
-    got = mulclose(gens, cap=cap, start=start)
+    start = mulclose(gens[:k], group=G)
+    cap = data.draw(st.integers(len(start), 130))  # callers start within the cap
+    got = mulclose(gens, cap=cap, start=start, group=G)
     assert (len(got) > cap) == (len(full) > cap)
     assert got <= full
-    assert len(got) <= cap + max(len(start), 1)  # stops within one coset of the cap
+    assert len(got) <= cap + len(start)  # stops within one coset of the cap
     if len(full) <= cap:
         assert got == full
 

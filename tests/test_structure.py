@@ -18,7 +18,7 @@ from classgraph.structure import (HallSearchConfig, coset_classes, derived_subgr
                                   hall_subgroup, is_isomorphic, is_p_separable,
                                   is_soluble, normal_closure, normal_subgroups,
                                   p_complement, p_core, p_prime_core, pi_core,
-                                  quotient, sylow)
+                                  quotient, sylow, sylow_conjugates)
 from oracles import (naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
                      naive_normal_closure, naive_normal_subgroups, naive_pi_core_over)
 from strategies import generating_sets, permutations
@@ -85,12 +85,14 @@ def test_p_core_properties(atlas_groups):
         assert core.element_set() <= sylow(G, p).element_set()
 
 
-def test_p_core_agrees_with_pi_core(atlas_groups):
-    for name in ["Sigma3", "A4", "C7:C6", "E25:Sigma3", "Q8:C9"]:
-        G = atlas_groups[name]
-        for p in prime_factors(G.order):
-            assert p_core(G, p).element_set() == \
-                pi_core(G, frozenset({p})).element_set()
+def test_p_core_agrees_with_pi_core(atlas):
+    # O_p(G) by a second route: the intersection of the Sylow p-conjugates
+    for entry in atlas.values():
+        G = entry.group
+        for p in entry.primes:
+            core = p_core(G, p)
+            assert core is pi_core(G, frozenset({p}))
+            assert core.element_set() == frozenset.intersection(*sylow_conjugates(G, p))
 
 
 def test_p_prime_core_examples(atlas_groups):
@@ -159,7 +161,7 @@ def test_pi_core_over_matches_naive(gens):
     G = make_group(gens, "G")
     primes = prime_factors(G.order)
     for N_set in naive_normal_subgroups(G.elements):
-        N = subgroup_from_elements(N_set, "N")
+        N = subgroup_from_elements(G, N_set, "N")
         for p in primes:
             for pi in (frozenset({p}), frozenset(primes) - {p}):
                 assert pi_core(G, pi, over=N).element_set() == \
@@ -354,7 +356,7 @@ def test_normal_closure_matches_naive(gens, data):
 def test_grown_subgroups_keep_their_generators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a grown subgroup was rescanned for generators")
-    monkeypatch.setattr(perm, "generating_set", refuse)
+    monkeypatch.setattr(perm, "subgroup_from_elements", refuse)
     s4 = symmetric(4)
     grown = [normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
              sylow(s4, 2), p_complement(s4, 2), *normal_subgroups(s4)[1:],
@@ -362,7 +364,7 @@ def test_grown_subgroups_keep_their_generators(monkeypatch):
              normal_subgroups(elementary_abelian(2, 2))[-1]]
     for H in grown:
         assert H.elements == tuple(sorted(H.elements))
-        assert mulclose(list(H.generators)) == set(H.elements)
+        assert mulclose(list(H.generators), group=H) == set(H.elements)
         assert H.identity not in H.generators
 
 
@@ -373,6 +375,23 @@ def test_normal_subgroups_examples(atlas_groups):
     assert [N.order for N in normal_subgroups(q8)] == [1, 2, 4, 4, 4, 8]
     a5 = alternating(5)
     assert [N.order for N in normal_subgroups(a5)] == [1, 60]
+
+
+@given(generating_sets())
+@example(S5_GENS)
+def test_normal_subgroups_match_naive(gens):
+    G = make_group(gens, "G")
+    normals = [N.element_set() for N in normal_subgroups(G)]
+    assert len(set(normals)) == len(normals)
+    assert set(normals) == set(naive_normal_subgroups(G.elements))
+
+
+def test_normal_subgroups_of_a_large_lattice():
+    # every subgroup of the abelian E16 x C4 is normal
+    G = direct_product(elementary_abelian(2, 4), cyclic(4))
+    normals = normal_subgroups(G)
+    assert len(normals) == 681
+    assert len({N.element_set() for N in normals}) == 681
 
 
 def test_normal_subgroups_are_normal(atlas_groups):
@@ -417,6 +436,10 @@ def test_products_in_a_group_reject_non_members():
         mulclose([t], group=c3)
     with pytest.raises(NotAMember):
         mulclose(list(c3.generators), start={c3.identity, t}, group=c3)
+    with pytest.raises(NotAMember):
+        subgroup_from_elements(c3, s3.elements, "S3")
+    with pytest.raises(NotAMember):  # also when the closure reaches the set's size first
+        subgroup_from_elements(c3, [*c3.elements[:2], t], "bad")
     with pytest.raises(NotAMember):
         extend_hom([t], [t], c3, s3)  # generator outside A
     with pytest.raises(NotAMember):

@@ -11,6 +11,8 @@ import pytest
 import classgraph
 from classgraph import classify, structure, verify
 from classgraph.construct import alternating, parse_corpus
+from classgraph.errors import InvalidParameter
+from classgraph.graph import build_graph
 from classgraph.perm import Group
 from classgraph.structure import HallSearchConfig
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
@@ -80,8 +82,14 @@ def test_primes_for_modes(atlas_groups):
     assert primes_for(G, ("all",)) == (2, 3, 5)
     assert primes_for(G, ("upto", 7)) == (2, 3, 5, 7)
     assert primes_for(G, ("list", [3, 11])) == (3, 11)
-    with pytest.raises(ValueError):
-        primes_for(G, ("list", [4]))
+    for mode in (("list", [4]), ("list", [3, 3]), ("some",)):
+        with pytest.raises(InvalidParameter):
+            primes_for(G, mode)
+
+
+def test_run_corpus_rejects_a_repeated_prime(atlas_groups):
+    with pytest.raises(InvalidParameter, match="repeated"):
+        run_corpus([atlas_groups["Sigma3"]], ("list", [3, 3]))
 
 
 def test_run_corpus_empty():
@@ -195,6 +203,17 @@ def test_exit_code_and_counterexample_ordering():
     doc = bad.to_json_dict()
     assert doc["reports"][0]["group"] == "B"  # counterexamples listed first
     assert doc["summary"]["counterexamples"] == [{"group": "B", "prime": 2}]
+
+
+def test_graph_consistency_fails_on_wrong_components(atlas_groups):
+    G = atlas_groups["C7:C6"]
+    graph = build_graph(G)
+    assert verify._check_graph_consistency(G, graph) == (
+        True, "6 vertices, 10 edges, shape other")
+    # cached components that split every edge still partition the vertices
+    vars(graph)["components"] = tuple((v,) for v in range(len(graph.vertices)))
+    assert verify._check_graph_consistency(G, graph) == (
+        False, "components do not partition the vertices")
 
 
 def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
