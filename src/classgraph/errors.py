@@ -25,8 +25,7 @@ class NotAMember(ClassGraphError):
 
 
 class InvalidParameter(ClassGraphError):
-    """Parameters are invalid: not a group in the requested family, or not a
-    valid setting (an order cap, a prime mode)."""
+    """Not a group of the requested family, or an invalid setting (a cap, a prime mode)."""
 
 
 class UnknownAtlasGroup(ClassGraphError, KeyError):

@@ -490,9 +490,9 @@ def generating_set(G: Group, candidates: Iterable[Permutation], cap: int,
     """One greedy pass over ``candidates``: generators in G, with their closure.
 
     Takes the candidates in the order given and adjoins each one not yet
-    generated whose closure stays within ``cap`` elements and has an order
-    that ``order_ok`` accepts; the pass ends once the closure has ``cap``
-    elements.
+    generated whose closure's size ``order_ok`` accepts (it sees every
+    trial's size, also one cut short past ``cap``) and is at most ``cap``;
+    the pass ends once the closure has ``cap`` elements.
     """
     gens: list[Permutation] = []
     cur = {G.identity}
@@ -502,7 +502,7 @@ def generating_set(G: Group, candidates: Iterable[Permutation], cap: int,
         if x in cur:
             continue
         trial = mulclose(gens + [x], cap=cap, start=cur, group=G)
-        if len(trial) <= cap and order_ok(len(trial)):
+        if order_ok(len(trial)) and len(trial) <= cap:
             cur = trial
             gens.append(x)
     return gens, cur
@@ -519,17 +519,24 @@ def subgroup_from_elements(G: Group, elements: Iterable[Permutation],
                            name: str) -> Group:
     """The subgroup of G on a closed element set, its elements in sorted order.
 
-    Generators are picked by one ``generating_set`` pass over the set, by
-    descending element order then lexicographically, whose closure is
-    capped at the set's size.  Raises NotAMember if an element lies outside
-    G and NotASubgroup if the set is not closed.
+    Generators come from one ``generating_set`` pass over the set, by
+    descending element order then lexicographically, capped at its size.
+    Raises NotAMember if an element lies outside G, and NotASubgroup if the
+    set is not closed, at the first closure that outgrows it.
     """
     elems = set(elements)
     require_members(G, elems, "element")
+    not_closed = f"{name!r}: element set of size {len(elems)} is not closed"
+
+    def fits(n: int) -> bool:
+        if n > len(elems):
+            raise NotASubgroup(not_closed)
+        return True
+
     scan = sorted(elems, key=lambda g: (-g.order(), g.images))
-    gens, closure = generating_set(G, scan, len(elems), lambda n: True)
+    gens, closure = generating_set(G, scan, len(elems), fits)
     if closure != elems:
-        raise NotASubgroup(f"{name!r}: element set of size {len(elems)} is not closed")
+        raise NotASubgroup(not_closed)
     return closed_subgroup(gens, elems, name)
 
 

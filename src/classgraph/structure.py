@@ -337,9 +337,8 @@ def _search_subgroup(G: Group, target_order: int,
                      cfg: HallSearchConfig,
                      name: str,
                      exc: type[Exception]) -> Group:
-    """Greedy growth with seeded random restarts.
+    """Greedy growth by ``generating_set`` passes capped at the target order.
 
-    Each pass is one ``generating_set`` pass capped at the target order.
     The first pass is deterministic; later passes shuffle the candidate
     order with a seeded generator.
     """
@@ -385,12 +384,11 @@ def p_complement(G: Group, p: int,
 # normal subgroups
 
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
-    """All normal subgroups: class closures, closed under joins with them.
+    """All normal subgroups: the seeds (single-class normal closures) and joins.
 
-    Every normal subgroup is generated by the conjugacy classes it
-    contains, so it is the join of the single-class normal closures (the
-    seeds) it contains.  Each member is therefore joined only with the
-    seeds it does not already contain, and the lattice is still complete.
+    A normal subgroup is generated by its conjugacy classes, so it is the
+    join of the seeds it contains; each member is therefore joined only
+    with the seeds it neither contains nor lies in.
     """
     def build():
         seeds: dict[frozenset, Group] = {}
@@ -408,8 +406,8 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
             new = []
             for A in frontier:
                 for S in seeds.values():
-                    if S.element_set() <= A.element_set():
-                        continue
+                    if S.element_set() <= A.element_set() or A.element_set() < S.element_set():
+                        continue  # the join is A or S, both found already
                     gens = A.generators + tuple(s for s in S.generators if s not in A)
                     join = frozenset(mulclose(gens, start=A.element_set(), group=G))
                     if join not in lattice:

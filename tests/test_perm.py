@@ -289,10 +289,13 @@ def test_subgroup_from_elements_rejects_without_closing_the_group(monkeypatch):
     monkeypatch.setattr(perm_module, "mulclose", recording)
     a6 = alternating(6)
     c5 = perm("(1,2,3,4,5)", 6)
-    not_closed = [c5 ** k for k in range(5)] + [perm("(4,5,6)", 6)]  # generates A6
+    # each 3-cycle generates A6 with c5
+    not_closed = [c5 ** k for k in range(5)] + [
+        perm(c, 6) for c in ("(4,5,6)", "(1,2,6)", "(2,3,6)")]
     with pytest.raises(NotASubgroup):
         subgroup_from_elements(a6, not_closed, "bad")
     assert max(sizes) < 20  # the closure stopped near the set's size, not at 360
+    assert len(sizes) == 2  # <c5>, then the first 3-cycle's closure outgrows the set
 
 
 @given(generating_sets())

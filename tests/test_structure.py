@@ -356,7 +356,7 @@ def test_normal_closure_matches_naive(gens, data):
 def test_grown_subgroups_keep_their_generators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a grown subgroup was rescanned for generators")
-    monkeypatch.setattr(perm, "subgroup_from_elements", refuse)
+    monkeypatch.setattr(perm, "generating_set", refuse)
     s4 = symmetric(4)
     grown = [normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
              sylow(s4, 2), p_complement(s4, 2), *normal_subgroups(s4)[1:],
