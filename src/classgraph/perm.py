@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded,
@@ -17,6 +17,9 @@ from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCa
 from .numtheory import p_part, prime_factors
 
 DEFAULT_MAX_ORDER = 20000
+
+# the sort key of Permutation.__lt__, read in C
+_images = attrgetter("images")
 
 
 class Permutation:
@@ -321,9 +324,11 @@ class Group:
 
         A member is fixed by its images on ``base()``, so x*y is the
         element whose base images are y's images at x's base images: one
-        dict lookup instead of composing degree-length tuples.  Only
-        members may be passed; entry points check their inputs (see
-        ``require_members``), and products of members are members.
+        dict lookup instead of composing degree-length tuples.  The key is
+        a scalar for a one-point base and a tuple otherwise, read from y's
+        images by a getter made once per x.  Only members may be passed;
+        entry points check their inputs (see ``require_members``), and
+        products of members are members.
         """
         def build():
             base = self.base()
@@ -333,7 +338,8 @@ class Group:
                 return lambda x, y: by_image[y.images[x.images[b]]]
             at_base = _then(base)
             by_images = {at_base(x.images): x for x in self.elements}
-            return lambda x, y: by_images[_then(at_base(x.images))(y.images)]
+            getter = {x: _then(k) for k, x in by_images.items()}
+            return lambda x, y: by_images[getter[x](y.images)]
         return self._memo("product", build)
 
     def _memo(self, key: str, fn: Callable):
@@ -511,7 +517,7 @@ def generating_set(G: Group, candidates: Iterable[Permutation], cap: int,
 def closed_subgroup(gens: Sequence[Permutation], elems: Iterable[Permutation],
                     name: str) -> Group:
     """The subgroup ``gens`` generate, from its closed element set, listed sorted."""
-    elems = sorted(elems)
+    elems = sorted(elems, key=_images)
     return Group(name, elems[0].degree, tuple(gens), tuple(elems))
 
 
@@ -629,7 +635,7 @@ def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
     def build():
         classes = []
         for orbit in _class_orbits(G):
-            rep = min(orbit)
+            rep = min(orbit, key=_images)
             size = len(orbit)
             classes.append(ConjClass(
                 representative=rep,

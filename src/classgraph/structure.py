@@ -11,7 +11,7 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotAHomomorphism, NotASubgroup, NotNormal, OrderCapExceeded,
                      PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
-from .perm import (Group, Permutation, bulk_conjugate, center, class_elements,
+from .perm import (Group, Permutation, _images, bulk_conjugate, center, class_elements,
                    class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
                    element_order_map, extend_hom, generating_set, make_group, mulclose,
                    p_part_element, require_members)
@@ -241,10 +241,10 @@ def _coset_labels(G: Group, N: Group) -> tuple[dict[Permutation, int], list[Perm
         if g in coset_rep:
             continue
         coset = [mul(n, g) for n in N.elements]
-        rep = min(coset)
+        rep = min(coset, key=_images)
         for e in coset:
             coset_rep[e] = rep
-    reps = sorted(set(coset_rep.values()))
+    reps = sorted(set(coset_rep.values()), key=_images)
     rep_index = {r: i for i, r in enumerate(reps)}
     return {g: rep_index[r] for g, r in coset_rep.items()}, reps
 
@@ -479,7 +479,7 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
 
     pools: list[list[Permutation]] = []
     for g in gens:
-        pool = sorted(x for x in idx_b if inv(idx_b, x) == inv(idx_a, g))
+        pool = sorted((x for x in idx_b if inv(idx_b, x) == inv(idx_a, g)), key=_images)
         if not pool:
             return False
         pools.append(pool)

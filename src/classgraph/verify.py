@@ -18,7 +18,7 @@ from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
 from .perm import Group, center, class_index, conjugacy_classes
-from .structure import (HallSearchConfig, _is_normal, coset_classes, hall_subgroup,
+from .structure import (ISO_CAP, HallSearchConfig, _is_normal, coset_classes, hall_subgroup,
                         is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
                         p_complement, p_core, p_prime_core, quotient, sylow,
                         sylow_conjugates)
@@ -149,30 +149,56 @@ def _check_quotient_class_divisibility(G: Group):
     return G._memo("quotient_div_check", build)
 
 
+def _prime_part_powers(z, n: int, mul) -> list:
+    """The q-parts of z, of order n, for the primes q of n in increasing order
+    (none for the identity).
+
+    The q-part is z^(k * (k^-1 mod q^a)) for q^a the q-part of n and
+    k = n / q^a, taken by repeated squaring through ``mul``.
+    """
+    qs = prime_factors(n)
+    if len(qs) == 1:
+        return [z]
+    parts = []
+    for q in qs:
+        qa = p_part(n, q)
+        k = n // qa
+        e = k * pow(k, -1, qa)
+        out, base = None, z
+        while e:
+            if e & 1:
+                out = base if out is None else mul(out, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        parts.append(out)
+    return parts
+
+
 def _check_coprime_commuting_divisibility(G: Group):
+    # commuting x, y of coprime orders are the pi- and pi'-parts of z = xy,
+    # pi the primes of o(x); so each z in G gives one pair per subset pi of
+    # the primes of o(z), and a pair counts when both parts are sampled
     def build():
         classes = class_index(G)
         mul = G.product()
-        sample = _stride_sample(G.elements)
-        by_order: dict[int, list] = {}
-        for y in sample:
-            by_order.setdefault(classes[y].element_order, []).append(y)
+        ident = G.identity
+        sampled = set(_stride_sample(G.elements))
         bad = 0
         checked = 0
-        for x in sample:
-            cx = classes[x]
-            ox = cx.element_order
-            sx = cx.size
-            for oy, ys in by_order.items():
-                if math.gcd(ox, oy) != 1:
-                    continue
-                for y in ys:
-                    xy = mul(x, y)
-                    if xy is not mul(y, x):
-                        continue
+        for z in G.elements:
+            cz = classes[z]
+            n = cz.element_order
+            pi_parts = [ident]  # pi_parts[m]: the product of the q-parts in bitmask m
+            for zq in _prime_part_powers(z, n, mul):
+                pi_parts += [zq] + [mul(x, zq) for x in pi_parts[1:]]
+            full = len(pi_parts) - 1
+            sz = cz.size
+            for m, x in enumerate(pi_parts):
+                y = pi_parts[full ^ m]
+                if x in sampled and y in sampled:
                     checked += 1
-                    sxy = classes[xy].size
-                    if sxy % sx != 0 or sxy % classes[y].size != 0:
+                    if sz % classes[x].size != 0 or sz % classes[y].size != 0:
                         bad += 1
         return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
     return G._memo("coprime_div_check", build)
@@ -402,14 +428,19 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
                 return False, "not a two-prime Frobenius group with abelian parts"
             if k != 4:
                 return False, f"expected 4 p-regular classes, found {k}"
-        Q = _mod_p_core(G, p)
-        cands = _quotient_candidates(shape, p, Q.order)
-        matched = [c.name for c in cands if is_isomorphic(Q, c)]
-        if matched:
-            notes.append(f"quotient matches {matched[0]}")
+        q_order = G.order // p_core(G, p).order
+        if q_order > ISO_CAP:
+            notes.append(f"quotient order {q_order} exceeds the isomorphism cap "
+                         f"{ISO_CAP}; comparison skipped")
         else:
-            notes.append("no constructible quotient candidate at order "
-                         f"{Q.order}; comparison recorded as informational")
+            Q = _mod_p_core(G, p)
+            cands = _quotient_candidates(shape, p, Q.order)
+            matched = [c.name for c in cands if is_isomorphic(Q, c)]
+            if matched:
+                notes.append(f"quotient matches {matched[0]}")
+            else:
+                notes.append("no constructible quotient candidate at order "
+                             f"{Q.order}; comparison recorded as informational")
     elif shape == "c":
         if case.case != "ii":
             return False, f"case {case.case} with shape c"

@@ -104,6 +104,26 @@ def naive_class_sizes(elements):
     return sorted(len(c) for c in naive_conjugacy_classes(elements))
 
 
+def naive_coprime_commuting_counts(elements, sample):
+    """(pairs, failures) over sample x sample: the commuting pairs x, y of
+    coprime orders, and those where |cl(x)| or |cl(y)| does not divide
+    |cl(xy)|; every product is formed with naive_compose."""
+    size = {g: len(c) for c in naive_conjugacy_classes(elements) for g in c}
+    order = {g: naive_element_order(g) for g in sample}
+    pairs = failures = 0
+    for x in sample:
+        for y in sample:
+            if math.gcd(order[x], order[y]) != 1:
+                continue
+            xy = naive_compose(x, y)
+            if xy != naive_compose(y, x):
+                continue
+            pairs += 1
+            if size[xy] % size[x] or size[xy] % size[y]:
+                failures += 1
+    return pairs, failures
+
+
 def naive_centralizer(elements, x):
     return {g for g in elements if g * x == x * g}
 

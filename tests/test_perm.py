@@ -387,6 +387,17 @@ def _regular(G):
     return make_group(gens, f"R({G.name})", degree=G.order)
 
 
+def _assert_products_are_own_elements(H):
+    keys = {tuple(x.images[b] for b in H.base()) for x in H.elements}
+    assert len(keys) == H.order  # the base images separate the elements
+    own = {x: x for x in H.elements}
+    mul = H.product()
+    for x in H.elements:
+        for y in H.elements:
+            z = mul(x, y)
+            assert z == x * y and z is own[z]
+
+
 @given(generating_sets())
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])  # S4: a base of three points
 def test_product_matches_composition(gens):
@@ -394,14 +405,16 @@ def test_product_matches_composition(gens):
     R = _regular(G)
     assert len(R.base()) == (1 if G.order > 1 else 0)
     for H in (G, R):
-        keys = {tuple(x.images[b] for b in H.base()) for x in H.elements}
-        assert len(keys) == H.order  # the base images separate the elements
-        own = {id(x) for x in H.elements}
-        mul = H.product()
-        for x in H.elements:
-            for y in H.elements:
-                z = mul(x, y)
-                assert z == x * y and id(z) in own
+        _assert_products_are_own_elements(H)
+
+
+def test_product_on_a_base_of_four_points():
+    # A5 on 1..5 needs three base points and the disjoint 3-cycle a fourth,
+    # so every product key is a tuple read by the getter made for x
+    G = make_group([perm("(1,2,3)", 8), perm("(1,2,3,4,5)", 8), perm("(6,7,8)", 8)],
+                   "A5xC3")
+    assert G.order == 180 and len(G.base()) == 4
+    _assert_products_are_own_elements(G)
 
 
 def test_base_of_natural_and_regular_actions():

@@ -7,16 +7,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import classgraph
 from classgraph import classify, structure, verify
-from classgraph.construct import alternating, parse_corpus
+from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
+                                  parse_corpus, symmetric)
 from classgraph.errors import InvalidParameter
 from classgraph.graph import build_graph
-from classgraph.perm import Group
+from classgraph.numtheory import prime_factors
+from classgraph.perm import Group, class_index, make_group
 from classgraph.structure import HallSearchConfig
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
                                run_corpus, verify_pair)
+from oracles import naive_coprime_commuting_counts
+from strategies import generating_sets
 
 
 def _by_id(report):
@@ -259,6 +264,68 @@ def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, m
     checks = _by_id(verify_pair(fresh, p))
     assert checks["shape-refinement"].status == "pass"
     assert all(c.status != "fail" for c in checks.values())
+
+
+# C53:C26 at p = 13 has shape b and C47:C46 at p = 23 shape a; both
+# quotients by O_p(G) = 1 are the whole group, above structure.ISO_CAP
+@pytest.mark.parametrize("r, multiplier, name, p", [(53, 4, "C53:C26", 13),
+                                                    (47, 5, "C47:C46", 23)])
+def test_shape_refinement_skips_a_comparison_above_the_cap(monkeypatch, r, multiplier,
+                                                           name, p):
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomorphism test above the cap")
+    monkeypatch.setattr(verify, "is_isomorphic", refuse)
+    G = affine_prime_group(r, multiplier, name)
+    assert G.order > structure.ISO_CAP
+    checks = _by_id(verify_pair(G, p))
+    assert checks["shape-refinement"].status == "pass"
+    assert checks["shape-refinement"].detail == (
+        f"quotient order {G.order} exceeds the isomorphism cap "
+        f"{structure.ISO_CAP}; comparison skipped")
+    assert all(c.status != "fail" for c in checks.values())
+
+
+def _assert_coprime_counts_match_naive(G):
+    sample = verify._stride_sample(G.elements)
+    pairs, failures = naive_coprime_commuting_counts(G.elements, sample)
+    assert verify._check_coprime_commuting_divisibility(G) == (
+        failures == 0, f"{pairs} commuting coprime pairs, {failures} failures")
+    return pairs
+
+
+@given(generating_sets())
+def test_coprime_commuting_counts_match_naive(gens):
+    _assert_coprime_counts_match_naive(make_group(gens, "G"))
+
+
+# order 720 > verify._SAMPLE_LIMIT, so only pairs with both parts sampled count
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: symmetric(6), 1229),
+    (lambda: direct_product(symmetric(5), cyclic(6)), 1843),
+])
+def test_sampled_coprime_commuting_counts_match_naive(build, pairs):
+    G = build()
+    assert G.order > verify._SAMPLE_LIMIT
+    assert _assert_coprime_counts_match_naive(G) == pairs
+
+
+def test_coprime_commuting_check_walks_the_group_once():
+    # each z takes its q-parts by repeated squaring, then its pi-parts as
+    # products of q-parts: O(|G| log o(z)) products, not |sample|^2
+    G = direct_product(symmetric(5), cyclic(6))
+    orders = {z: c.element_order for z, c in class_index(G).items()}
+    mul = G.product()
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return mul(x, y)
+    G._cache["product"] = counted
+    verify._check_coprime_commuting_divisibility(G)
+    bound = sum(2 * len(prime_factors(n)) * n.bit_length() + 2 ** len(prime_factors(n))
+                for n in orders.values())
+    assert 0 < calls <= bound < G.order * 50
 
 
 def test_library_has_no_assert_statements():
