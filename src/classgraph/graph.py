@@ -176,11 +176,10 @@ def central_p_prime_part(G: Group, p: int) -> Group:
 def to_dot(g: ClassGraph, graph_name: str = "gamma") -> str:
     """DOT export with stable vertex identifiers v<size>_<index>."""
     lines = [f"graph {graph_name} {{"]
-    for idx, v in enumerate(g.vertices):
-        lines.append(f'  "v{v.size}_{idx}" [label="size={v.size}, '
-                     f'ord={v.element_order}"];')
+    ids = [f'"v{v.size}_{idx}"' for idx, v in enumerate(g.vertices)]
+    for vid, v in zip(ids, g.vertices):
+        lines.append(f'  {vid} [label="size={v.size}, ord={v.element_order}"];')
     for i, j in sorted(g.edges):
-        vi, vj = g.vertices[i], g.vertices[j]
-        lines.append(f'  "v{vi.size}_{i}" -- "v{vj.size}_{j}";')
+        lines.append(f"  {ids[i]} -- {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -362,9 +362,9 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     Enumeration order is breadth-first over right multiplication by the
     generators, sorting each new layer lexicographically, so the element
     tuple is a pure function of the generating set.  Products are formed on
-    image tuples, and where each lands is kept as the group's
-    right-multiplication table until the class build takes it (see
-    ``_right_table``).
+    images (bytes up to degree 256, tuples beyond), not on Permutations, and
+    where each lands is kept as the group's right-multiplication table until
+    the class build takes it (see ``_right_table``).
     """
     gens = []
     for g in generators:
@@ -388,10 +388,19 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         raise ValueError("degree must be >= 1")
 
     ident = Permutation.identity(deg)
-    pos = {ident.images: [0]}  # images -> a one-item list holding the position
+    # Up to degree 256 images are held as bytes: x * g is x.translate of g's
+    # images padded to a 256-byte table, and a bytes key caches its hash.
+    # Beyond that they stay tuples, composed by _then.
+    if deg <= 256:
+        encode, then, pad = bytes, attrgetter("translate"), bytes(256 - deg)
+    else:
+        encode, then, pad = tuple, _then, ()
+    tables = [encode(g.images) + pad for g in gens]
+    start = encode(ident.images)
+    pos = {start: [0]}  # images -> a one-item list holding the position
     elements = [ident]
     right = [array("I") for _ in gens]
-    frontier = [ident.images]
+    frontier = [start]
     while frontier:
         # rows hold each product as its element's position cell; a new
         # product enters pos once and its cell is filled when its layer is
@@ -400,9 +409,9 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         spare = [0]  # the cell pos.setdefault gives a product not yet placed
         rows = [[] for _ in gens]
         for x in frontier:
-            then_x = _then(x)
-            for g, row in zip(gens, rows):
-                y = then_x(g.images)  # x * g
+            then_x = then(x)
+            for table, row in zip(tables, rows):
+                y = then_x(table)  # x * g
                 c = pos.setdefault(y, spare)
                 if c is spare:
                     layer.append((y, c))
@@ -410,11 +419,11 @@ def make_group(generators: Iterable[Permutation], name: str, *,
                 row.append(c)
         if len(pos) > cap:
             raise OrderCapExceeded(name, cap)
-        layer.sort()  # by images, the order of Permutation.__lt__
+        layer.sort()  # by images, the order of Permutation.__lt__ (a byte is a point)
         for i, (_, c) in enumerate(layer, len(elements)):
             c[0] = i
         frontier = [y for y, _ in layer]
-        elements.extend(map(Permutation._raw, frontier))
+        elements.extend(map(Permutation._raw, map(tuple, frontier)))  # tuple(t) is t
         for r, row in zip(right, rows):
             r.extend([c[0] for c in row])
     G = Group(name, deg, tuple(gens), tuple(elements))

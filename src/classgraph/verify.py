@@ -568,9 +568,13 @@ def verify_pair(G: Group, p: int,
 
     h_pp_gate = sep_gate or tf_gate or nc_gate
     if h_pp_gate is None:
-        h_order = p_complement(G, p, cfg).order
-        if h_order == 1 or is_prime_power(h_order):
-            h_pp_gate = "H-non-prime-power-order"
+        try:
+            h_order = p_complement(G, p, cfg).order
+        except Exception:  # the gate stays open: the check's own call records it
+            pass
+        else:
+            if h_order == 1 or is_prime_power(h_order):
+                h_pp_gate = "H-non-prime-power-order"
     run("central-intersection-bound",
         lambda: _check_central_intersection(G, p, cfg), gate=h_pp_gate)
     run("triangle-free-soluble", lambda: _check_soluble(G),

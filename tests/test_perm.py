@@ -64,9 +64,20 @@ def test_composition_matches_pointwise_oracle(gens):
             assert bulk_conjugate(x, m) == naive_conjugate(x, g)
 
 
+def _dihedral_gens(n):
+    """A rotation and a reflection of n points: D_2n, or fewer for n <= 2."""
+    return [Permutation([(i + 1) % n for i in range(n)]),
+            Permutation([(-i) % n for i in range(n)])]
+
+
 @given(generating_sets())
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])  # S4
 @example([perm("(1,2)", 2)])
+# make_group closes on bytes up to degree 256 and on tuples beyond
+@example(_dihedral_gens(1))
+@example(_dihedral_gens(2))
+@example(_dihedral_gens(256))
+@example(_dihedral_gens(257))
 def test_make_group_matches_layered_closure(gens):
     G = make_group(gens, "G")
     assert list(G.elements) == naive_layered_closure(G.generators, G.degree)
@@ -74,6 +85,15 @@ def test_make_group_matches_layered_closure(gens):
     right = G._cache["right_table"]
     assert [list(r) for r in right] == [
         [pos[naive_compose(x, g)] for x in G.elements] for g in G.generators]
+
+
+def test_closure_paths_agree_across_degree_256():
+    gens = _dihedral_gens(256)
+    padded = [Permutation(g.images + (256,)) for g in gens]  # a fixed point: degree 257
+    a, b = make_group(gens, "D"), make_group(padded, "D+")
+    assert [x.images + (256,) for x in a.elements] == [x.images for x in b.elements]
+    assert ([list(r) for r in a._cache["right_table"]]
+            == [list(r) for r in b._cache["right_table"]])
 
 
 def test_degree_one_results_are_one_tuples():
@@ -151,6 +171,8 @@ def test_order_cap():
     gens = [perm("(1,2)", 8), perm("(1,2,3,4,5,6,7,8)", 8)]
     with pytest.raises(OrderCapExceeded):
         make_group(gens, "S8", max_order=1000)
+    with pytest.raises(OrderCapExceeded):  # the tuple path, beyond degree 256
+        make_group(_dihedral_gens(257), "D514", max_order=257)
 
 
 def test_element_enumeration_is_deterministic():

@@ -13,7 +13,7 @@ import classgraph
 from classgraph import classify, structure, verify
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
-from classgraph.errors import InvalidParameter
+from classgraph.errors import HallSearchExhausted, InvalidParameter
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
 from classgraph.perm import Group, class_index, make_group
@@ -234,6 +234,27 @@ def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
                 assert (c.status, c.detail) == ("fail", "RuntimeError: broken check")
             else:
                 assert c.status != "fail"
+
+
+def test_a_hall_search_failure_in_a_gate_fails_only_its_check(atlas_groups, monkeypatch):
+    G = atlas_groups["C7:C6"]
+    before = verify_pair(G, 2)
+
+    def exhausted(*args, **kwargs):
+        raise HallSearchExhausted("no p-complement found")
+
+    monkeypatch.setattr(verify, "p_complement", exhausted)
+    after = verify_pair(G, 2)  # the central-intersection gate no longer raises
+    failed = ("fail", "HallSearchExhausted: no p-complement found")
+    assert [c.check_id for c in after.checks] == [c.check_id for c in before.checks]
+    for old, new in zip(before.checks, after.checks):
+        # checks that call p_complement themselves fail; the rest are unchanged
+        assert (new.status, new.detail) in [(old.status, old.detail), failed]
+    gated = "central-intersection-bound"
+    assert _by_id(before)[gated].status == "pass"
+    assert (_by_id(after)[gated].status, _by_id(after)[gated].detail) == failed
+    summary = run_corpus([G])
+    assert len(summary.reports) == len(primes_for(G, ("all",)))  # the run completes
 
 
 def test_class_checks_read_quotients_inside_the_group(atlas, monkeypatch):
