@@ -13,9 +13,10 @@ from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
 from .perm import (Group, center, class_index, conjugacy_classes, element_order_map,
                    subgroup_from_elements)
-from .structure import (HallSearchConfig, _is_normal, _search_subgroup, coset_classes,
-                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble,
-                        normal_subgroups, p_complement, pi_core, quotient, sylow)
+from .structure import (HallSearchConfig, _class_centralizers, _is_normal,
+                        _search_subgroup, coset_classes, hall_subgroup, is_isomorphic,
+                        is_p_separable, is_soluble, normal_subgroups, p_complement,
+                        pi_core, quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,10 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
             "kernel and complement meet nontrivially")
     require(_is_normal(G, kernel), "kernel is not normal")
     require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
-    mul = G.product()
-    for k in kernel.elements:
-        if k.is_identity():
-            continue
-        for g in G.elements:
-            if mul(g, k) is mul(k, g):
-                require(g in kernel, "centralizer escapes the kernel")
+    # C_G(k^x) = C_G(k)^x and the kernel is normal, so one k per class of G
+    for c, cent in zip(conjugacy_classes(G), _class_centralizers(G)):
+        if c.element_order > 1 and c.representative in kernel:
+            require(cent <= kernel.element_set(), "centralizer escapes the kernel")
 
 
 def _is_frobenius_kernel(G: Group, N: Group) -> bool:

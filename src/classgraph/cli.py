@@ -98,12 +98,13 @@ def _print_report(report, stream=sys.stdout) -> None:
     h = report.hypotheses
     print(f"{report.group_name} (order {report.group_order}), p = {report.prime}",
           file=stream)
-    print(f"  hypotheses: p-separable={h['p_separable']} "
-          f"triangle-free={h['triangle_free']} "
-          f"noncentral-complement={h['H_noncentral']}", file=stream)
-    g = report.graph_summary
-    print(f"  graph: sizes={g['vertex_sizes']} edges={g['edges']} "
-          f"shape={g['shape']}", file=stream)
+    if h:  # empty when computing the hypotheses raised
+        print(f"  hypotheses: p-separable={h['p_separable']} "
+              f"triangle-free={h['triangle_free']} "
+              f"noncentral-complement={h['H_noncentral']}", file=stream)
+        g = report.graph_summary
+        print(f"  graph: sizes={g['vertex_sizes']} edges={g['edges']} "
+              f"shape={g['shape']}", file=stream)
     for c in report.checks:
         print(f"  [{c.status:7s}] {c.check_id}: {c.detail}", file=stream)
 

@@ -588,8 +588,9 @@ def _right_table(G: Group) -> list[array]:
     return right
 
 
-def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
-    """Conjugacy classes as element sets, in order of their first element.
+def _class_orbits(G: Group) -> dict[Permutation, frozenset[Permutation]]:
+    """Conjugacy classes as element sets, keyed by their least element and
+    in order of their first element.
 
     Works on positions 0..n-1, the identity at 0.  A spanning tree of the
     Cayley graph from the identity gives each other position t as
@@ -622,7 +623,7 @@ def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
                 left[t] = right[k][left[s]]
             conj.append(list(map(rk.__getitem__, left)))
         seen = bytearray(n)
-        orbits = []
+        orbits = {}
         for i in range(n):
             if seen[i]:
                 continue
@@ -634,7 +635,8 @@ def _class_orbits(G: Group) -> list[frozenset[Permutation]]:
                     if not seen[z]:
                         seen[z] = 1
                         orbit.append(z)
-            orbits.append(frozenset(map(G.elements.__getitem__, orbit)))
+            members = frozenset(map(G.elements.__getitem__, orbit))
+            orbits[min(members, key=_images)] = members
         return orbits
     return G._memo("class_orbits", build)
 
@@ -643,8 +645,7 @@ def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
     """All conjugacy classes, sorted by (size, element order, representative)."""
     def build():
         classes = []
-        for orbit in _class_orbits(G):
-            rep = min(orbit, key=_images)
+        for rep, orbit in _class_orbits(G).items():
             size = len(orbit)
             classes.append(ConjClass(
                 representative=rep,
@@ -660,10 +661,10 @@ def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
 
 def class_elements(G: Group, cls: ConjClass) -> frozenset[Permutation]:
     """The full element set of a conjugacy class of G."""
-    for orbit in _class_orbits(G):
-        if cls.representative in orbit:
-            return orbit
-    raise NotAMember("representative is not in any class of this group")
+    orbit = _class_orbits(G).get(cls.representative)
+    if orbit is None:
+        raise NotAMember("representative is not in any class of this group")
+    return orbit
 
 
 def class_index(G: Group) -> dict[Permutation, ConjClass]:

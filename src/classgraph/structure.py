@@ -3,13 +3,15 @@ separability, quotients, normal subgroups, and isomorphism testing."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
-                     NotAHomomorphism, NotASubgroup, NotNormal, OrderCapExceeded,
-                     PreconditionViolated)
+                     NotAHomomorphism, NotASubgroup, NotNormal, PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
 from .perm import (Group, Permutation, _images, bulk_conjugate, center, class_elements,
                    class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
@@ -52,22 +54,20 @@ class Quotient(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# derived series and solubility
+# normal closures
 
 def _generator_conjugations(G: Group) -> list:
     """``conjugation_maps(G.generators)``, made once per group."""
     return G._memo("conjugation_maps", lambda: conjugation_maps(G.generators))
 
 
-def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
-                   cap: int | None = None) -> Group:
+def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
     """Smallest normal subgroup of G containing the seed elements.
 
     A subgroup is normal exactly when its generators' conjugates by G's
     generators lie in it, so only generators are conjugated; a conjugate
     outside the closure becomes a generator and extends the closure by
-    cosets.  With ``cap`` set, growth past that many elements raises
-    OrderCapExceeded.
+    cosets.
     """
     maps = _generator_conjugations(G)
     todo = list(seeds)
@@ -78,12 +78,114 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str, *,
         if x in elems:
             continue
         gens.append(x)
-        elems = mulclose(gens, cap=cap, start=elems, group=G)
-        if cap is not None and len(elems) > cap:
-            raise OrderCapExceeded(name, cap)
+        elems = mulclose(gens, start=elems, group=G)
         todo.extend(bulk_conjugate(x, m) for m in maps)
     return closed_subgroup(gens, elems, name)
 
+
+# ---------------------------------------------------------------------------
+# normal subgroups as unions of conjugacy classes
+
+class _ClassData(NamedTuple):
+    """G's classes by position in ``conjugacy_classes(G)``, the identity at 0."""
+
+    at_base: Callable     # an element's images -> its base images
+    key: dict             # base images -> position of the element's class
+    images: list[list]    # per position, the image tuples of the class's elements
+    sizes: list[int]
+    steps: list[Callable]  # per position, y's images -> base images of rep * y
+
+    def position(self, x: Permutation) -> int:
+        return self.key[self.at_base(x.images)]
+
+    def support(self, positions: Iterable[int], k: int) -> set[int]:
+        """The positions of the classes that C*C_k meets, C the union of
+        the classes at ``positions``.
+
+        C_i*C_k = C_k*C_i is a union of classes, and conjugating the first
+        factor to the representative x_k shows that it is (x_k*C_i)^G, so
+        the classes met are those of x_k*y for y in C_i: |C_i| products,
+        made only when asked for.  A table of every class times every
+        element, made up front, costs far more than the questions it
+        answers.
+        """
+        return set(map(self.key.__getitem__, map(
+            self.steps[k], chain.from_iterable(map(self.images.__getitem__, positions)))))
+
+
+def _class_data(G: Group) -> _ClassData:
+    """The lookups that read products of classes off base images, memoised.
+
+    As in ``Group.product()``, the base images of x*y are y's images read at
+    x's base images, so multiplying a whole class by one representative is
+    ``map(key, map(step, images))``, run in C.  Nothing is multiplied here.
+    """
+    def build():
+        base = G.base() or (0,)  # only the trivial group has an empty base
+        at_base = itemgetter(*base)  # a scalar for a one-point base
+        classes = conjugacy_classes(G)
+        key: dict = {}
+        images = []
+        for i, c in enumerate(classes):
+            imgs = [x.images for x in class_elements(G, c)]
+            key.update(dict.fromkeys(map(at_base, imgs), i))
+            images.append(imgs)
+        steps = [itemgetter(b) if len(base) == 1 else itemgetter(*b)
+                 for b in (at_base(c.representative.images) for c in classes)]
+        return _ClassData(at_base, key, images, [c.size for c in classes], steps)
+    return G._memo("class_data", build)
+
+
+def _class_centralizers(G: Group) -> list[frozenset[Permutation]]:
+    """C_G(x) for the representative x of each class, by position, memoised.
+
+    One scan of G per class, comparing the base images of x*g and g*x: the
+    first are g's images read at x's base images, the second x's images
+    read at g's base images, both made in C.
+    """
+    def build():
+        data = _class_data(G)
+        bases = list(map(data.at_base, map(_images, G.elements)))
+        scalar = not isinstance(bases[0], tuple)
+        out = []
+        for c, step in zip(conjugacy_classes(G), data.steps):
+            read = c.representative.images.__getitem__
+            left = map(step, map(_images, G.elements))
+            right = map(read, bases) if scalar else map(tuple, map(map, repeat(read), bases))
+            out.append(frozenset(compress(G.elements, map(eq, left, right))))
+        return out
+    return G._memo("class_centralizers", build)
+
+
+def _class_positions(G: Group, N: Group) -> frozenset[int]:
+    """The positions of the classes of G that meet N; all of N when N is normal."""
+    return frozenset(map(_class_data(G).position, N.elements))
+
+
+def _grow(G: Group, classes: frozenset[int], k: int,
+          cap: int | None = None) -> tuple[frozenset[int], int] | None:
+    """<N, C_k> = N<C_k> for N normal in G, the union of ``classes``: its
+    classes and order, or None once it has more than ``cap`` elements.
+
+    The join is the union of the N*C_k^m, so each round multiplies by x_k
+    only the classes that the round before reached for the first time.
+    """
+    data = _class_data(G)
+    support, size = data.support, data.sizes.__getitem__
+    reached = set(classes)
+    frontier = classes
+    order = sum(map(size, classes))
+    while frontier:
+        frontier = support(frontier, k) - reached
+        reached |= frontier
+        order += sum(map(size, frontier))
+        if cap is not None and order > cap:
+            return None
+    return frozenset(reached), order
+
+
+# ---------------------------------------------------------------------------
+# derived series and solubility
 
 def derived_subgroup(G: Group) -> Group:
     def build():
@@ -190,21 +292,23 @@ def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> G
 
     def build():
         cap = N.order * pi_part(G.order // N.order, primes)
+        inside = _class_positions(G, N)
+        accepted: set[int] = set()  # the classes of the ncl(N, g) accepted so far
         gens: list[Permutation] = []
-        for cls in conjugacy_classes(G):
-            g = cls.representative
-            if not is_pi_number(cls.element_order, primes) or g in N:
+        for k, cls in enumerate(conjugacy_classes(G)):
+            if not is_pi_number(cls.element_order, primes) or k in inside:
                 continue
-            try:
-                nc = normal_closure(G, [*N.generators, g], "nc", cap=cap)
-            except OrderCapExceeded:
-                continue
-            if is_pi_number(nc.order // N.order, primes):
-                gens.append(g)
+            # ncl(N, g) for g in an accepted ncl(N, h) lies inside it
+            if k not in accepted:
+                grown = _grow(G, inside, k, cap)
+                if grown is None or not is_pi_number(grown[1] // N.order, primes):
+                    continue
+                accepted |= grown[0]
+            gens.append(cls.representative)
         top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
         pi = ",".join(map(str, sorted(primes)))
         name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-        return normal_closure(G, [*N.generators, *gens], name, cap=cap)
+        return normal_closure(G, [*N.generators, *gens], name)
     return G._memo(("pi_core", primes, N.element_set()), build)
 
 
@@ -388,37 +492,55 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
 
     A normal subgroup is generated by its conjugacy classes, so it is the
     join of the seeds it contains; each member is therefore joined only
-    with the seeds it neither contains nor lies in.
+    with the seeds it neither contains nor lies in.  The lattice is found
+    on sets of class positions, the join with the seed ncl(x_k) being
+    ``_grow`` by k, and only its members are built as groups.
     """
     def build():
-        seeds: dict[frozenset, Group] = {}
+        data = _class_data(G)
+        classes = conjugacy_classes(G)
         triv = make_group([], f"1<{G.name}", degree=G.degree)
-        seeds[triv.element_set()] = triv
-        for cls in conjugacy_classes(G):
-            if cls.representative.is_identity():
+        ident = frozenset({0})
+        seeds: dict[frozenset[int], tuple[int, Group]] = {ident: (0, triv)}  # -> (k, ncl(x_k))
+        mul = G.product()
+        done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
+        for k in range(1, len(classes)):
+            if k in done:
                 continue
-            N = normal_closure(G, [cls.representative],
-                               f"ncl{len(seeds)}<{G.name}")
-            seeds.setdefault(N.element_set(), N)
-        lattice = dict(seeds)
-        frontier = list(seeds.values())
+            x = power = classes[k].representative
+            n = classes[k].element_order
+            for j in range(1, n):
+                if math.gcd(j, n) == 1:
+                    done.add(data.position(power))
+                power = mul(power, x)
+            S_classes, _ = _grow(G, ident, k)
+            if S_classes not in seeds:
+                S = normal_closure(G, [classes[k].representative],
+                                   f"ncl{len(seeds)}<{G.name}")
+                seeds[S_classes] = (k, S)
+        # classes -> (generators, name) of each member, seeds first
+        lattice = {c: (S.generators, S.name) for c, (_, S) in seeds.items()}
+        frontier = list(seeds)
         while frontier:
             new = []
             for A in frontier:
-                for S in seeds.values():
-                    if S.element_set() <= A.element_set() or A.element_set() < S.element_set():
+                for S_classes, (k, S) in seeds.items():
+                    if S_classes <= A or A <= S_classes:
                         continue  # the join is A or S, both found already
-                    gens = A.generators + tuple(s for s in S.generators if s not in A)
-                    join = frozenset(mulclose(gens, start=A.element_set(), group=G))
+                    join, _ = _grow(G, A, k)
                     if join not in lattice:
-                        J = closed_subgroup(gens, join, f"join{len(lattice)}<{G.name}")
-                        lattice[join] = J
-                        new.append(J)
+                        outside = [x for x in S.generators if data.position(x) not in A]
+                        lattice[join] = (lattice[A][0] + tuple(outside),
+                                         f"join{len(lattice)}<{G.name}")
+                        new.append(join)
                     if len(lattice) > LATTICE_CAP:
                         raise LatticeCapExceeded(
                             f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
             frontier = new
-        return tuple(sorted(lattice.values(),
+        members = [seeds[c][1] if c in seeds else closed_subgroup(
+            gens, chain.from_iterable(class_elements(G, classes[i]) for i in c), name)
+            for c, (gens, name) in lattice.items()]
+        return tuple(sorted(members,
                             key=lambda N: (N.order, [g.images for g in N.elements])))
     return G._memo("normals", build)
 

@@ -17,11 +17,11 @@ from .errors import HallSearchExhausted, InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
-from .perm import Group, center, class_index, conjugacy_classes
-from .structure import (ISO_CAP, HallSearchConfig, _is_normal, coset_classes, hall_subgroup,
-                        is_isomorphic, is_p_separable, is_soluble, normal_subgroups,
-                        p_complement, p_core, p_prime_core, quotient, sylow,
-                        sylow_conjugates)
+from .perm import ConjClass, Group, center, class_index, conjugacy_classes
+from .structure import (ISO_CAP, HallSearchConfig, _class_centralizers, _is_normal,
+                        coset_classes, hall_subgroup, is_isomorphic, is_p_separable,
+                        is_soluble, normal_subgroups, p_complement, p_core,
+                        p_prime_core, quotient, sylow, sylow_conjugates)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -117,17 +117,30 @@ def _check_class_equation(G: Group):
             f"sum of class sizes {total} vs order {G.order}")
 
 
+def _normal_class_sizes(G: Group, N: Group) -> dict[ConjClass, int]:
+    """|cl_N(x)| for each class of G inside N (N normal in G), keyed by the
+    class of x.
+
+    |cl_N(x)| = |N| / |C_G(x) n N|, and C_G(x^g) = C_G(x)^g with N^g = N,
+    so it is the same for every x in one class of G: one centralizer per
+    class of G.
+    """
+    members = N.element_set()
+    return {c: N.order // len(cent & members)
+            for c, cent in zip(conjugacy_classes(G), _class_centralizers(G))
+            if c.representative in members}
+
+
 def _check_normal_class_divisibility(G: Group):
+    # a failure counts every element of its class, as a scan over N would
     def build():
         bad = 0
-        classes = class_index(G)
         for N in normal_subgroups(G):
             if N.order <= 1:
                 continue
-            inner = class_index(N)
-            for x in _stride_sample(N.elements):
-                if classes[x].size % inner[x].size != 0:
-                    bad += 1
+            for c, inner in _normal_class_sizes(G, N).items():
+                if c.size % inner != 0:
+                    bad += c.size
         return (bad == 0,
                 f"{len(normal_subgroups(G))} normal subgroups sampled, "
                 f"{bad} divisibility failures")
@@ -493,6 +506,16 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
 # ---------------------------------------------------------------------------
 # the per-pair driver
 
+def _unverified_report(G: Group, p: int, exc: Exception) -> VerificationReport:
+    """The report of a pair whose hypotheses could not be computed: no
+    hypothesis or graph, and every check a failure naming the exception."""
+    detail = f"hypotheses not computed: {type(exc).__name__}: {exc}"
+    return VerificationReport(
+        group_name=G.name, group_order=G.order, prime=p, hypotheses={},
+        checks=[CheckResult(cid, "fail", detail, 0.0) for cid in ALL_CHECK_IDS],
+        graph_summary={})
+
+
 def verify_pair(G: Group, p: int,
                 cfg: HallSearchConfig = HallSearchConfig()) -> VerificationReport:
     """Run every applicable check for one (group, prime) pair.
@@ -501,9 +524,12 @@ def verify_pair(G: Group, p: int,
     hypothesis named; genuine errors inside a check are recorded as
     failures, never raised.
     """
-    separable, _ = is_p_separable(G, p)
-    graph = build_graph(G, p)
-    tf = is_triangle_free(graph)
+    try:
+        separable, _ = is_p_separable(G, p)
+        graph = build_graph(G, p)
+        tf = is_triangle_free(graph)
+    except Exception as exc:  # nor may a failure in the hypotheses
+        return _unverified_report(G, p, exc)
     noncentral = bool(graph.vertices)
 
     report = VerificationReport(

@@ -124,6 +124,24 @@ def naive_coprime_commuting_counts(elements, sample):
     return pairs, failures
 
 
+def naive_class_product(elements, A, B):
+    """The conjugacy classes of the group on ``elements`` that the products
+    a*b, a in A and b in B, meet; every product formed with naive_compose."""
+    classes = naive_conjugacy_classes(elements)
+    products = {naive_compose(a, b) for a in A for b in B}
+    return {c for c in classes if c & products}
+
+
+def naive_normal_class_sizes(g_elements, n_elements):
+    """(sizes, failures) for N normal in G: |cl_N(x)| for every x in N, read
+    from N's own classes, and the number of x in N whose |cl_N(x)| does not
+    divide |cl_G(x)|."""
+    g_size = {g: len(c) for c in naive_conjugacy_classes(g_elements) for g in c}
+    sizes = {x: len(c) for c in naive_conjugacy_classes(n_elements) for x in c}
+    failures = sum(1 for x, n in sizes.items() if g_size[x] % n)
+    return sizes, failures
+
+
 def naive_centralizer(elements, x):
     return {g for g in elements if g * x == x * g}
 

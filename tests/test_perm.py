@@ -226,8 +226,10 @@ def test_class_orbits_match_naive(gens):
     assert "right_table" in G._cache and "right_table" not in S._cache
     for H in (G, S, trivial):
         naive = set(naive_conjugacy_classes(H.elements))
-        orbits = perm_module._class_orbits(H)
+        by_rep = perm_module._class_orbits(H)
+        orbits = list(by_rep.values())
         assert set(orbits) == naive and len(orbits) == len(naive)
+        assert all(rep == min(orbit) for rep, orbit in by_rep.items())
         # listed in order of each class's first element
         firsts = [min(map(H.elements.index, orbit)) for orbit in orbits]
         assert firsts == sorted(firsts)

@@ -19,8 +19,9 @@ from classgraph.structure import (HallSearchConfig, coset_classes, derived_subgr
                                   is_soluble, normal_closure, normal_subgroups,
                                   p_complement, p_core, p_prime_core, pi_core,
                                   quotient, sylow, sylow_conjugates)
-from oracles import (naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
-                     naive_normal_closure, naive_normal_subgroups, naive_pi_core_over)
+from oracles import (naive_class_product, naive_derived_subgroup, naive_is_normal,
+                     naive_is_p_separable, naive_normal_closure, naive_normal_subgroups,
+                     naive_pi_core_over)
 from strategies import generating_sets, permutations
 
 
@@ -384,6 +385,80 @@ def test_normal_subgroups_match_naive(gens):
     normals = [N.element_set() for N in normal_subgroups(G)]
     assert len(set(normals)) == len(normals)
     assert set(normals) == set(naive_normal_subgroups(G.elements))
+
+
+@given(generating_sets())
+@example(S5_GENS)
+def test_class_supports_match_naive(gens):
+    G = make_group(gens, "G")
+    members = [class_elements(G, c) for c in conjugacy_classes(G)]
+    support = structure._class_data(G).support
+    for i, A in enumerate(members):
+        for k, B in enumerate(members):
+            assert {members[j] for j in support([i], k)} == \
+                naive_class_product(G.elements, A, B)
+
+
+def _assert_growth_matches_naive(G, N, k):
+    classes = conjugacy_classes(G)
+    inside = structure._class_positions(G, N)
+    assert {x for i in inside for x in class_elements(G, classes[i])} == N.element_set()
+    grown, order = structure._grow(G, inside, k)
+    expected = frozenset(naive_normal_closure(
+        G.elements, [*N.generators, classes[k].representative]))
+    assert {x for i in grown for x in class_elements(G, classes[i])} == expected
+    assert order == len(expected)
+    assert structure._grow(G, inside, k, cap=order) == (grown, order)
+    if order > N.order:
+        assert structure._grow(G, inside, k, cap=order - 1) is None
+
+
+@given(generating_sets(), st.data())
+def test_growth_from_a_normal_subgroup_matches_naive(gens, data):
+    G = make_group(gens, "G")
+    N = data.draw(st.sampled_from(normal_subgroups(G)))
+    k = data.draw(st.integers(0, len(conjugacy_classes(G)) - 1))
+    _assert_growth_matches_naive(G, N, k)
+
+
+def test_growth_in_s5_matches_naive():
+    G = make_group(S5_GENS, "S5")
+    for N in normal_subgroups(G):
+        for k in range(len(conjugacy_classes(G))):
+            _assert_growth_matches_naive(G, N, k)
+
+
+def test_cores_and_lattice_joins_close_only_what_they_return(monkeypatch):
+    # every mulclose runs inside a normal_closure: one per core, one per
+    # distinct seed; trial closures and lattice joins are read off classes
+    closures, outside = [], []
+    real_closure, real_mulclose = structure.normal_closure, structure.mulclose
+
+    def closure(G, seeds, name):
+        closures.append(name)
+        return real_closure(G, seeds, name)
+
+    def mulclose(*args, **kwargs):
+        if not closures:
+            outside.append(args)
+        return real_mulclose(*args, **kwargs)
+    monkeypatch.setattr(structure, "normal_closure", closure)
+    monkeypatch.setattr(structure, "mulclose", mulclose)
+    G = symmetric(4)
+    assert pi_core(G, frozenset({2})).order == 4
+    assert closures == ["O_{2}(Sigma4)"]
+    closures.clear()
+    normals = normal_subgroups(G)
+    assert [N.order for N in normals] == [1, 4, 12, 24]
+    assert closures == ["ncl1<Sigma4", "ncl2<Sigma4", "ncl3<Sigma4"]
+    assert outside == []
+
+
+def test_normal_subgroups_of_a_cyclic_group():
+    # one subgroup per divisor of 840 = 2^3 * 3 * 5 * 7
+    normals = normal_subgroups(cyclic(840))
+    assert len(normals) == 32
+    assert [N.order for N in normals] == [d for d in range(1, 841) if 840 % d == 0]
 
 
 def test_normal_subgroups_of_a_large_lattice():

@@ -13,14 +13,14 @@ import classgraph
 from classgraph import classify, structure, verify
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
-from classgraph.errors import HallSearchExhausted, InvalidParameter
+from classgraph.errors import HallSearchExhausted, InvalidParameter, LatticeCapExceeded
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
-from classgraph.perm import Group, class_index, make_group
+from classgraph.perm import Group, class_elements, class_index, make_group
 from classgraph.structure import HallSearchConfig
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
                                run_corpus, verify_pair)
-from oracles import naive_coprime_commuting_counts
+from oracles import naive_coprime_commuting_counts, naive_normal_class_sizes
 from strategies import generating_sets
 
 
@@ -257,6 +257,32 @@ def test_a_hall_search_failure_in_a_gate_fails_only_its_check(atlas_groups, monk
     assert len(summary.reports) == len(primes_for(G, ("all",)))  # the run completes
 
 
+def test_a_failure_in_the_hypotheses_fails_only_its_pair(atlas_groups, monkeypatch):
+    groups = [atlas_groups["C7:C6"], atlas_groups["D10"]]
+    before = run_corpus(groups)
+    real = verify.is_p_separable
+
+    def capped(G, p):
+        if G.name == "C7:C6":
+            raise LatticeCapExceeded("lattice too large")
+        return real(G, p)
+
+    monkeypatch.setattr(verify, "is_p_separable", capped)
+    after = run_corpus(groups)  # completes
+    assert [(r.group_name, r.prime) for r in after.reports] == \
+        [(r.group_name, r.prime) for r in before.reports]
+    detail = "hypotheses not computed: LatticeCapExceeded: lattice too large"
+    for old, new in zip(before.reports, after.reports):
+        if new.group_name == "D10":
+            assert new.to_json_dict() == old.to_json_dict()
+            continue
+        assert [c.check_id for c in new.checks] == list(ALL_CHECK_IDS)
+        assert {(c.status, c.detail) for c in new.checks} == {("fail", detail)}
+        assert new.hypotheses == {} and new.graph_summary == {}
+        assert not new.counterexample
+    assert after.exit_code() == 1
+
+
 def test_class_checks_read_quotients_inside_the_group(atlas, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a class check built a quotient group")
@@ -347,6 +373,33 @@ def test_coprime_commuting_check_walks_the_group_once():
     bound = sum(2 * len(prime_factors(n)) * n.bit_length() + 2 ** len(prime_factors(n))
                 for n in orders.values())
     assert 0 < calls <= bound < G.order * 50
+
+
+def _assert_normal_class_sizes_match_naive(G):
+    failures = 0
+    for N in structure.normal_subgroups(G):
+        sizes = verify._normal_class_sizes(G, N)
+        naive, bad = naive_normal_class_sizes(G.elements, N.elements)
+        failures += bad if N.order > 1 else 0
+        # one entry per class of G inside N, and every x in it has that size
+        assert {x for c in sizes for x in class_elements(G, c)} == N.element_set()
+        for c, n in sizes.items():
+            assert {naive[x] for x in class_elements(G, c)} == {n}
+    ok, detail = verify._check_normal_class_divisibility(G)
+    assert detail.endswith(f", {failures} divisibility failures")
+    assert ok == (failures == 0)
+
+
+@given(generating_sets())
+def test_normal_class_sizes_match_naive(gens):
+    _assert_normal_class_sizes_match_naive(make_group(gens, "G"))
+
+
+def test_normal_class_sizes_match_naive_above_the_old_sample():
+    # the check sampled 500 elements of a larger normal subgroup before
+    G = direct_product(symmetric(5), cyclic(6))
+    assert max(N.order for N in structure.normal_subgroups(G)) == 720
+    _assert_normal_class_sizes_match_naive(G)
 
 
 def test_library_has_no_assert_statements():
