@@ -11,8 +11,7 @@ from .errors import (ComplementSearchExhausted, NoCaseMatches,
                      PreconditionViolated, require)
 from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
-from .perm import (Group, center, class_index, conjugacy_classes, element_order_map,
-                   subgroup_from_elements)
+from .perm import Group, center, class_index, conjugacy_classes, subgroup_from_elements
 from .structure import (HallSearchConfig, _class_centralizers, _is_normal,
                         _search_subgroup, coset_classes, hall_subgroup, is_isomorphic,
                         is_p_separable, is_soluble, normal_subgroups, p_complement,
@@ -88,11 +87,8 @@ def is_frobenius(G: Group,
                 continue
             index = G.order // N.order
             primes = frozenset(prime_factors(index))
-            orders = element_order_map(G)
-            cands = [g for g in G.elements if is_pi_number(orders[g], primes)]
-            comp = _search_subgroup(G, index, cands,
-                                    lambda n: is_pi_number(n, primes), cfg,
-                                    f"FrobC({G.name})", ComplementSearchExhausted)
+            comp = _search_subgroup(G, primes, index, cfg, f"FrobC({G.name})",
+                                    ComplementSearchExhausted)
             _verify_frobenius(G, N, comp)
             return FrobeniusWitness(
                 kernel=N, complement=comp,

@@ -8,15 +8,15 @@ import random
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotAHomomorphism, NotASubgroup, NotNormal, PreconditionViolated)
-from .numtheory import is_pi_number, is_prime, p_part, pi_part, prime_factors
+from .numtheory import is_pi_number, is_prime, pi_part, prime_factors
 from .perm import (Group, Permutation, _images, bulk_conjugate, center, class_elements,
                    class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
                    element_order_map, extend_hom, generating_set, make_group, mulclose,
-                   p_part_element, require_members)
+                   require_members)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -214,61 +214,12 @@ def is_soluble(G: Group) -> tuple[bool, SeriesCertificate]:
 # Sylow subgroups and cores
 
 def sylow(G: Group, p: int) -> Group:
-    """A Sylow p-subgroup, grown by ascent through normalizers.
-
-    Starting from the trivial subgroup, repeatedly adjoin the p-part of an
-    element of the normalizer; the extension stays a p-group because the
-    current subgroup is normal in it, and it strictly grows until the full
-    p-part of the group order is reached.
-    """
+    """A Sylow p-subgroup: the Hall {p}-subgroup of one greedy pass, which
+    always finds one, so a miss raises instead of retrying."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
-
-    def build():
-        target = p_part(G.order, p)
-        cur: set[Permutation] = {G.identity}
-        cur_gens: list[Permutation] = []
-        while len(cur) < target:
-            for y in G.elements:
-                if y in cur or y.order() % p != 0:
-                    continue
-                # y must normalize the current subgroup
-                if not all(g.conjugate(y) in cur for g in cur_gens):
-                    continue
-                yp = p_part_element(y, p)
-                if yp in cur:
-                    continue
-                trial = mulclose(cur_gens + [yp], cap=target, start=cur, group=G)
-                if len(trial) <= target and len(trial) == p_part(len(trial), p):
-                    cur = trial
-                    cur_gens.append(yp)
-                    break
-            else:  # cannot happen for p dividing |G|; defensive
-                raise PreconditionViolated(
-                    f"Sylow ascent stalled in {G.name!r} at order {len(cur)}")
-        return closed_subgroup(cur_gens, cur, f"Syl_{p}({G.name})")
-    return G._memo(("sylow", p), build)
-
-
-def sylow_conjugates(G: Group, p: int) -> Iterator[frozenset[Permutation]]:
-    """The element sets of the conjugates of sylow(G, p), breadth-first from
-    sylow(G, p) itself.  Uncached: a caller that stops early pays only for
-    the conjugates it saw."""
-    P = sylow(G, p).element_set()
-    maps = _generator_conjugations(G)
-    seen = {P}
-    frontier = [P]
-    yield P
-    while frontier:
-        new = []
-        for S in frontier:
-            for m in maps:
-                T = frozenset(bulk_conjugate(x, m) for x in S)
-                if T not in seen:
-                    seen.add(T)
-                    new.append(T)
-                    yield T
-        frontier = new
+    return G._memo(("sylow", p), lambda: hall_subgroup(
+        G, frozenset({p}), _ONE_PASS, f"Syl_{p}({G.name})"))
 
 
 def p_core(G: Group, p: int) -> Group:
@@ -435,25 +386,33 @@ def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
 # ---------------------------------------------------------------------------
 # randomized-greedy subgroup searches (Hall subgroups, complements)
 
-def _search_subgroup(G: Group, target_order: int,
-                     candidates: Sequence[Permutation],
-                     order_ok: Callable[[int], bool],
-                     cfg: HallSearchConfig,
-                     name: str,
-                     exc: type[Exception]) -> Group:
-    """Greedy growth by ``generating_set`` passes capped at the target order.
+_ONE_PASS = HallSearchConfig(restarts=1)
+
+
+def _pi_elements(G: Group, primes: frozenset[int]) -> list[Permutation]:
+    """The pi-elements of G by descending element order, then images: the
+    classes are tested for order once each, not their elements."""
+    return [x for _, _, x in sorted(
+        (-c.element_order, x.images, x) for c in conjugacy_classes(G)
+        if is_pi_number(c.element_order, primes) for x in class_elements(G, c))]
+
+
+def _search_subgroup(G: Group, primes: frozenset[int], target_order: int,
+                     cfg: HallSearchConfig, name: str, exc: type[Exception]) -> Group:
+    """A pi-subgroup of the target order, by greedy ``generating_set`` passes
+    over the pi-elements.
 
     The first pass is deterministic; later passes shuffle the candidate
     order with a seeded generator.
     """
     rng = random.Random(cfg.seed)
-    orders = element_order_map(G)
-    base = sorted(candidates, key=lambda g: (-orders[g], g.images))
+    base = _pi_elements(G, primes)
     for attempt in range(cfg.restarts):
         order = list(base)
         if attempt > 0:
             rng.shuffle(order)
-        gens, cur = generating_set(G, order, target_order, order_ok)
+        gens, cur = generating_set(G, order, target_order,
+                                   lambda n: is_pi_number(n, primes))
         if len(cur) == target_order:
             return closed_subgroup(gens, cur, name)
     raise exc(f"search for {name!r} of order {target_order} in {G.name!r} "
@@ -463,12 +422,10 @@ def _search_subgroup(G: Group, target_order: int,
 def hall_subgroup(G: Group, primes: frozenset[int],
                   cfg: HallSearchConfig = HallSearchConfig(),
                   name: str | None = None) -> Group:
-    """A Hall pi-subgroup: order = the full pi-part of |G|."""
-    target = pi_part(G.order, primes)
-    orders = element_order_map(G)
-    cands = [g for g in G.elements if is_pi_number(orders[g], primes)]
+    """A Hall pi-subgroup: order = the full pi-part of |G|.  The first pass
+    finds one when pi = {p} or G is pi-separable (Cunihin)."""
     return _search_subgroup(
-        G, target, cands, lambda n: is_pi_number(n, primes), cfg,
+        G, primes, pi_part(G.order, primes), cfg,
         name or f"Hall_{{{','.join(map(str, sorted(primes)))}}}({G.name})",
         HallSearchExhausted)
 
@@ -558,24 +515,10 @@ def _fingerprint(G: Group) -> tuple:
 
 
 def _minimal_generating_sequence(G: Group) -> list[Permutation]:
-    """A short generating sequence, greedily maximizing closure growth."""
-    gens: list[Permutation] = []
-    cur: set[Permutation] = {G.identity}
-    orders = element_order_map(G)
-    by_order = sorted(G.elements, key=lambda g: (-orders[g], g.images))
-    while len(cur) < G.order:
-        best, best_set = None, cur
-        for x in by_order:
-            if x in cur:
-                continue
-            trial = mulclose(gens + [x], start=cur, group=G)
-            if len(trial) > len(best_set):
-                best, best_set = x, trial
-            if len(best_set) == G.order:
-                break
-        gens.append(best)
-        cur = best_set
-    return gens
+    """A short generating sequence: one greedy pass over G's elements by
+    descending order."""
+    return generating_set(G, _pi_elements(G, frozenset(prime_factors(G.order))),
+                          G.order, lambda n: True)[0]
 
 
 def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
@@ -585,10 +528,10 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
     of B; each partial assignment must already be a consistent injective
     homomorphism on the subgroup it generates.
     """
-    if A.order > cap or B.order > cap:
-        raise IsoCapExceeded(f"orders {A.order}, {B.order} exceed cap {cap}")
     if A.order != B.order:
         return False
+    if A.order > cap:
+        raise IsoCapExceeded(f"orders {A.order}, {B.order} exceed cap {cap}")
     if _fingerprint(A) != _fingerprint(B):
         return False
     if A.order == 1:

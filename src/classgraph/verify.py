@@ -21,7 +21,7 @@ from .perm import ConjClass, Group, center, class_index, conjugacy_classes
 from .structure import (ISO_CAP, HallSearchConfig, _class_centralizers, _is_normal,
                         coset_classes, hall_subgroup, is_isomorphic, is_p_separable,
                         is_soluble, normal_subgroups, p_complement, p_core,
-                        p_prime_core, quotient, sylow, sylow_conjugates)
+                        p_prime_core, quotient)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -297,14 +297,16 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph,
             return False, "group is not p-nilpotent"
         if not qf_ok():
             return False, "p-complement is not quasi-Frobenius with abelian parts"
-        # the complement found must be centralized by some Sylow p-subgroup
-        if sylow(G, p).order == 1:
+        # the complement K found must be centralized by some Sylow p-subgroup,
+        # which holds exactly when |C_G(K)| has the full p-part of |G|
+        if p_part(G.order, p) == 1:
             return True, "p-nilpotent, quasi-Frobenius; Sylow p trivial"
         mul = G.product()
-        for S in sylow_conjugates(G, p):
-            if all(mul(s, c) is mul(c, s) for c in qf.complement.generators for s in S):
-                return True, ("p-nilpotent, quasi-Frobenius, complement "
-                              "centralized by a Sylow p-subgroup")
+        gens = qf.complement.generators
+        centralizer = sum(all(mul(g, c) is mul(c, g) for c in gens) for g in G.elements)
+        if p_part(centralizer, p) == p_part(G.order, p):
+            return True, ("p-nilpotent, quasi-Frobenius, complement "
+                          "centralized by a Sylow p-subgroup")
         return False, "no Sylow p-subgroup centralizes the found complement"
 
     others = frozenset(q for q in pi0 if q != p)

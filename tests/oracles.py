@@ -142,6 +142,13 @@ def naive_normal_class_sizes(g_elements, n_elements):
     return sizes, failures
 
 
+def naive_sylow_conjugates(g_elements, sylow_elements):
+    """The distinct conjugates g^-1 P g of one Sylow subgroup P, by every
+    element g, each product made with naive_compose."""
+    return {frozenset(naive_compose(naive_compose(g.inverse(), x), g) for x in sylow_elements)
+            for g in g_elements}
+
+
 def naive_centralizer(elements, x):
     return {g for g in elements if g * x == x * g}
 

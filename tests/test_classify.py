@@ -28,9 +28,9 @@ def test_frobenius_witness_per_config(atlas_groups, monkeypatch, name, test):
     searched = []
     search = classify._search_subgroup
 
-    def recording(G, target, cands, order_ok, cfg, *rest):
+    def recording(G, primes, target, cfg, *rest):
         searched.append(cfg)
-        return search(G, target, cands, order_ok, cfg, *rest)
+        return search(G, primes, target, cfg, *rest)
     monkeypatch.setattr(classify, "_search_subgroup", recording)
     G = atlas_groups[name]
     G = Group(G.name, G.degree, G.generators, G.elements)  # no caches

@@ -18,10 +18,10 @@ from classgraph.structure import (HallSearchConfig, coset_classes, derived_subgr
                                   hall_subgroup, is_isomorphic, is_p_separable,
                                   is_soluble, normal_closure, normal_subgroups,
                                   p_complement, p_core, p_prime_core, pi_core,
-                                  quotient, sylow, sylow_conjugates)
-from oracles import (naive_class_product, naive_derived_subgroup, naive_is_normal,
-                     naive_is_p_separable, naive_normal_closure, naive_normal_subgroups,
-                     naive_pi_core_over)
+                                  quotient, sylow)
+from oracles import (naive_class_product, naive_closure, naive_derived_subgroup,
+                     naive_is_normal, naive_is_p_separable, naive_normal_closure,
+                     naive_normal_subgroups, naive_pi_core_over, naive_sylow_conjugates)
 from strategies import generating_sets, permutations
 
 
@@ -87,13 +87,30 @@ def test_p_core_properties(atlas_groups):
 
 
 def test_p_core_agrees_with_pi_core(atlas):
-    # O_p(G) by a second route: the intersection of the Sylow p-conjugates
+    # O_p(G) by a second route: the intersection of the Sylow p-conjugates.
+    # That route conjugates P by every element one point at a time, about
+    # 8 s for the order-600 atlas group alone, so it runs up to order 300.
     for entry in atlas.values():
         G = entry.group
         for p in entry.primes:
             core = p_core(G, p)
             assert core is pi_core(G, frozenset({p}))
-            assert core.element_set() == frozenset.intersection(*sylow_conjugates(G, p))
+            if G.order <= 300:
+                conjugates = naive_sylow_conjugates(G.elements, sylow(G, p).elements)
+                assert core.element_set() == frozenset.intersection(*conjugates)
+
+
+@given(generating_sets(max_degree=5), st.data())
+def test_sylow_centralizes_exactly_at_full_p_part(gens, data):
+    # the test of disconnected-p-structure: some Sylow p-subgroup centralizes
+    # K exactly when |C_G(K)| has the full p-part of |G|
+    G = make_group(gens, "G")
+    K = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=2))
+    centralizer = [g for g in G.elements if all(g * k == k * g for k in K)]
+    for p in prime_factors(G.order):
+        conjugates = naive_sylow_conjugates(G.elements, sylow(G, p).elements)
+        some = any(all(s * k == k * s for s in S for k in K) for S in conjugates)
+        assert some == (p_part(len(centralizer), p) == p_part(G.order, p))
 
 
 def test_p_prime_core_examples(atlas_groups):
@@ -125,6 +142,27 @@ def test_p_separable(atlas_groups):
 
 A5_GENS = [parse_cycle_string("(1,2,3)", 5), parse_cycle_string("(1,2,3,4,5)", 5)]
 S5_GENS = [parse_cycle_string("(1,2)", 5), parse_cycle_string("(1,2,3,4,5)", 5)]
+A6_GENS = [parse_cycle_string("(1,2,3)", 6), parse_cycle_string("(2,3,4,5,6)", 6)]
+
+
+@given(generating_sets())
+@example(A5_GENS)
+@example(S5_GENS)
+@example(A6_GENS)
+def test_one_greedy_pass_finds_sylow_and_p_complements(gens):
+    # a pass rejects x only if <P', x> is no p-group for the closure P' so
+    # far, and then <P, x> >= <P', x> is none either, so the pass cannot
+    # stop below a Sylow subgroup (or, by Cunihin, a p-complement)
+    G = make_group(gens, "G")
+    one_pass = HallSearchConfig(restarts=1)
+    for p in prime_factors(G.order):
+        P = sylow(G, p)
+        assert P.order == p_part(G.order, p)
+        assert P.element_set() == naive_closure(list(P.generators))
+        assert P.element_set() <= G.element_set()
+        if is_p_separable(G, p)[0]:
+            others = frozenset(prime_factors(G.order)) - {p}
+            assert hall_subgroup(G, others, one_pass).order == G.order // P.order
 
 
 @given(generating_sets(max_degree=5))
@@ -495,6 +533,7 @@ def test_is_isomorphic_reflexive_symmetric(atlas_groups):
 def test_iso_cap():
     with pytest.raises(IsoCapExceeded):
         is_isomorphic(cyclic(3), cyclic(3), cap=2)
+    assert not is_isomorphic(cyclic(3), cyclic(4), cap=2)  # orders differ
 
 
 def test_center_quotient_of_q8():
