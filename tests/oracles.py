@@ -142,11 +142,16 @@ def naive_normal_class_sizes(g_elements, n_elements):
     return sizes, failures
 
 
-def naive_sylow_conjugates(g_elements, sylow_elements):
-    """The distinct conjugates g^-1 P g of one Sylow subgroup P, by every
-    element g, each product made with naive_compose."""
-    return {frozenset(naive_compose(naive_compose(g.inverse(), x), g) for x in sylow_elements)
-            for g in g_elements}
+def naive_sylow_conjugates(generators, sylow_elements):
+    """The distinct conjugates g^-1 P g of one Sylow subgroup P, walked
+    breadth-first from P by conjugating with G's generators, every element
+    conjugated with naive_conjugate."""
+    conjugates = frontier = {frozenset(sylow_elements)}
+    while frontier:
+        frontier = {frozenset(naive_conjugate(x, g) for x in S)
+                    for S in frontier for g in generators} - conjugates
+        conjugates = conjugates | frontier
+    return conjugates
 
 
 def naive_centralizer(elements, x):

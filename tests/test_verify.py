@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -255,6 +256,27 @@ def test_a_hall_search_failure_in_a_gate_fails_only_its_check(atlas_groups, monk
     assert (_by_id(after)[gated].status, _by_id(after)[gated].detail) == failed
     summary = run_corpus([G])
     assert len(summary.reports) == len(primes_for(G, ("all",)))  # the run completes
+
+
+def test_disconnected_structure_fails_when_no_sylow_centralizes_the_complement(
+        atlas_groups, monkeypatch):
+    # C7:C6 at p = 2: H = C7:C3, whose Frobenius complement C3 the Sylow
+    # 2-subgroup centralizes; C6 acts faithfully on the kernel C7, so no
+    # Sylow 2-subgroup centralizes C7 when it is passed off as the complement
+    G = atlas_groups["C7:C6"]
+    check = _by_id(verify_pair(G, 2))["disconnected-p-structure"]
+    assert (check.status, check.detail) == (
+        "pass", "p-nilpotent, quasi-Frobenius, complement centralized by a Sylow p-subgroup")
+    real = verify.is_quasi_frobenius
+
+    def kernel_as_complement(H, cfg):
+        witness = real(H, cfg)
+        return dataclasses.replace(witness, complement=witness.kernel)
+
+    monkeypatch.setattr(verify, "is_quasi_frobenius", kernel_as_complement)
+    check = _by_id(verify_pair(G, 2))["disconnected-p-structure"]
+    assert (check.status, check.detail) == (
+        "fail", "no Sylow p-subgroup centralizes the found complement")
 
 
 def test_a_failure_in_the_hypotheses_fails_only_its_pair(atlas_groups, monkeypatch):
