@@ -260,10 +260,12 @@ class Group:
     Immutable after construction; derived data is cached lazily.  Groups
     from ``make_group`` list ``elements`` breadth-first over generator
     products, each layer sorted; ``closed_subgroup`` sorts them.  Either
-    way the identity comes first.
+    way the identity comes first.  ``make_group`` hands over its elements
+    as encoded images (see ``_from_images``), decoded into ``elements`` on
+    first read.
     """
 
-    __slots__ = ("name", "degree", "generators", "elements", "order",
+    __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made",
                  "_element_set", "_cache")
 
     def __init__(self, name: str, degree: int, generators: tuple[Permutation, ...],
@@ -271,20 +273,56 @@ class Group:
         self.name = name
         self.degree = degree
         self.generators = generators
-        self.elements = elements
         self.order = len(elements)
-        self._element_set = frozenset(elements)
+        self._elements = elements
+        self._images = self._made = self._element_set = None
         self._cache: dict = {}
 
+    @classmethod
+    def _from_images(cls, name: str, degree: int, generators: tuple[Permutation, ...],
+                     images: list) -> "Group":
+        """A group whose elements are held as their images, bytes or tuples,
+        in position order, and become ``Permutation``s on first read.
+
+        Until then ``_at`` makes single elements, and the decode puts those
+        very objects at their positions, so the group's own elements are
+        the same objects before and after.
+        """
+        G = cls(name, degree, generators, ())
+        G.order = len(images)
+        G._elements, G._images, G._made = None, images, {}
+        return G
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            elements = list(map(Permutation._raw, map(tuple, self._images)))  # tuple(t) is t
+            for i, x in self._made.items():
+                elements[i] = x
+            self._elements = tuple(elements)
+            self._images = self._made = None
+        return self._elements
+
+    def _at(self, i: int) -> Permutation:
+        """The element at position i, made alone while the rest are undecoded."""
+        if self._elements is not None:
+            return self._elements[i]
+        x = self._made.get(i)
+        if x is None:
+            x = self._made[i] = Permutation._raw(tuple(self._images[i]))
+        return x
+
     def __contains__(self, g: Permutation) -> bool:
-        return g in self._element_set
+        return g in self.element_set()
 
     @property
     def identity(self) -> Permutation:
         """The group's own identity element, listed first."""
-        return self.elements[0]
+        return self._at(0)
 
     def element_set(self) -> frozenset[Permutation]:
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
         return self._element_set
 
     def is_trivial(self) -> bool:
@@ -351,7 +389,9 @@ class Group:
         return f"Group({self.name!r}, order={self.order}, degree={self.degree})"
 
     def __reduce__(self):
-        return (Group, (self.name, self.degree, self.generators, self.elements))
+        if self._elements is None:
+            return (Group._from_images, (self.name, self.degree, self.generators, self._images))
+        return (Group, (self.name, self.degree, self.generators, self._elements))
 
 
 def make_group(generators: Iterable[Permutation], name: str, *,
@@ -364,7 +404,8 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     tuple is a pure function of the generating set.  Products are formed on
     images (bytes up to degree 256, tuples beyond), not on Permutations, and
     where each lands is kept as the group's right-multiplication table until
-    the class build takes it (see ``_right_table``).
+    the class build takes it (see ``_right_table``).  The group keeps the
+    images and decodes them into ``elements`` on first read.
     """
     gens = []
     for g in generators:
@@ -387,7 +428,6 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     if deg < 1:
         raise ValueError("degree must be >= 1")
 
-    ident = Permutation.identity(deg)
     # Up to degree 256 images are held as bytes: x * g is x.translate of g's
     # images padded to a 256-byte table, and a bytes key caches its hash.
     # Beyond that they stay tuples, composed by _then.
@@ -396,9 +436,9 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     else:
         encode, then, pad = tuple, _then, ()
     tables = [encode(g.images) + pad for g in gens]
-    start = encode(ident.images)
+    start = encode(range(deg))
     pos = {start: [0]}  # images -> a one-item list holding the position
-    elements = [ident]
+    images = [start]
     right = [array("I") for _ in gens]
     frontier = [start]
     while frontier:
@@ -420,13 +460,13 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         if len(pos) > cap:
             raise OrderCapExceeded(name, cap)
         layer.sort()  # by images, the order of Permutation.__lt__ (a byte is a point)
-        for i, (_, c) in enumerate(layer, len(elements)):
+        for i, (_, c) in enumerate(layer, len(images)):
             c[0] = i
         frontier = [y for y, _ in layer]
-        elements.extend(map(Permutation._raw, map(tuple, frontier)))  # tuple(t) is t
+        images += frontier
         for r, row in zip(right, rows):
             r.extend([c[0] for c in row])
-    G = Group(name, deg, tuple(gens), tuple(elements))
+    G = Group._from_images(name, deg, tuple(gens), images)
     G._cache["right_table"] = right
     return G
 
@@ -588,14 +628,16 @@ def _right_table(G: Group) -> list[array]:
     return right
 
 
-def _class_orbits(G: Group) -> dict[Permutation, frozenset[Permutation]]:
-    """Conjugacy classes as element sets, keyed by their least element and
-    in order of their first element.
+def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
+    """Conjugacy classes as lists of element positions, keyed by their least
+    element and in order of their first element.
 
     Works on positions 0..n-1, the identity at 0.  A spanning tree of the
     Cayley graph from the identity gives each other position t as
     parent[t] * generators[k]; the position of g^-1 * x then follows from
     its parent's, and conjugation by g is one more right multiplication.
+    The least element is read off the encoded images, so only the
+    representatives become ``Permutation``s.
     """
     def build():
         n = G.order
@@ -622,6 +664,7 @@ def _class_orbits(G: Group) -> dict[Permutation, frozenset[Permutation]]:
             for t, s, k in tree:
                 left[t] = right[k][left[s]]
             conj.append(list(map(rk.__getitem__, left)))
+        keys = G._images or list(map(_images, G.elements))  # ordered as the elements
         seen = bytearray(n)
         orbits = {}
         for i in range(n):
@@ -635,8 +678,7 @@ def _class_orbits(G: Group) -> dict[Permutation, frozenset[Permutation]]:
                     if not seen[z]:
                         seen[z] = 1
                         orbit.append(z)
-            members = frozenset(map(G.elements.__getitem__, orbit))
-            orbits[min(members, key=_images)] = members
+            orbits[G._at(min(orbit, key=keys.__getitem__))] = orbit
         return orbits
     return G._memo("class_orbits", build)
 
@@ -660,17 +702,24 @@ def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
 
 
 def class_elements(G: Group, cls: ConjClass) -> frozenset[Permutation]:
-    """The full element set of a conjugacy class of G."""
-    orbit = _class_orbits(G).get(cls.representative)
-    if orbit is None:
-        raise NotAMember("representative is not in any class of this group")
-    return orbit
+    """The full element set of a conjugacy class of G, made on first call."""
+    sets = G._memo("class_sets", dict)
+    rep = cls.representative
+    if rep not in sets:
+        orbit = _class_orbits(G).get(rep)
+        if orbit is None:
+            raise NotAMember("representative is not in any class of this group")
+        sets[rep] = frozenset(map(G.elements.__getitem__, orbit))
+    return sets[rep]
 
 
 def class_index(G: Group) -> dict[Permutation, ConjClass]:
     """Cached map from each element of G to its conjugacy class."""
-    return G._memo("class_index", lambda: {
-        g: cls for cls in conjugacy_classes(G) for g in class_elements(G, cls)})
+    def build():
+        orbits, elements = _class_orbits(G), G.elements
+        return {elements[i]: cls for cls in conjugacy_classes(G)
+                for i in orbits[cls.representative]}
+    return G._memo("class_index", build)
 
 
 def class_of(G: Group, x: Permutation) -> ConjClass:

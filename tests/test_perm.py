@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -9,6 +11,7 @@ from classgraph import perm as perm_module
 from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
                                OrderCapExceeded)
 from classgraph.construct import alternating, cyclic, symmetric
+from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
 from classgraph.perm import (Permutation, bulk_conjugate, center, centralizer, class_elements,
                              class_of, conjugacy_classes, conjugation_maps, element_order,
                              extend_hom, make_group, mulclose, parse_cycle_string,
@@ -85,6 +88,53 @@ def test_make_group_matches_layered_closure(gens):
     right = G._cache["right_table"]
     assert [list(r) for r in right] == [
         [pos[naive_compose(x, g)] for x in G.elements] for g in G.generators]
+
+
+@pytest.mark.parametrize("n,primes", [(256, (None, 3)), (257, (None, 2, 257))])
+def test_graph_queries_decode_only_representatives(monkeypatch, n, primes):
+    # degree 256 closes on bytes, 257 on tuples
+    G = make_group(_dihedral_gens(n), f"D{2 * n}")
+    made = []
+    raw = Permutation._raw.__func__
+    monkeypatch.setattr(Permutation, "_raw", classmethod(
+        lambda cls, images: made.append(images) or raw(cls, images)))
+    for p in primes:
+        g = build_graph(G, p)
+        is_triangle_free(g)
+        diameter(g)
+        to_dot(g)
+    monkeypatch.undo()
+    classes = conjugacy_classes(G)
+    assert 0 < len(made) <= len(classes)
+    assert list(G.elements) == naive_layered_closure(G.generators, G.degree)
+    at = {x: i for i, x in enumerate(G.elements)}
+    for cls in classes:
+        rep = cls.representative
+        assert rep is G.elements[at[rep]]
+    mul = G.product()
+    for cls in classes:
+        rep = cls.representative
+        assert mul(G.identity, rep) is rep and mul(rep, G.identity) is rep
+        assert mul(rep, rep) is G.elements[at[rep * rep]]
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_undecoded_group_survives_pickling(n):
+    # run_corpus --jobs pickles groups that may not be decoded yet
+    lazy, eager = make_group(_dihedral_gens(n), "D"), make_group(_dihedral_gens(n), "D")
+    eager.elements
+    clone = pickle.loads(pickle.dumps(lazy))
+    assert lazy._elements is None  # pickling decodes nothing
+
+    def classes(G):
+        return [(c.size, c.element_order, c.representative, class_elements(G, c))
+                for c in conjugacy_classes(G)]
+    assert classes(clone) == classes(eager)
+    assert clone.order == eager.order and clone.elements == eager.elements
+    assert clone.generators == eager.generators
+    assert all(c.representative is clone.elements[clone.elements.index(c.representative)]
+               for c in conjugacy_classes(clone))
+    assert pickle.loads(pickle.dumps(eager)).elements == eager.elements
 
 
 def test_closure_paths_agree_across_degree_256():
@@ -221,17 +271,23 @@ def test_conjugacy_classes_a4_d10(atlas_groups):
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
 def test_class_orbits_match_naive(gens):
     G = make_group(gens, "G")  # hands its right-multiplication table over
-    S = subgroup_from_elements(G, G.elements, "S")  # sorted, builds one itself
+    twin = make_group(gens, "G'")
+    S = subgroup_from_elements(twin, twin.elements, "S")  # sorted, builds one itself
     trivial = make_group([], "1", degree=gens[0].degree)  # no generators
     assert "right_table" in G._cache and "right_table" not in S._cache
     for H in (G, S, trivial):
-        naive = set(naive_conjugacy_classes(H.elements))
         by_rep = perm_module._class_orbits(H)
-        orbits = list(by_rep.values())
-        assert set(orbits) == naive and len(orbits) == len(naive)
-        assert all(rep == min(orbit) for rep, orbit in by_rep.items())
+        assert H is S or H._elements is None  # the orbits decode no make_group group
+        orbits = list(by_rep.values())  # lists of positions
+        members = [frozenset(H.elements[i] for i in orbit) for orbit in orbits]
+        naive = set(naive_conjugacy_classes(H.elements))
+        assert set(members) == naive and len(members) == len(naive)
+        assert all(len(orbit) == len(set(orbit)) for orbit in orbits)
+        for (rep, orbit), cls in zip(by_rep.items(), members):
+            assert rep == min(cls)
+            assert rep is H.elements[min(orbit, key=lambda i: H.elements[i])]
         # listed in order of each class's first element
-        firsts = [min(map(H.elements.index, orbit)) for orbit in orbits]
+        firsts = [min(orbit) for orbit in orbits]
         assert firsts == sorted(firsts)
         assert {g for cls in conjugacy_classes(H) for g in class_elements(H, cls)} \
             == H.element_set()
