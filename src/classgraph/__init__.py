@@ -19,17 +19,16 @@ from .graph import (ClassGraph, build_graph, coprime_class_span, diameter,
 from .perm import (ConjClass, Group, Permutation, center, centralizer,
                    conjugacy_classes, element_order, make_group,
                    parse_cycle_string)
-from .structure import (HallSearchConfig, SeriesCertificate, hall_subgroup,
-                        is_isomorphic, is_p_separable, is_soluble,
-                        normal_subgroups, p_complement, p_core, p_prime_core,
-                        quotient, sylow)
+from .structure import (SeriesCertificate, hall_subgroup, is_isomorphic,
+                        is_p_separable, is_soluble, normal_subgroups,
+                        p_complement, p_core, p_prime_core, quotient, sylow)
 from .verify import (VerificationReport, RunSummary, run_corpus, verify_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionSpec", "AtlasEntry", "ClassGraph", "ClassGraphError", "ConjClass",
-    "FrobeniusWitness", "Group", "GroupSpec", "HallSearchConfig", "Permutation",
+    "FrobeniusWitness", "Group", "GroupSpec", "Permutation",
     "QuasiFrobeniusWitness", "RunSummary", "SeriesCertificate", "ComplementCase",
     "VerificationReport", "alternating", "atlas_group", "build_graph",
     "builtin_atlas", "center", "centralizer", "conjugacy_classes",

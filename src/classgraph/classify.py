@@ -7,15 +7,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import construct
-from .errors import (ComplementSearchExhausted, NoCaseMatches,
-                     PreconditionViolated, require)
+from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
 from .perm import Group, center, class_index, conjugacy_classes, subgroup_from_elements
-from .structure import (HallSearchConfig, _class_centralizers, _is_normal,
-                        _search_subgroup, coset_classes, hall_subgroup, is_isomorphic,
-                        is_p_separable, is_soluble, normal_subgroups, p_complement,
-                        pi_core, quotient, sylow)
+from .structure import (_class_centralizers, _is_normal, _search_subgroup, coset_classes,
+                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble,
+                        normal_subgroups, p_complement, pi_core, quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,14 @@ def _is_frobenius_kernel(G: Group, N: Group) -> bool:
                for c in conjugacy_classes(N) if c.element_order > 1)
 
 
-def is_frobenius(G: Group,
-                 cfg: HallSearchConfig = HallSearchConfig()) -> Optional[FrobeniusWitness]:
+def is_frobenius(G: Group) -> Optional[FrobeniusWitness]:
     """Search the normal subgroups for a Frobenius kernel, then a complement.
 
     A kernel is a proper nontrivial normal subgroup containing the
     centralizer of each of its nontrivial elements; a complement is then a
     Hall subgroup for the primes of the index (kernel and index are coprime).
+    By Schur-Zassenhaus every subgroup of order dividing the index lies in a
+    complement, so one greedy pass finds one.
     """
     def build():
         if center(G).order > 1:
@@ -87,37 +86,34 @@ def is_frobenius(G: Group,
                 continue
             index = G.order // N.order
             primes = frozenset(prime_factors(index))
-            comp = _search_subgroup(G, primes, index, cfg, f"FrobC({G.name})",
-                                    ComplementSearchExhausted)
+            comp = _search_subgroup(G, primes, index, f"FrobC({G.name})")
             _verify_frobenius(G, N, comp)
             return FrobeniusWitness(
                 kernel=N, complement=comp,
                 kernel_abelian=N.is_abelian(),
                 complement_abelian=comp.is_abelian())
         return None
-    return G._memo(("frobenius", cfg), build)
+    return G._memo("frobenius", build)
 
 
-def is_quasi_frobenius(G: Group,
-                       cfg: HallSearchConfig = HallSearchConfig()
-                       ) -> Optional[QuasiFrobeniusWitness]:
+def is_quasi_frobenius(G: Group) -> Optional[QuasiFrobeniusWitness]:
     """Apply the Frobenius test to G/Z(G) and pull the witness back to G.
 
     When Z(G) = 1 the test runs on G itself, through the memoised
-    ``is_frobenius(G, cfg)``, and no quotient is built.
+    ``is_frobenius(G)``, and no quotient is built.
     """
     def build():
         Z = center(G)
         if Z.order == G.order:
             return None
         if Z.order == 1:
-            w = is_frobenius(G, cfg)
+            w = is_frobenius(G)
             if w is None:
                 return None
             kern_pre, comp_pre = w.kernel, w.complement
         else:
             Q, proj = quotient(G, Z)
-            w = is_frobenius(Q, cfg)
+            w = is_frobenius(Q)
             if w is None:
                 return None
             kern_pre = subgroup_from_elements(
@@ -128,7 +124,7 @@ def is_quasi_frobenius(G: Group,
             quotient_witness=w, kernel=kern_pre, complement=comp_pre,
             kernel_abelian=kern_pre.is_abelian(),
             complement_abelian=comp_pre.is_abelian())
-    return G._memo(("quasi_frobenius", cfg), build)
+    return G._memo("quasi_frobenius", build)
 
 
 def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> int:
@@ -148,9 +144,8 @@ def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> i
                 if c.element_order % p != 0})
 
 
-def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int], mode: str,
-                            cfg: HallSearchConfig = HallSearchConfig()
-                            ) -> tuple[bool, bool]:
+def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
+                            mode: str) -> tuple[bool, bool]:
     """Both sides of the class-size criteria for pi-elements.
 
     mode "pi_number": every pi-element has class size a pi-number iff
@@ -179,7 +174,7 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int], mode: str,
         if len(pi) == 1:
             hall = sylow(G, next(iter(pi)))
         else:
-            hall = hall_subgroup(G, pi, cfg)
+            hall = hall_subgroup(G, pi)
         rhs = hall.is_abelian()
         return lhs, rhs
     raise ValueError(f"unknown mode {mode!r}")
@@ -203,8 +198,7 @@ def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
     return subgroup_from_elements(A, A.element_set() & B.element_set(), name)
 
 
-def complement_case(G: Group, p: int,
-                    cfg: HallSearchConfig = HallSearchConfig()) -> ComplementCase:
+def complement_case(G: Group, p: int) -> ComplementCase:
     """Match a (group, prime) pair against the three structural cases.
 
     Requires G p-separable with a triangle-free p-regular class graph and a
@@ -223,7 +217,7 @@ def complement_case(G: Group, p: int,
         raise PreconditionViolated(
             f"p-complement of {G.name!r} is central at p={p}")
 
-    H = p_complement(G, p, cfg)
+    H = p_complement(G, p)
     matches: list[ComplementCase] = []
 
     # the target is built only for a complement of its declared order
@@ -236,7 +230,7 @@ def complement_case(G: Group, p: int,
         q = prime_factors(H.order)[0]
         matches.append(ComplementCase("i", graph.shape, {"q": q}))
 
-    qf = is_quasi_frobenius(H, cfg)
+    qf = is_quasi_frobenius(H)
     if qf is not None and qf.kernel_abelian and qf.complement_abelian:
         h_primes = prime_factors(H.order)
         zh = center(H)

@@ -19,7 +19,6 @@ from .errors import ClassGraphError, InvalidParameter, UnknownAtlasGroup
 from .graph import build_graph, to_dot
 from .numtheory import is_prime
 from .perm import Group
-from .structure import HallSearchConfig
 from .verify import run_corpus, verify_pair
 
 ENV_MAX_ORDER = "CLASSGRAPH_MAX_ORDER"
@@ -89,11 +88,6 @@ def _resolve_group(ref: str, max_order: int | None) -> Group:
     return specs[0].build(max_order=max_order)
 
 
-def _cfg(args) -> HallSearchConfig:
-    return HallSearchConfig(restarts=getattr(args, "restarts", 200),
-                            seed=getattr(args, "seed", 0xC1A55))
-
-
 def _print_report(report, stream=sys.stdout) -> None:
     h = report.hypotheses
     print(f"{report.group_name} (order {report.group_order}), p = {report.prime}",
@@ -112,7 +106,7 @@ def _print_report(report, stream=sys.stdout) -> None:
 def cmd_analyze(args) -> int:
     cap = _max_order(args)
     G = _resolve_group(args.group, cap)
-    report = verify_pair(G, args.prime, _cfg(args))
+    report = verify_pair(G, args.prime)
     if args.dot:
         Path(args.dot).write_text(to_dot(build_graph(G, args.prime)),
                                   encoding="utf-8")
@@ -131,7 +125,7 @@ def cmd_verify(args) -> int:
     if args.corpus:
         for spec in _load_specs(Path(args.corpus)):
             groups.append(spec.build(max_order=cap))
-    summary = run_corpus(groups, args.primes, _cfg(args), jobs=args.jobs)
+    summary = run_corpus(groups, args.primes, jobs=args.jobs)
 
     counts = summary.counts()
     for r in summary.counterexamples():
@@ -184,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--max-order", type=int, default=None,
                        help="order cap for group closures")
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=0xC1A55,
-                       help="seed for randomized subgroup searches")
-        p.add_argument("--restarts", type=_positive_int, default=200,
-                       help="restart budget for randomized searches")
 
     p = sub.add_parser("analyze", help="verify one (group, prime) pair")
     p.add_argument("--group", required=True,

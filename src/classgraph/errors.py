@@ -81,16 +81,13 @@ class IsoCapExceeded(ClassGraphError):
 
 
 class HallSearchExhausted(ClassGraphError):
-    """Randomized Hall-subgroup search ran out of restarts.
+    """One greedy pass over the pi-elements found no subgroup of the target
+    order: a Hall subgroup, a p-complement or a Frobenius complement.
 
-    Under the documented preconditions the subgroup exists, so this
-    signals a defect (or a violated precondition), not a mathematical
-    impossibility.
+    Under the documented preconditions the pass always finds one, so there
+    this signals a defect.  Outside them it signals a violated
+    precondition; such a subgroup may still exist.
     """
-
-
-class ComplementSearchExhausted(ClassGraphError):
-    """A Frobenius kernel was found but no complement; defect signal."""
 
 
 class NoVertices(ClassGraphError):

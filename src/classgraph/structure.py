@@ -4,7 +4,6 @@ separability, quotients, normal subgroups, and isomorphism testing."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter
@@ -24,14 +23,11 @@ LATTICE_CAP = 10000
 
 @dataclass(frozen=True)
 class HallSearchConfig:
-    """Knobs for the randomized-restart subgroup searches."""
+    """Kept only for ``bench/worker.py``, which builds one and passes it to
+    ``run_corpus``; it has no effect, since every subgroup search is one
+    deterministic greedy pass."""
 
-    restarts: int = 200
-    seed: int = 0xC1A55
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -214,12 +210,12 @@ def is_soluble(G: Group) -> tuple[bool, SeriesCertificate]:
 # Sylow subgroups and cores
 
 def sylow(G: Group, p: int) -> Group:
-    """A Sylow p-subgroup: the Hall {p}-subgroup of one greedy pass, which
-    always finds one, so a miss raises instead of retrying."""
+    """A Sylow p-subgroup: the Hall {p}-subgroup, which one greedy pass
+    always finds."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     return G._memo(("sylow", p), lambda: hall_subgroup(
-        G, frozenset({p}), _ONE_PASS, f"Syl_{p}({G.name})"))
+        G, frozenset({p}), f"Syl_{p}({G.name})"))
 
 
 def p_core(G: Group, p: int) -> Group:
@@ -384,10 +380,7 @@ def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# randomized-greedy subgroup searches (Hall subgroups, complements)
-
-_ONE_PASS = HallSearchConfig(restarts=1)
-
+# greedy subgroup searches (Hall subgroups, complements)
 
 def _pi_elements(G: Group, primes: frozenset[int]) -> list[Permutation]:
     """The pi-elements of G by descending element order, then images: the
@@ -398,47 +391,49 @@ def _pi_elements(G: Group, primes: frozenset[int]) -> list[Permutation]:
 
 
 def _search_subgroup(G: Group, primes: frozenset[int], target_order: int,
-                     cfg: HallSearchConfig, name: str, exc: type[Exception]) -> Group:
-    """A pi-subgroup of the target order, by greedy ``generating_set`` passes
-    over the pi-elements.
+                     name: str) -> Group:
+    """A pi-subgroup of the target order, by one greedy ``generating_set``
+    pass over the pi-elements.
 
-    The first pass is deterministic; later passes shuffle the candidate
-    order with a seeded generator.
+    The pass finds one whenever every pi-subgroup of G lies in a subgroup
+    of the target order (README, "Greedy growth is one pass"); elsewhere it
+    may miss one that exists.  A miss raises HallSearchExhausted.
     """
-    rng = random.Random(cfg.seed)
-    base = _pi_elements(G, primes)
-    for attempt in range(cfg.restarts):
-        order = list(base)
-        if attempt > 0:
-            rng.shuffle(order)
-        gens, cur = generating_set(G, order, target_order,
-                                   lambda n: is_pi_number(n, primes))
-        if len(cur) == target_order:
-            return closed_subgroup(gens, cur, name)
-    raise exc(f"search for {name!r} of order {target_order} in {G.name!r} "
-              f"exhausted {cfg.restarts} restarts")
+    gens, cur = generating_set(G, _pi_elements(G, primes), target_order,
+                               lambda n: is_pi_number(n, primes))
+    if len(cur) != target_order:
+        raise HallSearchExhausted(f"one greedy pass found no {name!r} of order "
+                                  f"{target_order} in {G.name!r}")
+    return closed_subgroup(gens, cur, name)
 
 
-def hall_subgroup(G: Group, primes: frozenset[int],
-                  cfg: HallSearchConfig = HallSearchConfig(),
-                  name: str | None = None) -> Group:
-    """A Hall pi-subgroup: order = the full pi-part of |G|.  The first pass
-    finds one when pi = {p} or G is pi-separable (Cunihin)."""
+def hall_subgroup(G: Group, primes: frozenset[int], name: str | None = None) -> Group:
+    """A Hall pi-subgroup: order = the full pi-part of |G|.
+
+    One greedy pass finds one when pi = {p} or G is pi-separable (Cunihin;
+    Hall for soluble G).  Outside those hypotheses it raises
+    HallSearchExhausted when none exists (``p_complement(A5, 2)``: A5 has no
+    subgroup of order 15), and may raise when one does: S5 is not
+    {2, 3}-separable, and the pass misses S4.
+    Raises PreconditionViolated when a member of pi is not prime.
+    """
+    for q in primes:
+        if not is_prime(q):
+            raise PreconditionViolated(f"{q} is not prime")
     return _search_subgroup(
-        G, primes, pi_part(G.order, primes), cfg,
-        name or f"Hall_{{{','.join(map(str, sorted(primes)))}}}({G.name})",
-        HallSearchExhausted)
+        G, primes, pi_part(G.order, primes),
+        name or f"Hall_{{{','.join(map(str, sorted(primes)))}}}({G.name})")
 
 
-def p_complement(G: Group, p: int,
-                 cfg: HallSearchConfig = HallSearchConfig()) -> Group:
-    """A Hall p'-subgroup.  Exists whenever G is p-separable."""
+def p_complement(G: Group, p: int) -> Group:
+    """A Hall p'-subgroup.  Exists whenever G is p-separable, and then one
+    greedy pass finds it; elsewhere see ``hall_subgroup``."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
 
     others = frozenset(prime_factors(G.order)) - {p}
-    return G._memo(("p_complement", p, cfg),
-                   lambda: hall_subgroup(G, others, cfg, f"Hall_{p}'({G.name})"))
+    return G._memo(("p_complement", p),
+                   lambda: hall_subgroup(G, others, f"Hall_{p}'({G.name})"))
 
 
 # ---------------------------------------------------------------------------

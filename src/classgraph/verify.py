@@ -13,12 +13,12 @@ from . import construct
 from .classify import (ComplementCase, count_p_regular_classes, intersection_subgroup,
                        is_elementary_abelian, is_frobenius, is_quasi_frobenius,
                        pi_class_size_criterion, complement_case)
-from .errors import HallSearchExhausted, InvalidParameter
+from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
 from .perm import ConjClass, Group, center, class_index, conjugacy_classes
-from .structure import (ISO_CAP, HallSearchConfig, _class_centralizers, _is_normal,
+from .structure import (ISO_CAP, _class_centralizers, _is_normal,
                         coset_classes, hall_subgroup, is_isomorphic, is_p_separable,
                         is_soluble, normal_subgroups, p_complement, p_core,
                         p_prime_core, quotient)
@@ -277,13 +277,12 @@ def _pi0(graph: ClassGraph) -> tuple[frozenset[int], int]:
     return frozenset(primes), best
 
 
-def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph,
-                                  cfg: HallSearchConfig):
+def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
     if len(graph.components) <= 1:
         return True, "graph connected or empty; nothing to check"
     pi0, _ = _pi0(graph)
-    H = p_complement(G, p, cfg)
-    qf = is_quasi_frobenius(H, cfg)
+    H = p_complement(G, p)
+    qf = is_quasi_frobenius(H)
     zh = center(H)
     meet = intersection_subgroup(H, center(G), "HnZ(G)")
 
@@ -313,11 +312,8 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph,
     if len(pi0) >= 3:
         return (qf_ok(), "p in pi0, |pi0| >= 3: quasi-Frobenius structure "
                 + ("holds" if qf_ok() else "fails"))
-    try:
-        hall = hall_subgroup(G, others, cfg)
-    except HallSearchExhausted:
-        return True, "skipped: Hall subgroup for pi0 minus p not found"
-    if hall.is_abelian():
+    # at most one prime: a Sylow subgroup or the trivial group
+    if hall_subgroup(G, others).is_abelian():
         return (qf_ok(), "p in pi0 with abelian Hall subgroup: structure "
                 + ("holds" if qf_ok() else "fails"))
     return True, ("unresolved configuration (p in pi0, two primes, "
@@ -347,14 +343,13 @@ def _check_coprime_span(G: Group, p: int, graph: ClassGraph):
                   f"span order {coprime_class_span(G, p).span.order}")
 
 
-def _check_class_size_criterion(G: Group, p: int, mode: str,
-                                cfg: HallSearchConfig):
-    lhs, rhs = pi_class_size_criterion(G, frozenset({p}), mode, cfg)
+def _check_class_size_criterion(G: Group, p: int, mode: str):
+    lhs, rhs = pi_class_size_criterion(G, frozenset({p}), mode)
     return lhs == rhs, f"lhs={lhs}, rhs={rhs}"
 
 
-def _check_central_intersection(G: Group, p: int, cfg: HallSearchConfig):
-    H = p_complement(G, p, cfg)
+def _check_central_intersection(G: Group, p: int):
+    H = p_complement(G, p)
     meet = intersection_subgroup(H, center(G), "HnZ(G)")
     return meet.order <= 2, f"|H n Z(G)| = {meet.order}"
 
@@ -420,14 +415,14 @@ def _quotient_candidates(shape: str, p: int, n: int) -> list[Group]:
 
 
 def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
-                            case: ComplementCase, cfg: HallSearchConfig):
-    H = p_complement(G, p, cfg)
+                            case: ComplementCase):
+    H = p_complement(G, p)
     shape = graph.shape
     k = count_p_regular_classes(G, p)
     notes = []
 
     if shape in ("a", "b"):
-        w = is_frobenius(H, cfg)
+        w = is_frobenius(H)
         if w is None:
             return False, "p-complement is not Frobenius"
         if shape == "a":
@@ -478,7 +473,7 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
         if case.case == "i":
             notes.append(f"prime-power p-complement, q={case.details['q']}")
         else:
-            w = is_frobenius(H, cfg)
+            w = is_frobenius(H)
             if w is None:
                 return False, "case ii at shape e but H is not Frobenius"
             if not (is_elementary_abelian(w.kernel)
@@ -518,8 +513,7 @@ def _unverified_report(G: Group, p: int, exc: Exception) -> VerificationReport:
         graph_summary={})
 
 
-def verify_pair(G: Group, p: int,
-                cfg: HallSearchConfig = HallSearchConfig()) -> VerificationReport:
+def verify_pair(G: Group, p: int) -> VerificationReport:
     """Run every applicable check for one (group, prime) pair.
 
     Checks whose hypotheses fail are recorded as skipped with the failed
@@ -585,31 +579,31 @@ def verify_pair(G: Group, p: int,
         gate=sep_gate)
     run("diameter-bound", lambda: _check_diameter_bound(graph), gate=sep_gate)
     run("disconnected-p-structure",
-        lambda: _check_disconnected_structure(G, p, graph, cfg), gate=sep_gate)
+        lambda: _check_disconnected_structure(G, p, graph), gate=sep_gate)
     run("coprime-span-structure", lambda: _check_coprime_span(G, p, graph),
         gate=sep_gate or nc_gate)
     run("class-size-product-form",
-        lambda: _check_class_size_criterion(G, p, "pi_number", cfg), gate=sep_gate)
+        lambda: _check_class_size_criterion(G, p, "pi_number"), gate=sep_gate)
     run("class-size-abelian-hall",
-        lambda: _check_class_size_criterion(G, p, "pi_prime_number", cfg),
+        lambda: _check_class_size_criterion(G, p, "pi_prime_number"),
         gate=sep_gate)
 
     h_pp_gate = sep_gate or tf_gate or nc_gate
     if h_pp_gate is None:
         try:
-            h_order = p_complement(G, p, cfg).order
+            h_order = p_complement(G, p).order
         except Exception:  # the gate stays open: the check's own call records it
             pass
         else:
             if h_order == 1 or is_prime_power(h_order):
                 h_pp_gate = "H-non-prime-power-order"
     run("central-intersection-bound",
-        lambda: _check_central_intersection(G, p, cfg), gate=h_pp_gate)
+        lambda: _check_central_intersection(G, p), gate=h_pp_gate)
     run("triangle-free-soluble", lambda: _check_soluble(G),
         gate=sep_gate or tf_gate)
 
     def run_case():
-        case = complement_case(G, p, cfg)
+        case = complement_case(G, p)
         case_holder["case"] = case
         return True, f"case {case.case}, shape {case.shape}, {case.details}"
 
@@ -617,7 +611,7 @@ def verify_pair(G: Group, p: int,
 
     if "case" in case_holder:
         run("shape-refinement",
-            lambda: _check_shape_refinement(G, p, graph, case_holder["case"], cfg))
+            lambda: _check_shape_refinement(G, p, graph, case_holder["case"]))
     else:
         run("shape-refinement", lambda: (False, "unreachable"),
             gate=sep_gate or tf_gate or nc_gate or "case-classification-failed")
@@ -707,15 +701,18 @@ def primes_for(G: Group, mode: tuple) -> tuple[int, ...]:
 
 def _verify_group_worker(args) -> list[VerificationReport]:
     # one task per group so the per-group caches are shared across its primes
-    G, primes, cfg = args
-    return [verify_pair(G, p, cfg) for p in primes]
+    G, primes = args
+    return [verify_pair(G, p) for p in primes]
 
 
 def run_corpus(groups: list[Group], primes_mode: tuple = ("all",),
-               cfg: HallSearchConfig = HallSearchConfig(),
-               jobs: int = 1) -> RunSummary:
-    """One report per (group, prime); deterministic ordering regardless of jobs."""
-    tasks = [(G, primes_for(G, primes_mode), cfg)
+               _unused=None, jobs: int = 1) -> RunSummary:
+    """One report per (group, prime); deterministic ordering regardless of jobs.
+
+    The third parameter is ignored; it is kept for ``bench/worker.py``,
+    which still passes a value there.
+    """
+    tasks = [(G, primes_for(G, primes_mode))
              for G in sorted(groups, key=lambda g: g.name)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -97,9 +97,9 @@ def test_verify_byte_identical_reruns(tmp_path):
     corpus.write_text('{"name":"S3","degree":3,"generators":["(1,2)","(1,2,3)"]}\n')
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["verify", "--corpus", str(corpus), "--primes", "2,3,5",
-                 "--seed", "7", "--report", str(out1)]) == 0
+                 "--report", str(out1)]) == 0
     assert main(["verify", "--corpus", str(corpus), "--primes", "2,3,5",
-                 "--seed", "7", "--report", str(out2)]) == 0
+                 "--report", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -133,7 +133,7 @@ def test_usage_error_exit_code():
     ["verify", "--primes", "upto:x"],            # malformed bound
     ["verify", "--primes", "2,2"],               # repeated prime
     ["verify", "--primes", "2,x"],               # not an integer
-    ["analyze", "--group", "atlas:Sigma3", "--prime", "2", "--restarts", "0"],
+    ["analyze", "--group", "atlas:Sigma3", "--prime", "x"],  # not an integer
     ["verify", "--jobs", "-3"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
@@ -141,6 +141,15 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "7"], ["--restarts", "1"]])
+def test_removed_search_flags_are_usage_errors(flag, capsys):
+    # every subgroup search is one deterministic pass, with nothing to set
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--group", "atlas:Sigma3", "--prime", "2", *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_primes_list_tolerates_spaces(tmp_path, capsys):

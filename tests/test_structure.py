@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -9,16 +11,17 @@ from classgraph import perm, structure
 from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
                                   elementary_abelian, generalized_quaternion,
                                   symmetric)
-from classgraph.errors import IsoCapExceeded, NotAMember, NotASubgroup, NotNormal
-from classgraph.numtheory import is_pi_number, p_part, prime_factors
+from classgraph.classify import is_frobenius
+from classgraph.errors import (HallSearchExhausted, IsoCapExceeded, NotAMember, NotASubgroup,
+                               NotNormal, PreconditionViolated)
+from classgraph.numtheory import is_pi_number, p_part, pi_part, prime_factors
 from classgraph.perm import (Group, Permutation, center, class_elements, class_index,
                              closed_subgroup, conjugacy_classes, extend_hom, make_group,
                              mulclose, parse_cycle_string, subgroup_from_elements)
-from classgraph.structure import (HallSearchConfig, coset_classes, derived_subgroup,
-                                  hall_subgroup, is_isomorphic, is_p_separable,
-                                  is_soluble, normal_closure, normal_subgroups,
-                                  p_complement, p_core, p_prime_core, pi_core,
-                                  quotient, sylow)
+from classgraph.structure import (coset_classes, derived_subgroup, hall_subgroup,
+                                  is_isomorphic, is_p_separable, is_soluble,
+                                  normal_closure, normal_subgroups, p_complement, p_core,
+                                  p_prime_core, pi_core, quotient, sylow)
 from oracles import (naive_class_product, naive_closure, naive_derived_subgroup,
                      naive_is_normal, naive_is_p_separable, naive_normal_closure,
                      naive_normal_subgroups, naive_pi_core_over, naive_sylow_conjugates)
@@ -149,17 +152,45 @@ A6_GENS = [parse_cycle_string("(1,2,3)", 6), parse_cycle_string("(2,3,4,5,6)", 6
 def test_one_greedy_pass_finds_sylow_and_p_complements(gens):
     # a pass rejects x only if <P', x> is no p-group for the closure P' so
     # far, and then <P, x> >= <P', x> is none either, so the pass cannot
-    # stop below a Sylow subgroup (or, by Cunihin, a p-complement)
+    # stop below a Sylow subgroup (or, by Cunihin, a p-complement; by Hall,
+    # a Hall subgroup of a soluble group; by Schur-Zassenhaus, a Frobenius
+    # complement)
     G = make_group(gens, "G")
-    one_pass = HallSearchConfig(restarts=1)
-    for p in prime_factors(G.order):
+    primes = prime_factors(G.order)
+    for p in primes:
         P = sylow(G, p)
         assert P.order == p_part(G.order, p)
         assert P.element_set() == naive_closure(list(P.generators))
         assert P.element_set() <= G.element_set()
         if is_p_separable(G, p)[0]:
-            others = frozenset(prime_factors(G.order)) - {p}
-            assert hall_subgroup(G, others, one_pass).order == G.order // P.order
+            others = frozenset(primes) - {p}
+            assert hall_subgroup(G, others).order == G.order // P.order
+    if is_soluble(G)[0]:
+        for k in range(2, len(primes) + 1):
+            for pi in map(frozenset, combinations(primes, k)):
+                H = hall_subgroup(G, pi)
+                assert H.order == pi_part(G.order, pi)
+                assert H.element_set() <= G.element_set()
+    w = is_frobenius(G)
+    if w is not None:
+        assert w.complement.order == G.order // w.kernel.order
+
+
+def test_one_greedy_pass_outside_the_hypotheses():
+    A5, S5 = make_group(A5_GENS, "A5"), make_group(S5_GENS, "S5")
+    assert hall_subgroup(A5, frozenset({2, 3})).order == 12  # A4
+    # A5 has no subgroup of order 15; S5, which is not {2, 3}-separable, has
+    # S4, but one pass misses it: either way a miss raises, never returns
+    with pytest.raises(HallSearchExhausted):
+        p_complement(A5, 2)
+    with pytest.raises(HallSearchExhausted):
+        hall_subgroup(S5, frozenset({2, 3}))
+
+
+@pytest.mark.parametrize("primes", [{4}, {6}, {1}, {2, 4}])
+def test_hall_subgroup_rejects_non_primes(primes):
+    with pytest.raises(PreconditionViolated):
+        hall_subgroup(symmetric(4), frozenset(primes))
 
 
 @given(generating_sets(max_degree=5))
@@ -271,19 +302,32 @@ def test_p_complement_involution_class_sizes(atlas_groups):
     assert found
 
 
+def _uncached(G: Group) -> Group:
+    return Group(G.name, G.degree, G.generators, G.elements)
+
+
 def test_hall_search_is_deterministic(atlas_groups):
     G = atlas_groups["GammaL(1,8)"]
-    cfg = HallSearchConfig(seed=123)
-    a = p_complement(G, 7, cfg)
-    b = p_complement(G, 7, cfg)
+    a = p_complement(_uncached(G), 7)
+    b = p_complement(_uncached(G), 7)
+    assert a is not b
     assert a.element_set() == b.element_set()
+    assert a.generators == b.generators
 
 
-def test_p_complement_memoised_per_config(atlas_groups):
-    G = atlas_groups["GammaL(1,8)"]
-    a = p_complement(G, 7, HallSearchConfig(seed=7))
-    assert p_complement(G, 7, HallSearchConfig(seed=7)) is a
-    assert p_complement(G, 7, HallSearchConfig(seed=8)) is not a
+def test_p_complement_memoised_per_config(atlas_groups, monkeypatch):
+    # a repeat call returns the same object and searches once
+    searched = []
+    search = structure._search_subgroup
+
+    def recording(G, *rest):
+        searched.append(G)
+        return search(G, *rest)
+    monkeypatch.setattr(structure, "_search_subgroup", recording)
+    G = _uncached(atlas_groups["GammaL(1,8)"])
+    a = p_complement(G, 7)
+    assert p_complement(G, 7) is a
+    assert searched == [G]
 
 
 def test_hall_subgroup_general(atlas_groups):
