@@ -36,6 +36,15 @@ def _max_order(args) -> int | None:
         raise InvalidParameter(f"{ENV_MAX_ORDER}={env!r} is not an integer") from None
 
 
+def _prime(text: str) -> int:
+    """A prime given as an argument; argparse exits 2 on anything else."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a prime, not {text!r}")
+    if not is_prime(int(text)):
+        raise argparse.ArgumentTypeError(f"{int(text)} is not prime")
+    return int(text)
+
+
 def _primes_mode(text: str) -> tuple:
     """The --primes value as a ``run_corpus`` prime mode; argparse exits 2 on error."""
     if text == "all":
@@ -49,10 +58,7 @@ def _primes_mode(text: str) -> tuple:
     if not toks or not all(tok.isdecimal() for tok in toks):
         raise argparse.ArgumentTypeError(
             f"expected 'all', 'upto:N' or a comma-separated list of primes, not {text!r}")
-    primes = [int(tok) for tok in toks]
-    for q in primes:
-        if not is_prime(q):
-            raise argparse.ArgumentTypeError(f"{q} is not prime")
+    primes = [_prime(tok) for tok in toks]
     if len(set(primes)) != len(primes):
         raise argparse.ArgumentTypeError(f"a prime is repeated in {text!r}")
     return ("list", primes)
@@ -182,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="verify one (group, prime) pair")
     p.add_argument("--group", required=True,
                    help="corpus file with one record, or atlas:NAME")
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=_prime)
     p.add_argument("--dot", help="also write the graph in DOT format")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     add_common(p)
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export a class graph as DOT")
     p.add_argument("--group", required=True)
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=_prime)
     p.add_argument("--dot", required=True)
     add_common(p)
     p.set_defaults(func=cmd_graph)

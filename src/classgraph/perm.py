@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -20,6 +21,7 @@ DEFAULT_MAX_ORDER = 20000
 
 # the sort key of Permutation.__lt__, read in C
 _images = attrgetter("images")
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class Permutation:
@@ -430,42 +432,37 @@ def make_group(generators: Iterable[Permutation], name: str, *,
 
     # Up to degree 256 images are held as bytes: x * g is x.translate of g's
     # images padded to a 256-byte table, and a bytes key caches its hash.
-    # Beyond that they stay tuples, composed by _then.
+    # Beyond that they stay tuples: x * g is _then(x) called on g's images.
     if deg <= 256:
-        encode, then, pad = bytes, attrgetter("translate"), bytes(256 - deg)
+        encode, pad, step, lift = bytes, bytes(256 - deg), bytes.translate, None
     else:
-        encode, then, pad = tuple, _then, ()
+        encode, pad, step, lift = tuple, (), itemgetter.__call__, _then
     tables = [encode(g.images) + pad for g in gens]
     start = encode(range(deg))
-    pos = {start: [0]}  # images -> a one-item list holding the position
+    # Each generator's products are made and looked up in C, each hashed once
+    # by pos.setdefault: a product not yet in pos enters it with the next
+    # number from fresh, unique to its first occurrence, and is not held.
+    fresh = count()
+    pos = {start: next(fresh)}  # images -> provisional number
+    at = {0: 0}  # provisional number -> position
     images = [start]
     right = [array("I") for _ in gens]
     frontier = [start]
     while frontier:
-        # rows hold each product as its element's position cell; a new
-        # product enters pos once and its cell is filled when its layer is
-        # sorted, so no duplicate product outlives its step
-        layer = []  # (images, cell) of the new elements
-        spare = [0]  # the cell pos.setdefault gives a product not yet placed
-        rows = [[] for _ in gens]
-        for x in frontier:
-            then_x = then(x)
-            for table, row in zip(tables, rows):
-                y = then_x(table)  # x * g
-                c = pos.setdefault(y, spare)
-                if c is spare:
-                    layer.append((y, c))
-                    spare = [0]
-                row.append(c)
+        base = len(pos)
+        xs = frontier if lift is None else list(map(lift, frontier))
+        rows = [list(map(pos.setdefault, map(step, xs, repeat(t)), fresh)) for t in tables]
         if len(pos) > cap:
             raise OrderCapExceeded(name, cap)
-        layer.sort()  # by images, the order of Permutation.__lt__ (a byte is a point)
-        for i, (_, c) in enumerate(layer, len(images)):
-            c[0] = i
+        # the layer's new elements are pos's last keys; sorted by images, the
+        # order of Permutation.__lt__ (a byte is a point), they take the next
+        # positions
+        layer = sorted(islice(reversed(pos.items()), len(pos) - base), key=_first)
         frontier = [y for y, _ in layer]
+        at.update(zip(map(_second, layer), count(base)))
         images += frontier
         for r, row in zip(right, rows):
-            r.extend([c[0] for c in row])
+            r.extend(map(at.__getitem__, row))
     G = Group._from_images(name, deg, tuple(gens), images)
     G._cache["right_table"] = right
     return G

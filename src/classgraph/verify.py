@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import construct
@@ -715,6 +714,7 @@ def run_corpus(groups: list[Group], primes_mode: tuple = ("all",),
     tasks = [(G, primes_for(G, primes_mode))
              for G in sorted(groups, key=lambda g: g.name)]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: slow to import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_verify_group_worker, tasks))
     else:

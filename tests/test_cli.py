@@ -134,6 +134,7 @@ def test_usage_error_exit_code():
     ["verify", "--primes", "2,2"],               # repeated prime
     ["verify", "--primes", "2,x"],               # not an integer
     ["analyze", "--group", "atlas:Sigma3", "--prime", "x"],  # not an integer
+    ["graph", "--group", "atlas:Sigma3", "--prime", "x", "--dot", "g.dot"],
     ["verify", "--jobs", "-3"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
@@ -141,6 +142,21 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "atlas:Sigma3", "--prime", "4"],
+    ["graph", "--group", "atlas:Sigma3", "--prime", "4", "--dot", "g.dot"],
+])
+def test_a_non_prime_prime_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # rejected while parsing, before a group is built or a check runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --prime: 4 is not prime" in captured.err
+    assert captured.out == "" and not (tmp_path / "g.dot").exists()
 
 
 @pytest.mark.parametrize("flag", [["--seed", "7"], ["--restarts", "1"]])

@@ -225,6 +225,35 @@ def test_order_cap():
         make_group(_dihedral_gens(257), "D514", max_order=257)
 
 
+def _c2_cubed_gens(degree):
+    """Three commuting transpositions: C2 x C2 x C2, whose second layer makes
+    each new element twice (ab = ba, ...)."""
+    return [perm(f"({i},{i + 1})", degree) for i in (1, 3, 5)]
+
+
+# each group once on bytes (degree <= 256) and once on tuples (degree 257)
+_EDGE_GROUPS = [_c2_cubed_gens(6), _c2_cubed_gens(257), _dihedral_gens(256), _dihedral_gens(257)]
+
+
+@pytest.mark.parametrize("gens", _EDGE_GROUPS)
+def test_order_cap_at_the_order(gens):
+    order = len(naive_layered_closure(gens, gens[0].degree))
+    assert make_group(gens, "G", max_order=order).order == order
+    with pytest.raises(OrderCapExceeded):
+        make_group(gens, "G", max_order=order - 1)
+
+
+@pytest.mark.parametrize("degree", [6, 257])
+def test_a_new_element_made_twice_in_a_layer_is_placed_once(degree):
+    gens = _c2_cubed_gens(degree)
+    G = make_group(gens, "C2^3")
+    assert G.order == 8
+    assert list(G.elements) == naive_layered_closure(gens, degree)
+    pos = {x: i for i, x in enumerate(G.elements)}
+    assert [list(r) for r in G._cache["right_table"]] == [
+        [pos[naive_compose(x, g)] for x in G.elements] for g in gens]
+
+
 def test_element_enumeration_is_deterministic():
     gens = [perm("(1,2)", 4), perm("(1,2,3,4)", 4)]
     a = make_group(gens, "S4")

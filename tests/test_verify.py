@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,16 @@ def test_run_corpus_parallel_matches_serial(atlas_groups):
     serial = run_corpus(groups, jobs=1).to_json()
     parallel = run_corpus(groups, jobs=2).to_json()
     assert serial == parallel
+
+
+def test_importing_the_library_leaves_the_process_pool_unloaded():
+    # only run_corpus with jobs > 1 imports it
+    env = dict(os.environ, PYTHONPATH=str(Path(classgraph.__file__).parents[1]))
+    code = ("import sys, classgraph, classgraph.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_report_json_shape(atlas_groups):
