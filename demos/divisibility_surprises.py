@@ -10,7 +10,7 @@ group is connected.
 
 from classgraph import (atlas_group, build_graph, conjugacy_classes,
                         p_complement)
-from classgraph.perm import class_of
+from classgraph.perm import class_index
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
 
     for cls in conjugacy_classes(H):
         if cls.element_order == 2 and cls.size == 3:
-            big = class_of(G, cls.representative)
+            big = class_index(G)[cls.representative]
             print(f"an involution with |x^H| = {cls.size} has |x^G| = {big.size}:")
             print("  3 does not divide 7, and 7 does not divide 3.")
             break

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 I/O error.  The environment variable CLASSGRAPH_MAX_ORDER overrides the
-default order cap; the --max-order flag overrides both.
+default order cap; the --max-order flag overrides both.  Either must be >= 1.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .construct import (GroupSpec, atlas_group, builtin_atlas, group_to_spec,
-                        parse_corpus, serialize_corpus)
-from .errors import ClassGraphError, InvalidParameter, UnknownAtlasGroup
+from .construct import (GroupSpec, atlas_group, atlas_names, atlas_order, builtin_atlas,
+                        group_to_spec, parse_corpus, serialize_corpus)
+from .errors import ClassGraphError, InvalidParameter, OrderCapExceeded, UnknownAtlasGroup
 from .graph import build_graph, to_dot
 from .numtheory import is_prime
 from .perm import Group
@@ -31,9 +31,10 @@ def _max_order(args) -> int | None:
     if not env:
         return None
     try:
-        return int(env)
-    except ValueError:
-        raise InvalidParameter(f"{ENV_MAX_ORDER}={env!r} is not an integer") from None
+        return _positive_int(env)
+    except argparse.ArgumentTypeError:
+        problem = "is below 1" if env.lstrip("+-").isdecimal() else "is not an integer"
+        raise InvalidParameter(f"{ENV_MAX_ORDER}={env!r} {problem}") from None
 
 
 def _prime(text: str) -> int:
@@ -79,10 +80,17 @@ def _load_specs(path: Path) -> list[GroupSpec]:
     return parse_corpus(path.read_text(encoding="utf-8"))
 
 
+def _require_atlas_order(name: str, max_order: int | None) -> None:
+    # an atlas group is refused by its declared order, before it is built
+    if max_order is not None and atlas_order(name) > max_order:
+        raise OrderCapExceeded(name, max_order)
+
+
 def _resolve_group(ref: str, max_order: int | None) -> Group:
     if ref.startswith("atlas:"):
         name = ref[len("atlas:"):]
         try:
+            _require_atlas_order(name, max_order)
             return atlas_group(name)
         except UnknownAtlasGroup:
             raise UnknownAtlasGroup(
@@ -127,6 +135,8 @@ def cmd_verify(args) -> int:
     cap = _max_order(args)
     groups: list[Group] = []
     if args.atlas or not args.corpus:
+        for name in atlas_names():
+            _require_atlas_order(name, cap)
         groups.extend(e.group for e in builtin_atlas())
     if args.corpus:
         for spec in _load_specs(Path(args.corpus)):
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=_positive_int, default=None,
                        help="order cap for group closures")
 
     p = sub.add_parser("analyze", help="verify one (group, prime) pair")

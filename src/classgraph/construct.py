@@ -600,6 +600,11 @@ def _atlas_row(name: str) -> _AtlasRow:
     return row
 
 
+def atlas_names() -> tuple[str, ...]:
+    """The names of the built-in atlas groups, in table order, none built."""
+    return tuple(_ATLAS_BY_NAME)
+
+
 def atlas_order(name: str) -> int:
     """The declared order of a built-in atlas group, without building it."""
     return _atlas_row(name).order

@@ -338,24 +338,21 @@ class Group:
         return self._memo("abelian", build)
 
     def base(self) -> tuple[int, ...]:
-        """Points whose images separate the elements, chosen greedily.
-
-        A point joins the base when its images split elements that the
-        points before it do not; the identity group has the empty base.
-        """
+        """Points whose images separate the elements, chosen greedily: a
+        point joins when an element of the pointwise stabilizer of the base
+        so far moves it (so its images split elements the base does not),
+        and the stabilizer keeps the elements fixing it.  The identity group
+        has the empty base."""
         def build():
-            elems = self.elements
             base: list[int] = []
-            keys = [()] * self.order
-            distinct = 1
+            stab = self._images or list(map(_images, self.elements))
             for b in range(self.degree):
-                if distinct == self.order:
+                if len(stab) == 1:
                     break
-                trial = [k + (x.images[b],) for k, x in zip(keys, elems)]
-                n = len(set(trial))
-                if n > distinct:
+                fixing = [x for x in stab if x[b] == b]
+                if len(fixing) < len(stab):
                     base.append(b)
-                    keys, distinct = trial, n
+                    stab = fixing
             return tuple(base)
         return self._memo("base", build)
 
@@ -560,11 +557,14 @@ def generating_set(G: Group, candidates: Iterable[Permutation], cap: int,
     return gens, cur
 
 
-def closed_subgroup(gens: Sequence[Permutation], elems: Iterable[Permutation],
+def closed_subgroup(G: Group, gens: Sequence[Permutation], elems: Iterable[Permutation],
                     name: str) -> Group:
-    """The subgroup ``gens`` generate, from its closed element set, listed sorted."""
-    elems = sorted(elems, key=_images)
-    return Group(name, elems[0].degree, tuple(gens), tuple(elems))
+    """The subgroup of G that ``gens`` generate, from its closed set of G's
+    own elements, listed sorted.  It shares G's ``base()``, which separates
+    them, and G's ``product()``, which returns them, so it builds neither."""
+    H = Group(name, G.degree, tuple(gens), tuple(sorted(elems, key=_images)))
+    H._cache["base"], H._cache["product"] = G.base(), G.product()
+    return H
 
 
 def subgroup_from_elements(G: Group, elements: Iterable[Permutation],
@@ -589,7 +589,7 @@ def subgroup_from_elements(G: Group, elements: Iterable[Permutation],
     gens, closure = generating_set(G, scan, len(elems), fits)
     if closure != elems:
         raise NotASubgroup(not_closed)
-    return closed_subgroup(gens, elems, name)
+    return closed_subgroup(G, gens, closure, name)  # closure holds G's own objects
 
 
 def centralizer(G: Group, x: Permutation) -> Group:
@@ -717,14 +717,6 @@ def class_index(G: Group) -> dict[Permutation, ConjClass]:
         return {elements[i]: cls for cls in conjugacy_classes(G)
                 for i in orbits[cls.representative]}
     return G._memo("class_index", build)
-
-
-def class_of(G: Group, x: Permutation) -> ConjClass:
-    """The conjugacy class of x in G."""
-    idx = class_index(G)
-    if x not in idx:
-        raise NotAMember(f"element is not in {G.name!r}")
-    return idx[x]
 
 
 def element_order_map(G: Group) -> dict[Permutation, int]:

@@ -12,10 +12,10 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotAHomomorphism, NotASubgroup, NotNormal, PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors
-from .perm import (Group, Permutation, _images, bulk_conjugate, center, class_elements,
-                   class_index, closed_subgroup, conjugacy_classes, conjugation_maps,
-                   element_order_map, extend_hom, generating_set, make_group, mulclose,
-                   require_members)
+from .perm import (Group, Permutation, _class_orbits, _images, bulk_conjugate, center,
+                   class_elements, class_index, closed_subgroup, conjugacy_classes,
+                   conjugation_maps, element_order_map, extend_hom, generating_set,
+                   make_group, require_members)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -47,36 +47,6 @@ class SeriesCertificate:
 class Quotient(NamedTuple):
     group: Group
     projection: dict[Permutation, Permutation]
-
-
-# ---------------------------------------------------------------------------
-# normal closures
-
-def _generator_conjugations(G: Group) -> list:
-    """``conjugation_maps(G.generators)``, made once per group."""
-    return G._memo("conjugation_maps", lambda: conjugation_maps(G.generators))
-
-
-def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
-    """Smallest normal subgroup of G containing the seed elements.
-
-    A subgroup is normal exactly when its generators' conjugates by G's
-    generators lie in it, so only generators are conjugated; a conjugate
-    outside the closure becomes a generator and extends the closure by
-    cosets.
-    """
-    maps = _generator_conjugations(G)
-    todo = list(seeds)
-    require_members(G, todo, "seed")
-    gens: list[Permutation] = []
-    elems = {G.identity}
-    for x in todo:  # grows while it is walked
-        if x in elems:
-            continue
-        gens.append(x)
-        elems = mulclose(gens, start=elems, group=G)
-        todo.extend(bulk_conjugate(x, m) for m in maps)
-    return closed_subgroup(gens, elems, name)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +150,24 @@ def _grow(G: Group, classes: frozenset[int], k: int,
     return frozenset(reached), order
 
 
+def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
+    """Smallest normal subgroup of G containing the seed elements: the
+    classes ``_grow`` reaches from the identity's over the seeds' classes.
+    Its generators come from one greedy pass over the seeds, then its
+    elements class by class."""
+    seeds = list(seeds)
+    require_members(G, seeds, "seed")
+    position = _class_data(G).position
+    reached, order = frozenset({0}), 1
+    for k in map(position, seeds):
+        if k not in reached:
+            reached, order = _grow(G, reached, k)
+    orbits, classes, at = _class_orbits(G), conjugacy_classes(G), G.elements.__getitem__
+    elems = [at(i) for k in sorted(reached) for i in orbits[classes[k].representative]]
+    gens, _ = generating_set(G, chain(seeds, elems), order, lambda n: True)
+    return closed_subgroup(G, gens, elems, name)
+
+
 # ---------------------------------------------------------------------------
 # derived series and solubility
 
@@ -234,7 +222,7 @@ def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> G
     named by pi and |N| alone, e.g. ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``,
     or ``1<G`` for the empty prime set.
     """
-    N = over if over is not None else closed_subgroup((), [G.identity], "1")
+    N = over if over is not None else closed_subgroup(G, (), [G.identity], "1")
     _require_normal(G, N)
 
     def build():
@@ -268,8 +256,8 @@ def p_prime_core(G: Group, p: int) -> Group:
 
 def _is_normal(G: Group, N: Group) -> bool:
     """Whether N's generators, conjugated by G's generators, stay in N: for
-    a subgroup N of G, whether N is normal."""
-    maps = _generator_conjugations(G)
+    a subgroup N of G, whether N is normal.  The maps are made once per G."""
+    maps = G._memo("conjugation_maps", lambda: conjugation_maps(G.generators))
     return all(bulk_conjugate(n, m) in N for n in N.generators for m in maps)
 
 
@@ -404,7 +392,7 @@ def _search_subgroup(G: Group, primes: frozenset[int], target_order: int,
     if len(cur) != target_order:
         raise HallSearchExhausted(f"one greedy pass found no {name!r} of order "
                                   f"{target_order} in {G.name!r}")
-    return closed_subgroup(gens, cur, name)
+    return closed_subgroup(G, gens, cur, name)
 
 
 def hall_subgroup(G: Group, primes: frozenset[int], name: str | None = None) -> Group:
@@ -490,7 +478,7 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                             f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
             frontier = new
         members = [seeds[c][1] if c in seeds else closed_subgroup(
-            gens, chain.from_iterable(class_elements(G, classes[i]) for i in c), name)
+            G, gens, chain.from_iterable(class_elements(G, classes[i]) for i in c), name)
             for c, (gens, name) in lattice.items()]
         return tuple(sorted(members,
                             key=lambda N: (N.order, [g.images for g in N.elements])))

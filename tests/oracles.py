@@ -76,6 +76,18 @@ def naive_extend_hom(gens, images):
     return hom
 
 
+def naive_greedy_base(elements, degree):
+    """The points, in order, whose images split elements that the points
+    before them do not: each point's trial key list over all the elements."""
+    base, keys, distinct = [], [()] * len(elements), 1
+    for b in range(degree):
+        trial = [k + (x.images[b],) for k, x in zip(keys, elements)]
+        if len(set(trial)) > distinct:
+            base.append(b)
+            keys, distinct = trial, len(set(trial))
+    return tuple(base)
+
+
 def naive_element_order(g):
     """Direct iteration: multiply until the identity appears."""
     ident = Permutation.identity(g.degree)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from classgraph.classify import count_p_regular_classes, intersection_subgroup, complement_case
 from classgraph.graph import build_graph, diameter, is_triangle_free
 from classgraph.numtheory import prime_factors
-from classgraph.perm import center, class_of, conjugacy_classes
+from classgraph.perm import center, class_index, conjugacy_classes
 from classgraph.structure import (is_isomorphic, is_p_separable, is_soluble,
                                   p_complement, p_core, quotient, sylow,
                                   _fingerprint)
@@ -40,7 +40,7 @@ def test_criterion_01_semilinear_group_at_7(atlas_groups):
         hits = [c for c in conjugacy_classes(H)
                 if c.element_order == 2 and c.size == 3]
         assert hits, "no involution class of size 3 in the complement"
-        assert all(class_of(G, c.representative).size == 7 for c in hits)
+        assert all(class_index(G)[c.representative].size == 7 for c in hits)
         assert not build_graph(H).is_connected()
         assert build_graph(G, 7).is_connected()
 

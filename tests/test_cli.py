@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from classgraph import cli
 from classgraph.cli import main
 
 
@@ -180,3 +181,40 @@ def test_non_integer_max_order_env_is_a_usage_error(monkeypatch, capsys):
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == (
         "error: CLASSGRAPH_MAX_ORDER='abc' is not an integer\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "atlas:C2x(Q8:C9)", "--prime", "2", "--max-order", "143"],
+    ["graph", "--group", "atlas:A4", "--prime", "2", "--dot", "g.dot", "--max-order", "11"],
+    ["verify", "--max-order", "599"],  # the atlas holds one group of order 600
+])
+def test_an_atlas_group_over_the_cap_is_refused_unbuilt(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an atlas group over the cap was built")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "atlas_group", refuse)
+    monkeypatch.setattr(cli, "builtin_atlas", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "exceeds the order cap" in captured.err
+    assert captured.out == "" and not (tmp_path / "g.dot").exists()
+
+
+def test_an_atlas_group_at_the_cap_runs(tmp_path, capsys):
+    assert main(["graph", "--group", "atlas:A4", "--prime", "2",
+                 "--dot", str(tmp_path / "g.dot"), "--max-order", "12"]) == 0
+    assert main(["analyze", "--group", "atlas:A4", "--prime", "2", "--max-order", "12"]) == 0
+    assert main(["verify", "--max-order", "600", "--primes", "2"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_cap_below_one_is_a_usage_error(value, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--group", "atlas:Sigma3", "--prime", "2", "--max-order", value])
+    assert info.value.code == 2
+    assert "error: argument --max-order: needs an integer >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("CLASSGRAPH_MAX_ORDER", value)
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: CLASSGRAPH_MAX_ORDER={value!r} is below 1\n"
+    assert captured.out == ""

@@ -12,14 +12,14 @@ from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgrou
                                OrderCapExceeded)
 from classgraph.construct import alternating, cyclic, symmetric
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
-from classgraph.perm import (Permutation, bulk_conjugate, center, centralizer, class_elements,
-                             class_of, conjugacy_classes, conjugation_maps, element_order,
-                             extend_hom, make_group, mulclose, parse_cycle_string,
-                             subgroup_from_elements)
+from classgraph.perm import (Group, Permutation, bulk_conjugate, center, centralizer,
+                             class_elements, class_index, conjugacy_classes, conjugation_maps,
+                             element_order, extend_hom, make_group, mulclose,
+                             parse_cycle_string, subgroup_from_elements)
 from oracles import (centralizer_order, naive_center, naive_centralizer,
                      naive_class_sizes, naive_closure, naive_compose, naive_conjugacy_classes,
                      naive_conjugate, naive_element_order, naive_extend_hom,
-                     naive_layered_closure)
+                     naive_greedy_base, naive_layered_closure)
 from strategies import generating_sets, permutations
 
 
@@ -369,7 +369,7 @@ def test_centralizer_consistent_with_class_length(atlas_groups):
     g = atlas_groups["C7:C6"]
     x = next(c.representative for c in conjugacy_classes(g) if c.element_order == 7)
     assert centralizer(g, x).order == 7
-    assert class_of(g, x).size == 6
+    assert class_index(g)[x].size == 6
 
 
 def test_element_order_divides_group_order(atlas_groups):
@@ -524,6 +524,21 @@ def test_product_on_a_base_of_four_points():
                    "A5xC3")
     assert G.order == 180 and len(G.base()) == 4
     _assert_products_are_own_elements(G)
+
+
+@given(generating_sets())
+@example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
+@example([perm("(2,3)", 6), perm("(4,5)", 6)])  # fixes points 1 and 6
+def test_base_matches_the_greedy_key_rule(gens):
+    G = make_group(gens, "G")
+    for H in (G, _regular(G)):
+        assert H.base() == naive_greedy_base(H.elements, H.degree)
+
+
+def test_atlas_bases_match_the_greedy_key_rule(atlas_groups):
+    for G in atlas_groups.values():
+        fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+        assert fresh.base() == naive_greedy_base(G.elements, G.degree)
 
 
 def test_base_of_natural_and_regular_actions():

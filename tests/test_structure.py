@@ -256,7 +256,7 @@ def test_core_name_does_not_depend_on_first_caller():
     assert p_prime_core(after, 2).name == name == "O_{3}(Sigma3)"
     assert pi_core(after, frozenset({2, 3})).name == "O_{2,3}(Sigma3)"
     N = pi_core(after, frozenset({3}))
-    same = closed_subgroup(N.generators, N.elements, "another name")
+    same = closed_subgroup(after, N.generators, N.elements, "another name")
     for M in (same, N):
         assert pi_core(after, frozenset({2}), over=M).name == "O_{2}(Sigma3 mod |N|=3)"
     assert p_prime_core(cyclic(4), 2).name == "1<C4"  # no other prime divides |C4|
@@ -293,11 +293,10 @@ def test_p_complement_involution_class_sizes(atlas_groups):
     # one distinguished involution has class length 3 in H and 7 in G
     G = atlas_groups["GammaL(1,8)"]
     H = p_complement(G, 7)
-    from classgraph.perm import class_of
     found = False
     for cls in conjugacy_classes(H):
         if cls.element_order == 2 and cls.size == 3:
-            assert class_of(G, cls.representative).size == 7
+            assert class_index(G)[cls.representative].size == 7
             found = True
     assert found
 
@@ -405,6 +404,8 @@ def test_coset_classes_require_a_normal_subgroup():
 
 
 def test_normal_closures_conjugate_by_maps_made_once(monkeypatch):
+    # only _is_normal conjugates, with maps made once per group; normal
+    # closures are grown on classes
     made = []
     maps = structure.conjugation_maps
 
@@ -434,18 +435,57 @@ def test_normal_closure_matches_naive(gens, data):
 
 
 def test_grown_subgroups_keep_their_generators(monkeypatch):
+    # no grown subgroup is rescanned by subgroup_from_elements, which calls
+    # perm's own name; a normal closure takes its generators from exactly
+    # one greedy pass, through the name structure imported
     def refuse(*args, **kwargs):
         raise AssertionError("a grown subgroup was rescanned for generators")
     monkeypatch.setattr(perm, "generating_set", refuse)
+    passes, real_pass, real_closure = [], structure.generating_set, structure.normal_closure
+
+    def one_pass(*args, **kwargs):
+        passes.append(args)
+        return real_pass(*args, **kwargs)
+
+    def closure(G, seeds, name):
+        before = len(passes)
+        N = real_closure(G, seeds, name)
+        assert len(passes) == before + 1
+        return N
+    monkeypatch.setattr(structure, "generating_set", one_pass)
+    monkeypatch.setattr(structure, "normal_closure", closure)
     s4 = symmetric(4)
-    grown = [normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
+    grown = [structure.normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
              sylow(s4, 2), p_complement(s4, 2), *normal_subgroups(s4)[1:],
              # the whole of E4 is only reached as a join of two C2s
              normal_subgroups(elementary_abelian(2, 2))[-1]]
+    # one pass per normal closure (A4, the three seeds of S4 and the three
+    # C2s of E4) and one per Sylow or Hall search
+    assert len(passes) == 1 + 3 + 3 + 2
     for H in grown:
         assert H.elements == tuple(sorted(H.elements))
         assert mulclose(list(H.generators), group=H) == set(H.elements)
         assert H.identity not in H.generators
+
+
+@given(generating_sets(), st.data())
+def test_subgroups_multiply_through_their_ambient_group(gens, data):
+    G = make_group(gens, "G")
+    seeds = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=2))
+    p = data.draw(st.sampled_from(prime_factors(G.order) or [2]))
+    H = mulclose(seeds, group=G)
+    copies = [Permutation(x.images) for x in H]  # equal to G's elements, not the same objects
+    for S in (closed_subgroup(G, seeds, H, "H"), subgroup_from_elements(G, H, "H"),
+              subgroup_from_elements(G, copies, "H"), normal_closure(G, seeds, "N"),
+              sylow(G, p)):
+        assert S.base() is G.base() and S.product() is G.product()
+        own = {id(x) for x in S.elements}
+        mul = S.product()
+        for a in S.elements:
+            for b in S.elements:
+                ab = mul(a, b)
+                assert ab == a * b and id(ab) in own
+        assert len({tuple(x.images[b] for b in S.base()) for x in S.elements}) == S.order
 
 
 def test_normal_subgroups_examples(atlas_groups):
@@ -508,29 +548,36 @@ def test_growth_in_s5_matches_naive():
 
 
 def test_cores_and_lattice_joins_close_only_what_they_return(monkeypatch):
-    # every mulclose runs inside a normal_closure: one per core, one per
-    # distinct seed; trial closures and lattice joins are read off classes
-    closures, outside = [], []
-    real_closure, real_mulclose = structure.normal_closure, structure.mulclose
+    # every mulclose runs inside a normal_closure, one per generator its
+    # greedy pass takes; trial closures and lattice joins are read off
+    # classes, and a normal closure's classes too
+    closures, open_closures, calls, outside = [], [], [], []
+    real_closure, real_mulclose = structure.normal_closure, perm.mulclose
 
     def closure(G, seeds, name):
-        closures.append(name)
-        return real_closure(G, seeds, name)
+        open_closures.append(name)
+        try:
+            N = real_closure(G, seeds, name)
+        finally:
+            open_closures.pop()
+        closures.append(N)
+        return N
 
     def mulclose(*args, **kwargs):
-        if not closures:
-            outside.append(args)
+        (calls if open_closures else outside).append(args)
         return real_mulclose(*args, **kwargs)
     monkeypatch.setattr(structure, "normal_closure", closure)
-    monkeypatch.setattr(structure, "mulclose", mulclose)
+    monkeypatch.setattr(perm, "mulclose", mulclose)
     G = symmetric(4)
-    assert pi_core(G, frozenset({2})).order == 4
-    assert closures == ["O_{2}(Sigma4)"]
+    core = pi_core(G, frozenset({2}))
+    assert core.order == 4
+    assert [N.name for N in closures] == ["O_{2}(Sigma4)"]
     closures.clear()
     normals = normal_subgroups(G)
     assert [N.order for N in normals] == [1, 4, 12, 24]
-    assert closures == ["ncl1<Sigma4", "ncl2<Sigma4", "ncl3<Sigma4"]
+    assert [N.name for N in closures] == ["ncl1<Sigma4", "ncl2<Sigma4", "ncl3<Sigma4"]
     assert outside == []
+    assert len(calls) == sum(len(N.generators) for N in [core, *closures])
 
 
 def test_normal_subgroups_of_a_cyclic_group():
@@ -601,7 +648,7 @@ def test_products_in_a_group_reject_non_members():
         extend_hom(list(c3.generators), [t], c3, c3)  # image outside B
     bad = Group("bad", 3, (t,), c3.elements)  # lists a generator it does not contain
     with pytest.raises(NotAMember):
-        quotient(bad, closed_subgroup((), [c3.identity], "1"))
+        quotient(bad, closed_subgroup(c3, (), [c3.identity], "1"))
 
 
 def test_products_inside_a_group_compose_no_permutations(atlas_groups, monkeypatch):
