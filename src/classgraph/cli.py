@@ -82,8 +82,8 @@ def _load_specs(path: Path) -> list[GroupSpec]:
 
 def _require_atlas_order(name: str, max_order: int | None) -> None:
     # an atlas group is refused by its declared order, before it is built
-    if max_order is not None and atlas_order(name) > max_order:
-        raise OrderCapExceeded(name, max_order)
+    if max_order is not None and (order := atlas_order(name)) > max_order:
+        raise OrderCapExceeded(name, max_order, order)
 
 
 def _resolve_group(ref: str, max_order: int | None) -> Group:

@@ -12,10 +12,12 @@ class DegreeMismatch(ClassGraphError):
 
 
 class OrderCapExceeded(ClassGraphError):
-    """A closure grew past the configured maximum group order."""
+    """A closure, or an atlas group by its declared ``order``, exceeds the order cap."""
 
-    def __init__(self, name: str, cap: int):
-        super().__init__(f"closure of {name!r} exceeds the order cap {cap}")
+    def __init__(self, name: str, cap: int, order: int | None = None):
+        what = (f"closure of {name!r}" if order is None
+                else f"atlas group {name!r} of order {order}")
+        super().__init__(f"{what} exceeds the order cap {cap}")
         self.name = name
         self.cap = cap
 

@@ -601,11 +601,9 @@ def centralizer(G: Group, x: Permutation) -> Group:
 
 
 def center(G: Group) -> Group:
-    """Elements commuting with every generator (hence with all of G)."""
+    """The elements whose conjugacy class is a single point."""
     def build():
-        gens = G.generators
-        mul = G.product()
-        elems = [g for g in G.elements if all(mul(g, h) is mul(h, g) for h in gens)]
+        elems = [c.representative for c in conjugacy_classes(G) if c.is_central]
         return subgroup_from_elements(G, elems, f"Z({G.name})")
     return G._memo("center", build)
 

@@ -10,7 +10,7 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
-                     NotAHomomorphism, NotASubgroup, NotNormal, PreconditionViolated)
+                     NotASubgroup, NotNormal, PreconditionViolated)
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors
 from .perm import (Group, Permutation, _class_orbits, _images, bulk_conjugate, center,
                    class_elements, class_index, closed_subgroup, conjugacy_classes,
@@ -150,22 +150,28 @@ def _grow(G: Group, classes: frozenset[int], k: int,
     return frozenset(reached), order
 
 
+def _normal_subgroup(G: Group, classes: Iterable[int], seeds: Iterable[Permutation],
+                     name: str) -> Group:
+    """The union of the classes at ``classes``, the one place where a class
+    set becomes a ``Group``: its elements class by class in position order,
+    its generators from one greedy pass over ``seeds``, then those elements."""
+    conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
+    elems = [at(i) for k in sorted(classes) for i in orbits[conj[k].representative]]
+    gens, _ = generating_set(G, chain(seeds, elems), len(elems), lambda n: True)
+    return closed_subgroup(G, gens, elems, name)
+
+
 def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
     """Smallest normal subgroup of G containing the seed elements: the
-    classes ``_grow`` reaches from the identity's over the seeds' classes.
-    Its generators come from one greedy pass over the seeds, then its
-    elements class by class."""
+    classes ``_grow`` reaches from the identity's over the seeds' classes."""
     seeds = list(seeds)
     require_members(G, seeds, "seed")
     position = _class_data(G).position
-    reached, order = frozenset({0}), 1
+    reached = frozenset({0})
     for k in map(position, seeds):
         if k not in reached:
-            reached, order = _grow(G, reached, k)
-    orbits, classes, at = _class_orbits(G), conjugacy_classes(G), G.elements.__getitem__
-    elems = [at(i) for k in sorted(reached) for i in orbits[classes[k].representative]]
-    gens, _ = generating_set(G, chain(seeds, elems), order, lambda n: True)
-    return closed_subgroup(G, gens, elems, name)
+            reached, _ = _grow(G, reached, k)
+    return _normal_subgroup(G, reached, seeds, name)
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +222,32 @@ def p_core(G: Group, p: int) -> Group:
 def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> Group:
     """The preimage of O_pi(G/N) for N = ``over`` (None: N = 1, giving O_pi(G)).
 
-    That is the largest normal M >= N with |M:N| a pi-number: the normal
-    closure of N and the pi-class representatives g with |ncl(N, g):N| a
-    pi-number, none larger than |N| * pi_part(|G:N|).  It is memoised and
-    named by pi and |N| alone, e.g. ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``,
-    or ``1<G`` for the empty prime set.
+    That is the largest normal M >= N with |M:N| a pi-number, grown from N's
+    classes as one class set M: for M/N a pi-group, |<M, g>^G:N| is a
+    pi-number (so at most |N| * pi_part(|G:N|)) exactly when |ncl(N, g):N|
+    is.  It is memoised and named by pi and |N| alone, e.g. ``O_{2,3}(G)``,
+    ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
     """
-    N = over if over is not None else closed_subgroup(G, (), [G.identity], "1")
+    N = over if over is not None else _normal_subgroup(G, {0}, (), "1")
     _require_normal(G, N)
 
     def build():
         cap = N.order * pi_part(G.order // N.order, primes)
-        inside = _class_positions(G, N)
-        accepted: set[int] = set()  # the classes of the ncl(N, g) accepted so far
+        inside = M = _class_positions(G, N)
         gens: list[Permutation] = []
         for k, cls in enumerate(conjugacy_classes(G)):
             if not is_pi_number(cls.element_order, primes) or k in inside:
                 continue
-            # ncl(N, g) for g in an accepted ncl(N, h) lies inside it
-            if k not in accepted:
-                grown = _grow(G, inside, k, cap)
+            if k not in M:  # a class already in M is accepted without a trial
+                grown = _grow(G, M, k, cap)
                 if grown is None or not is_pi_number(grown[1] // N.order, primes):
                     continue
-                accepted |= grown[0]
+                M = grown[0]
             gens.append(cls.representative)
         top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
         pi = ",".join(map(str, sorted(primes)))
         name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-        return normal_closure(G, [*N.generators, *gens], name)
+        return _normal_subgroup(G, M, [*N.generators, *gens], name)
     return G._memo(("pi_core", primes, N.element_set()), build)
 
 
@@ -323,15 +327,12 @@ def quotient(G: Group, N: Group) -> Quotient:
     def act(x: Permutation) -> Permutation:
         return Permutation._raw(tuple(label[mul(r, x)] for r in reps))
 
-    # the coset action is a homomorphism, so extend it from the generators
-    # instead of acting with every element
-    qgens = [act(g) for g in G.generators]
-    Q = make_group(qgens, f"{G.name}/{N.name}", degree=nq, max_order=nq)
-    projection = extend_hom(G.generators, qgens, G, Q)
-    if projection is None:
-        raise NotAHomomorphism(f"coset action of {G.name!r} on {N.name!r} "
-                               "is not multiplicative")
-    return Quotient(Q, projection)
+    Q = make_group([act(g) for g in G.generators], f"{G.name}/{N.name}",
+                   degree=nq, max_order=nq)
+    # Q is regular on the cosets, so an element is fixed by where it sends
+    # coset 0, N itself (its least element is the identity); g sends it to Ng
+    by_coset = {q.images[0]: q for q in Q.elements}
+    return Quotient(Q, {g: by_coset[label[g]] for g in G.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +341,27 @@ def quotient(G: Group, N: Group) -> Quotient:
 def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
     """Alternating-core series: climb by O_p / O_{p'} until stuck or at G.
 
-    Each step is ``pi_core(G, {p} or p', over=N)``, computed inside G.  The
-    certificate lists the descending series in G with each factor tagged; a
-    stalled series (not ending at the trivial group) witnesses a negative
-    answer.
+    Each step is ``pi_core(G, {p} or p', over=N)``, computed inside G: the
+    p-step first, and neither repeats the step before it.  The certificate
+    lists the descending series in G with each factor tagged; a stalled
+    series (not ending at the trivial group) witnesses a negative answer.
     """
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
 
     def build():
         others = frozenset(prime_factors(G.order)) - {p}
-        ascending = [make_group([], "1", degree=G.degree)]
+        ascending = [_normal_subgroup(G, {0}, (), "1")]
         labels: list[str] = []
         while ascending[-1].order < G.order:
             N = ascending[-1]
-            core, label = pi_core(G, frozenset({p}), over=N), "p-group"
-            if core.order == N.order:
-                core, label = pi_core(G, others, over=N), "p'-group"
-            if core.order == N.order:
+            # O_pi(G/M) = 1 for M/N = O_pi(G/N): a step never repeats the last kind
+            for primes, label in ((frozenset({p}), "p-group"), (others, "p'-group")):
+                if labels[-1:] != [label]:
+                    core = pi_core(G, primes, over=N)
+                    if core.order > N.order:
+                        break
+            else:
                 break
             ascending.append(core)
             labels.append(label)
@@ -434,14 +438,15 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     join of the seeds it contains; each member is therefore joined only
     with the seeds it neither contains nor lies in.  The lattice is found
     on sets of class positions, the join with the seed ncl(x_k) being
-    ``_grow`` by k, and only its members are built as groups.
+    ``_grow`` by k, and its members are built as groups once it is complete.
     """
     def build():
         data = _class_data(G)
         classes = conjugacy_classes(G)
-        triv = make_group([], f"1<{G.name}", degree=G.degree)
         ident = frozenset({0})
-        seeds: dict[frozenset[int], tuple[int, Group]] = {ident: (0, triv)}  # -> (k, ncl(x_k))
+        # classes -> (seed representatives, name) of each member, seeds first
+        lattice = {ident: ((), f"1<{G.name}")}
+        seeds: dict[frozenset[int], int] = {}  # classes of ncl(x_k) -> k
         mul = G.product()
         done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
         for k in range(1, len(classes)):
@@ -453,33 +458,27 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                 if math.gcd(j, n) == 1:
                     done.add(data.position(power))
                 power = mul(power, x)
-            S_classes, _ = _grow(G, ident, k)
-            if S_classes not in seeds:
-                S = normal_closure(G, [classes[k].representative],
-                                   f"ncl{len(seeds)}<{G.name}")
-                seeds[S_classes] = (k, S)
-        # classes -> (generators, name) of each member, seeds first
-        lattice = {c: (S.generators, S.name) for c, (_, S) in seeds.items()}
-        frontier = list(seeds)
+            S, _ = _grow(G, ident, k)
+            if S not in seeds:
+                seeds[S] = k
+                lattice[S] = ((x,), f"ncl{len(lattice)}<{G.name}")
+        frontier = list(lattice)
         while frontier:
             new = []
             for A in frontier:
-                for S_classes, (k, S) in seeds.items():
-                    if S_classes <= A or A <= S_classes:
+                for S, k in seeds.items():
+                    if S <= A or A <= S:
                         continue  # the join is A or S, both found already
                     join, _ = _grow(G, A, k)
                     if join not in lattice:
-                        outside = [x for x in S.generators if data.position(x) not in A]
-                        lattice[join] = (lattice[A][0] + tuple(outside),
+                        lattice[join] = (lattice[A][0] + (classes[k].representative,),
                                          f"join{len(lattice)}<{G.name}")
                         new.append(join)
                     if len(lattice) > LATTICE_CAP:
                         raise LatticeCapExceeded(
                             f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
             frontier = new
-        members = [seeds[c][1] if c in seeds else closed_subgroup(
-            G, gens, chain.from_iterable(class_elements(G, classes[i]) for i in c), name)
-            for c, (gens, name) in lattice.items()]
+        members = [_normal_subgroup(G, c, reps, name) for c, (reps, name) in lattice.items()]
         return tuple(sorted(members,
                             key=lambda N: (N.order, [g.images for g in N.elements])))
     return G._memo("normals", build)

@@ -280,6 +280,19 @@ def test_center_examples():
     assert naive_center(s3.elements) == {s3.identity}
 
 
+@given(generating_sets(), st.data())
+def test_center_matches_naive(gens, data):
+    # the center is read off the single-point classes, of a group from
+    # make_group and of a sorted subgroup, whose class build makes its own table
+    G = make_group(gens, "G")
+    seeds = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=2))
+    H = subgroup_from_elements(G, mulclose(seeds, group=G), "H")
+    for S in (G, H):
+        Z = center(S)
+        assert Z.element_set() == naive_center(S.elements)
+        assert mulclose(list(Z.generators), group=S) == Z.element_set()
+
+
 def test_conjugacy_classes_s3():
     s3 = make_group([perm("(1,2)", 3), perm("(1,2,3)", 3)], "S3")
     sizes = sorted(c.size for c in conjugacy_classes(s3))

@@ -394,6 +394,13 @@ def test_coset_classes_match_the_quotient(gens):
             qc = q_classes[proj[c.representative]]
             assert len(labels) == qc.size
             assert labels == {q(0) for q in class_elements(Q, qc)}
+        # the right cosets, numbered by their least elements, and the action
+        # of each g on them, made directly
+        right_cosets = sorted({frozenset(n * g for n in N.elements) for g in G.elements},
+                              key=min)
+        number = {x: i for i, coset in enumerate(right_cosets) for x in coset}
+        for g in G.elements:
+            assert proj[g].images == tuple(number[min(coset) * g] for coset in right_cosets)
 
 
 def test_coset_classes_require_a_normal_subgroup():
@@ -436,32 +443,35 @@ def test_normal_closure_matches_naive(gens, data):
 
 def test_grown_subgroups_keep_their_generators(monkeypatch):
     # no grown subgroup is rescanned by subgroup_from_elements, which calls
-    # perm's own name; a normal closure takes its generators from exactly
+    # perm's own name; a normal subgroup takes its generators from exactly
     # one greedy pass, through the name structure imported
     def refuse(*args, **kwargs):
         raise AssertionError("a grown subgroup was rescanned for generators")
     monkeypatch.setattr(perm, "generating_set", refuse)
-    passes, real_pass, real_closure = [], structure.generating_set, structure.normal_closure
+    passes, built = [], []
+    real_pass, real_build = structure.generating_set, structure._normal_subgroup
 
     def one_pass(*args, **kwargs):
         passes.append(args)
         return real_pass(*args, **kwargs)
 
-    def closure(G, seeds, name):
+    def normal_subgroup(G, classes, seeds, name):
         before = len(passes)
-        N = real_closure(G, seeds, name)
+        N = real_build(G, classes, seeds, name)
         assert len(passes) == before + 1
+        built.append(N.name)
         return N
     monkeypatch.setattr(structure, "generating_set", one_pass)
-    monkeypatch.setattr(structure, "normal_closure", closure)
+    monkeypatch.setattr(structure, "_normal_subgroup", normal_subgroup)
     s4 = symmetric(4)
-    grown = [structure.normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
+    grown = [normal_closure(s4, [parse_cycle_string("(1,2,3)", 4)], "A4"),
              sylow(s4, 2), p_complement(s4, 2), *normal_subgroups(s4)[1:],
              # the whole of E4 is only reached as a join of two C2s
              normal_subgroups(elementary_abelian(2, 2))[-1]]
-    # one pass per normal closure (A4, the three seeds of S4 and the three
-    # C2s of E4) and one per Sylow or Hall search
-    assert len(passes) == 1 + 3 + 3 + 2
+    assert built == ["A4", "1<Sigma4", "ncl1<Sigma4", "ncl2<Sigma4", "ncl3<Sigma4",
+                     "1<E4", "ncl1<E4", "ncl2<E4", "ncl3<E4", "join4<E4"]
+    # one pass per normal subgroup built and one per Sylow or Hall search
+    assert len(passes) == len(built) + 2
     for H in grown:
         assert H.elements == tuple(sorted(H.elements))
         assert mulclose(list(H.generators), group=H) == set(H.elements)
@@ -548,36 +558,70 @@ def test_growth_in_s5_matches_naive():
 
 
 def test_cores_and_lattice_joins_close_only_what_they_return(monkeypatch):
-    # every mulclose runs inside a normal_closure, one per generator its
-    # greedy pass takes; trial closures and lattice joins are read off
-    # classes, and a normal closure's classes too
-    closures, open_closures, calls, outside = [], [], [], []
-    real_closure, real_mulclose = structure.normal_closure, perm.mulclose
+    # every mulclose runs inside a _normal_subgroup, one per generator its
+    # greedy pass takes; trial closures and lattice joins are grown on
+    # classes, and the lattice's members are built once it is complete
+    built, open_builds, calls, outside, events = [], [], [], [], []
+    real_build, real_mulclose, real_grow = (structure._normal_subgroup, perm.mulclose,
+                                            structure._grow)
 
-    def closure(G, seeds, name):
-        open_closures.append(name)
+    def normal_subgroup(G, classes, seeds, name):
+        events.append("build")
+        open_builds.append(name)
         try:
-            N = real_closure(G, seeds, name)
+            N = real_build(G, classes, seeds, name)
         finally:
-            open_closures.pop()
-        closures.append(N)
+            open_builds.pop()
+        built.append(N)
         return N
 
     def mulclose(*args, **kwargs):
-        (calls if open_closures else outside).append(args)
+        (calls if open_builds else outside).append(args)
         return real_mulclose(*args, **kwargs)
-    monkeypatch.setattr(structure, "normal_closure", closure)
+
+    def grow(*args, **kwargs):
+        events.append("grow")
+        return real_grow(*args, **kwargs)
+    monkeypatch.setattr(structure, "_normal_subgroup", normal_subgroup)
     monkeypatch.setattr(perm, "mulclose", mulclose)
+    monkeypatch.setattr(structure, "_grow", grow)
     G = symmetric(4)
     core = pi_core(G, frozenset({2}))
     assert core.order == 4
-    assert [N.name for N in closures] == ["O_{2}(Sigma4)"]
-    closures.clear()
+    assert [N.name for N in built] == ["1", "O_{2}(Sigma4)"]
+    cores = built[:]
+    built.clear()
+    events.clear()
     normals = normal_subgroups(G)
     assert [N.order for N in normals] == [1, 4, 12, 24]
-    assert [N.name for N in closures] == ["ncl1<Sigma4", "ncl2<Sigma4", "ncl3<Sigma4"]
+    assert [N.name for N in built] == ["1<Sigma4", "ncl1<Sigma4", "ncl2<Sigma4",
+                                       "ncl3<Sigma4"]
+    assert events == ["grow"] * events.count("grow") + ["build"] * len(built)
     assert outside == []
-    assert len(calls) == sum(len(N.generators) for N in [core, *closures])
+    assert len(calls) == sum(len(N.generators) for N in [*cores, *built])
+
+
+def test_no_class_set_is_grown_twice(atlas_groups, monkeypatch):
+    # the lattice and the core series pass each (classes, k) to _grow once:
+    # a member is built from the classes in hand, and neither kind of
+    # core step follows itself, O_pi(G/M) being 1 for M/N = O_pi(G/N)
+    grown = []
+    real_grow = structure._grow
+
+    def grow(G, classes, k, cap=None):
+        grown.append((frozenset(classes), k))
+        return real_grow(G, classes, k, cap)
+    monkeypatch.setattr(structure, "_grow", grow)
+    for name in ["Sigma4", "D12", "Q8:C9", "C2x(Q8:C9)", "E25:Sigma3"]:
+        A = atlas_groups[name]
+        G = make_group(A.generators, name)  # a copy with nothing memoised
+        runs = [lambda: normal_subgroups(G)]
+        runs += [lambda p=p: is_p_separable(G, p) for p in prime_factors(G.order)]
+        for run in runs:
+            grown.clear()
+            run()
+            assert grown
+            assert len(set(grown)) == len(grown)
 
 
 def test_normal_subgroups_of_a_cyclic_group():
