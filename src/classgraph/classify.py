@@ -198,6 +198,11 @@ def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
     return subgroup_from_elements(A, A.element_set() & B.element_set(), name)
 
 
+def _central_meet(G: Group, H: Group) -> Group:
+    """H n Z(G) for H = ``p_complement(G, p)``, memoised on H: once per (G, p)."""
+    return H._memo("central_meet", lambda: intersection_subgroup(H, center(G), "HnZ(G)"))
+
+
 def complement_case(G: Group, p: int) -> ComplementCase:
     """Match a (group, prime) pair against the three structural cases.
 
@@ -234,9 +239,8 @@ def complement_case(G: Group, p: int) -> ComplementCase:
     if qf is not None and qf.kernel_abelian and qf.complement_abelian:
         h_primes = prime_factors(H.order)
         zh = center(H)
-        h_meet_zg = intersection_subgroup(H, center(G), "HnZ(G)")
         if (len(h_primes) == 2
-                and zh.element_set() == h_meet_zg.element_set()
+                and zh.element_set() == _central_meet(G, H).element_set()
                 and zh.order <= 2):
             q, r = h_primes
             matches.append(ComplementCase("ii", graph.shape, {
@@ -269,3 +273,15 @@ def is_elementary_abelian(G: Group) -> bool:
     primes = prime_factors(G.order)
     return len(primes) == 1 and all(
         g.order() == primes[0] for g in G.elements if not g.is_identity())
+
+
+def _elementary_abelian_over(G: Group, N: Group) -> bool:
+    """Whether G/N is elementary abelian, for N normal in G, read inside G:
+    G/N is generated by the images of G's generators, so it is when |G:N|
+    is 1 or a power of one prime q and their commutators and q-th powers
+    lie in N."""
+    primes = prime_factors(G.order // N.order)
+    mul, gens = G.product(), G.generators
+    return (len(primes) <= 1
+            and all(mul(mul(~a, ~b), mul(a, b)) in N for a in gens for b in gens)
+            and all(g ** q in N for q in primes for g in gens))

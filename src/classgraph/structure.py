@@ -225,30 +225,34 @@ def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> G
     That is the largest normal M >= N with |M:N| a pi-number, grown from N's
     classes as one class set M: for M/N a pi-group, |<M, g>^G:N| is a
     pi-number (so at most |N| * pi_part(|G:N|)) exactly when |ncl(N, g):N|
-    is.  It is memoised and named by pi and |N| alone, e.g. ``O_{2,3}(G)``,
+    is.  It is memoised per pi and N's classes (the identity's alone for
+    ``over`` None), and named by pi and |N| alone, e.g. ``O_{2,3}(G)``,
     ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
     """
-    N = over if over is not None else _normal_subgroup(G, {0}, (), "1")
-    _require_normal(G, N)
+    if over is None:
+        inside, n_order, seeds = frozenset({0}), 1, ()
+    else:
+        _require_normal(G, over)
+        inside, n_order, seeds = _class_positions(G, over), over.order, over.generators
 
     def build():
-        cap = N.order * pi_part(G.order // N.order, primes)
-        inside = M = _class_positions(G, N)
+        cap = n_order * pi_part(G.order // n_order, primes)
+        M = inside
         gens: list[Permutation] = []
         for k, cls in enumerate(conjugacy_classes(G)):
             if not is_pi_number(cls.element_order, primes) or k in inside:
                 continue
             if k not in M:  # a class already in M is accepted without a trial
                 grown = _grow(G, M, k, cap)
-                if grown is None or not is_pi_number(grown[1] // N.order, primes):
+                if grown is None or not is_pi_number(grown[1] // n_order, primes):
                     continue
                 M = grown[0]
             gens.append(cls.representative)
-        top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
+        top = G.name if n_order == 1 else f"{G.name} mod |N|={n_order}"
         pi = ",".join(map(str, sorted(primes)))
         name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-        return _normal_subgroup(G, M, [*N.generators, *gens], name)
-    return G._memo(("pi_core", primes, N.element_set()), build)
+        return _normal_subgroup(G, M, [*seeds, *gens], name)
+    return G._memo(("pi_core", primes, inside), build)
 
 
 def p_prime_core(G: Group, p: int) -> Group:
@@ -275,53 +279,40 @@ def _require_normal(G: Group, N: Group) -> None:
 # ---------------------------------------------------------------------------
 # quotients
 
-def _coset_labels(G: Group, N: Group) -> tuple[dict[Permutation, int], list[Permutation]]:
-    """The right N-coset of each element of G, as a number, and the cosets'
-    least elements; cosets are numbered in the order of those elements."""
-    mul = G.product()
-    coset_rep: dict[Permutation, Permutation] = {}
-    for g in G.elements:
-        if g in coset_rep:
-            continue
-        coset = [mul(n, g) for n in N.elements]
-        rep = min(coset, key=_images)
-        for e in coset:
-            coset_rep[e] = rep
-    reps = sorted(set(coset_rep.values()), key=_images)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    return {g: rep_index[r] for g, r in coset_rep.items()}, reps
-
-
 def coset_classes(G: Group, N: Group) -> tuple[frozenset[int], ...]:
-    """The conjugacy classes of G/N, read inside G: one entry per class of G.
-
-    For x in the i-th class of ``conjugacy_classes(G)``, entry i is the set
-    of N-cosets (numbered as ``quotient`` numbers its points) that cl_G(x)
-    meets.  That set is cl_{G/N}(xN), so its size is |cl_{G/N}(xN)|, and
-    classes of G with equal entries lie over one class of G/N.  No quotient
-    group is built; the result is memoised per N.
-    """
+    """The conjugacy classes of G/N, read off G's classes: entry k is the
+    set of positions of the classes that make up C_k*N, the preimage of
+    cl_{G/N}(x_k N), for C_k the k-th class of G.  So |cl_{G/N}(x_k N)| is
+    the sum of their sizes over |N|, and classes with equal entries lie over
+    one class of G/N.  Memoised per N's classes."""
     _require_normal(G, N)
+    inside = _class_positions(G, N)
 
     def build():
-        label, _ = _coset_labels(G, N)
-        return tuple(frozenset(map(label.__getitem__, class_elements(G, c)))
-                     for c in conjugacy_classes(G))
-    return G._memo(("coset_classes", N.element_set()), build)
+        support = _class_data(G).support
+        return tuple(frozenset(support(inside, k)) for k in range(len(conjugacy_classes(G))))
+    return G._memo(("coset_classes", inside), build)
 
 
 def quotient(G: Group, N: Group) -> Quotient:
     """The action of G on the right cosets of a normal subgroup N.
 
     Returns the quotient as a permutation group of degree |G:N| together
-    with the projection map from every element of G to its coset action.
-    Class sizes and class counts of G/N need no quotient group; see
-    ``coset_classes``.
+    with the projection map from every element of G to its coset action,
+    the cosets numbered in the order of their least elements.  Classes of
+    G/N need no quotient group; see ``coset_classes``.
     """
     require_members(G, G.generators, "generator")
     _require_normal(G, N)
     mul = G.product()
-    label, reps = _coset_labels(G, N)
+    coset_rep: dict[Permutation, Permutation] = {}
+    for g in G.elements:
+        if g not in coset_rep:
+            coset = [mul(n, g) for n in N.elements]
+            coset_rep.update(dict.fromkeys(coset, min(coset, key=_images)))
+    reps = sorted(set(coset_rep.values()), key=_images)
+    rep_index = {r: i for i, r in enumerate(reps)}
+    label = {g: rep_index[r] for g, r in coset_rep.items()}
     nq = len(reps)
 
     def act(x: Permutation) -> Permutation:

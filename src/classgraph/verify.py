@@ -9,9 +9,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import construct
-from .classify import (ComplementCase, count_p_regular_classes, intersection_subgroup,
-                       is_elementary_abelian, is_frobenius, is_quasi_frobenius,
-                       pi_class_size_criterion, complement_case)
+from .classify import (ComplementCase, _central_meet, _elementary_abelian_over,
+                       count_p_regular_classes, is_elementary_abelian, is_frobenius,
+                       is_quasi_frobenius, pi_class_size_criterion, complement_case)
 from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
@@ -147,15 +147,16 @@ def _check_normal_class_divisibility(G: Group):
 
 
 def _check_quotient_class_divisibility(G: Group):
-    # |cl_{G/N}(xN)| is the number of N-cosets that cl_G(x) meets
+    # |cl_{G/N}(xN)| = |cl_G(x)N| / |N|, summed over the classes of cl_G(x)N
     def build():
         bad = 0
         classes = conjugacy_classes(G)
+        size = [c.size for c in classes].__getitem__
         for N in normal_subgroups(G):
             if N.order == 1 or N.order == G.order:
                 continue
-            for c, cosets in zip(classes, coset_classes(G, N)):
-                if c.size % len(cosets) != 0:
+            for c, over in zip(classes, coset_classes(G, N)):
+                if c.size % (sum(map(size, over)) // N.order) != 0:
                     bad += 1
         return bad == 0, f"{bad} coset-class divisibility failures"
     return G._memo("quotient_div_check", build)
@@ -283,7 +284,7 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
     H = p_complement(G, p)
     qf = is_quasi_frobenius(H)
     zh = center(H)
-    meet = intersection_subgroup(H, center(G), "HnZ(G)")
+    meet = _central_meet(G, H)
 
     def qf_ok():
         return (qf is not None and qf.kernel_abelian and qf.complement_abelian
@@ -320,26 +321,25 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
 
 
 def _check_coprime_span(G: Group, p: int, graph: ClassGraph):
-    noncentral = list(graph.vertices)
-    best = max(c.size for c in noncentral)
-    maximal = [c for c in noncentral if c.size == best]
+    best = max(c.size for c in graph.vertices)
+    maximal = [c for c in graph.vertices if c.size == best]
+    # the span, made of the classes of size coprime to |B0|, depends on the
+    # maximal class B0 only through |B0| = best: one span serves every B0
     zp = central_p_prime_part(G, p)
-    for b0 in maximal:
-        span = coprime_class_span(G, p, max_class=b0).span
-        if not span.is_abelian():
-            return False, f"span for max class of size {b0.size} is not abelian"
-        if not _is_normal(G, span):
-            return False, "span is not normal"
-        if math.gcd(span.order, p) != 1:
-            return False, "span order is divisible by p"
-        if not zp.element_set() <= span.element_set():
-            return False, "span misses the p'-part of the center"
-        ratio = span.order // zp.order
-        extra = set(prime_factors(ratio)) - set(prime_factors(b0.size))
-        if extra:
-            return False, f"span/center has stray primes {sorted(extra)}"
+    span = coprime_class_span(G, p).span
+    if not span.is_abelian():
+        return False, f"span for max class of size {best} is not abelian"
+    if not _is_normal(G, span):
+        return False, "span is not normal"
+    if math.gcd(span.order, p) != 1:
+        return False, "span order is divisible by p"
+    if not zp.element_set() <= span.element_set():
+        return False, "span misses the p'-part of the center"
+    extra = set(prime_factors(span.order // zp.order)) - set(prime_factors(best))
+    if extra:
+        return False, f"span/center has stray primes {sorted(extra)}"
     return True, (f"checked {len(maximal)} maximal class choice(s); "
-                  f"span order {coprime_class_span(G, p).span.order}")
+                  f"span order {span.order}")
 
 
 def _check_class_size_criterion(G: Group, p: int, mode: str):
@@ -348,8 +348,7 @@ def _check_class_size_criterion(G: Group, p: int, mode: str):
 
 
 def _check_central_intersection(G: Group, p: int):
-    H = p_complement(G, p)
-    meet = intersection_subgroup(H, center(G), "HnZ(G)")
+    meet = _central_meet(G, p_complement(G, p))
     return meet.order <= 2, f"|H n Z(G)| = {meet.order}"
 
 
@@ -457,17 +456,12 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
             return False, f"expected 5 or 6 p-regular classes, found {k}"
         notes.append(f"case ii with center order {case.details['center_order']}")
     elif shape == "d":
-        meet = intersection_subgroup(H, center(G), "HnZ(G)")
-        if meet.order == 1:
-            reduced = H
-        else:
-            Q, _ = quotient(H, meet)
-            reduced = Q
-        if not is_elementary_abelian(reduced):
+        meet = _central_meet(G, H)
+        if not _elementary_abelian_over(H, meet):
             return False, "H modulo its central intersection is not elementary abelian"
         if len(prime_factors(G.order)) != 2:
             return False, f"|pi(G)| = {len(prime_factors(G.order))}, expected 2"
-        notes.append(f"H/(HnZ) elementary abelian of order {reduced.order}")
+        notes.append(f"H/(HnZ) elementary abelian of order {H.order // meet.order}")
     elif shape == "e":
         if case.case == "i":
             notes.append(f"prime-power p-complement, q={case.details['q']}")
@@ -482,8 +476,7 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
     elif shape == "f":
         if p != 3:
             return False, f"shape f at p={p}, expected p=3"
-        meet = intersection_subgroup(H, center(G), "HnZ(G)")
-        if meet.order != 1:
+        if _central_meet(G, H).order != 1:
             return False, "H meets the center nontrivially"
         if k != 4:
             return False, f"expected 4 p-regular classes, found {k}"

@@ -163,6 +163,17 @@ def test_p_regular_count_over_a_normal_subgroup_matches_the_quotient(gens):
             assert count_p_regular_classes(G, p, over=N) == count_p_regular_classes(Q, p)
 
 
+@given(generating_sets())
+@example([parse_cycle_string("(1,2,3,4)", 4), parse_cycle_string("(1,3)", 4)])  # D8
+@example([parse_cycle_string("(1,2,3,4)", 4), parse_cycle_string("(1,2)", 4)])  # S4
+def test_elementary_abelian_over_matches_the_quotient(gens):
+    # the shape-(d) rule, read inside G, against G/M built, for every normal M
+    G = make_group(gens, "G")
+    for M in normal_subgroups(G):
+        assert classify._elementary_abelian_over(G, M) == \
+            is_elementary_abelian(quotient(G, M).group)
+
+
 def test_pi_criterion_direct_product():
     G = direct_product(symmetric(3), cyclic(5))
     lhs, rhs = pi_class_size_criterion(G, {2, 3}, "pi_number")

@@ -20,7 +20,7 @@ from classgraph.construct import (affine_prime_group, alternating, cyclic, direc
 from classgraph.errors import HallSearchExhausted, InvalidParameter, LatticeCapExceeded
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
-from classgraph.perm import Group, class_elements, class_index, make_group
+from classgraph.perm import Group, center, class_elements, class_index, make_group
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
                                run_corpus, verify_pair)
 from oracles import naive_coprime_commuting_counts, naive_normal_class_sizes
@@ -338,6 +338,55 @@ def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, m
     checks = _by_id(verify_pair(fresh, p))
     assert checks["shape-refinement"].status == "pass"
     assert all(c.status != "fail" for c in checks.values())
+
+
+def test_shape_d_is_decided_inside_the_complement(atlas_groups, monkeypatch):
+    # ES27:Q8 at p = 2 has shape d and |H n Z(G)| = 3; the only quotient its
+    # pair builds is H/Z(H), inside is_quasi_frobenius
+    def refuse(*args, **kwargs):
+        raise AssertionError("shape d built a quotient")
+    made = []
+    real_quotient = classify.quotient
+
+    def recording(G, N):
+        made.append((G.order, N.order))
+        return real_quotient(G, N)
+    monkeypatch.setattr(verify, "quotient", refuse)
+    monkeypatch.setattr(classify, "quotient", recording)
+    G = atlas_groups["ES27:Q8"]
+    fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+    H = structure.p_complement(fresh, 2)
+    assert classify._central_meet(fresh, H).order == 3
+    checks = _by_id(verify_pair(fresh, 2))
+    assert build_graph(fresh, 2).shape == "d"
+    assert checks["shape-refinement"].status == "pass"
+    assert "H/(HnZ) elementary abelian of order 9" in checks["shape-refinement"].detail
+    assert made == [(H.order, center(H).order)]
+
+
+def test_coprime_span_is_built_once_per_check(atlas, monkeypatch):
+    # the span depends on the maximal class only through its size, which
+    # every maximal class shares
+    spans = []
+    real_span = verify.coprime_class_span
+
+    def recording(*args, **kwargs):
+        spans.append(kwargs)
+        return real_span(*args, **kwargs)
+    monkeypatch.setattr(verify, "coprime_class_span", recording)
+    ran = 0
+    for entry in atlas.values():
+        G = entry.group
+        for p in entry.primes:
+            graph = build_graph(G, p)
+            if not graph.vertices or not structure.is_p_separable(G, p)[0]:
+                continue
+            spans.clear()
+            ok, detail = verify._check_coprime_span(G, p, graph)
+            assert ok, (G.name, p, detail)
+            assert len(spans) == 1
+            ran += 1
+    assert ran
 
 
 # C53:C26 at p = 13 has shape b and C47:C46 at p = 23 shape a; both
