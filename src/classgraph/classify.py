@@ -3,17 +3,20 @@ criteria, and the triangle-free case match."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from . import construct
 from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
-from .perm import Group, center, class_index, conjugacy_classes, subgroup_from_elements
-from .structure import (_class_centralizers, _is_normal, _search_subgroup, coset_classes,
-                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble,
-                        normal_subgroups, p_complement, pi_core, quotient, sylow)
+from .perm import Group, center, conjugacy_classes, subgroup_from_elements
+from .structure import (_Member, _class_centralizer, _class_data, _is_normal, _normal_lattice,
+                        _normal_subgroup, _search_subgroup, coset_classes, hall_subgroup,
+                        is_isomorphic, is_p_separable, is_soluble, p_complement, pi_core,
+                        quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -51,48 +54,41 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
     require(_is_normal(G, kernel), "kernel is not normal")
     require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
     # C_G(k^x) = C_G(k)^x and the kernel is normal, so one k per class of G
-    for c, cent in zip(conjugacy_classes(G), _class_centralizers(G)):
-        if c.element_order > 1 and c.representative in kernel:
-            require(cent <= kernel.element_set(), "centralizer escapes the kernel")
+    members = kernel.element_set()
+    for k, c in enumerate(conjugacy_classes(G)):
+        if c.element_order > 1 and c.representative in members:
+            require(members.issuperset(compress(G.elements, _class_centralizer(G, k))),
+                    "centralizer escapes the kernel")
 
 
-def _is_frobenius_kernel(G: Group, N: Group) -> bool:
-    """Whether N (normal in G) holds C_G(k) for each nontrivial k in N.
-
-    C_N(k) is C_G(k) n N, so the inclusion holds exactly when
-    |G|/|cl_G(k)| = |N|/|cl_N(k)|; one k per class of N suffices.
-    """
-    idx = class_index(G)
-    return all(G.order * c.size == N.order * idx[c.representative].size
-               for c in conjugacy_classes(N) if c.element_order > 1)
+def _is_kernel(G: Group, N: _Member) -> bool:
+    """Whether N, a member of G's normal-subgroup lattice, is a Frobenius
+    kernel (1 < N < G, C_G(x) <= N for all 1 != x in N): exactly when
+    gcd(|N|, |G:N|) = 1 and |G:N| divides |cl_G(x)| for every nontrivial
+    class of G inside N (README, "Frobenius kernels on class sizes")."""
+    index, size = G.order // N.order, _class_data(G).sizes
+    return (1 < N.order < G.order and math.gcd(N.order, index) == 1
+            and all(size[k] % index == 0 for k in N.classes if k))
 
 
 def is_frobenius(G: Group) -> Optional[FrobeniusWitness]:
-    """Search the normal subgroups for a Frobenius kernel, then a complement.
-
-    A kernel is a proper nontrivial normal subgroup containing the
-    centralizer of each of its nontrivial elements; a complement is then a
-    Hall subgroup for the primes of the index (kernel and index are coprime).
-    By Schur-Zassenhaus every subgroup of order dividing the index lies in a
-    complement, so one greedy pass finds one.
-    """
+    """Search the normal subgroups, as class sets, for the kernel (unique,
+    and the only one built as a group), then a complement: a Hall subgroup
+    for the primes of the index.  By Schur-Zassenhaus every subgroup of
+    order dividing the index lies in a complement, so one greedy pass finds
+    one."""
     def build():
         if center(G).order > 1:
             return None  # Frobenius groups have trivial center
-        for N in normal_subgroups(G):
-            if N.is_trivial() or N.order == G.order:
-                continue
-            if not _is_frobenius_kernel(G, N):
-                continue
-            index = G.order // N.order
-            primes = frozenset(prime_factors(index))
-            comp = _search_subgroup(G, primes, index, f"FrobC({G.name})")
-            _verify_frobenius(G, N, comp)
-            return FrobeniusWitness(
-                kernel=N, complement=comp,
-                kernel_abelian=N.is_abelian(),
-                complement_abelian=comp.is_abelian())
-        return None
+        m = next((m for m in _normal_lattice(G) if _is_kernel(G, m)), None)
+        if m is None:
+            return None
+        N = _normal_subgroup(G, m.classes, m.seeds, m.name)
+        index = G.order // N.order
+        comp = _search_subgroup(G, frozenset(prime_factors(index)), index, f"FrobC({G.name})")
+        _verify_frobenius(G, N, comp)
+        return FrobeniusWitness(kernel=N, complement=comp, kernel_abelian=N.is_abelian(),
+                                complement_abelian=comp.is_abelian())
     return G._memo("frobenius", build)
 
 

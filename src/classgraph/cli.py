@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .construct import (GroupSpec, atlas_group, atlas_names, atlas_order, builtin_atlas,
                         group_to_spec, parse_corpus, serialize_corpus)
-from .errors import ClassGraphError, InvalidParameter, OrderCapExceeded, UnknownAtlasGroup
+from .errors import (ClassGraphError, DuplicateName, InvalidParameter, OrderCapExceeded,
+                     UnknownAtlasGroup)
 from .graph import build_graph, to_dot
 from .numtheory import is_prime
 from .perm import Group
@@ -71,13 +72,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _load_specs(path: Path) -> list[GroupSpec]:
-    if path.is_dir():
-        specs: list[GroupSpec] = []
-        for f in sorted(path.glob("*.jsonl")):
-            specs.extend(parse_corpus(f.read_text(encoding="utf-8")))
-        return specs
-    return parse_corpus(path.read_text(encoding="utf-8"))
+def _load_specs(path: Path, sources: dict[str, str]) -> list[GroupSpec]:
+    """The records of a corpus file or of each ``*.jsonl`` file in a directory;
+    ``sources`` maps the names taken so far to where they came from."""
+    specs: list[GroupSpec] = []
+    for f in sorted(path.glob("*.jsonl")) if path.is_dir() else [path]:
+        for spec in parse_corpus(f.read_text(encoding="utf-8")):
+            if spec.name in sources:
+                raise DuplicateName(
+                    f"duplicate group name {spec.name!r} in {sources[spec.name]} and {f}")
+            sources[spec.name] = str(f)
+            specs.append(spec)
+    return specs
 
 
 def _require_atlas_order(name: str, max_order: int | None) -> None:
@@ -95,7 +101,7 @@ def _resolve_group(ref: str, max_order: int | None) -> Group:
         except UnknownAtlasGroup:
             raise UnknownAtlasGroup(
                 f"no atlas group named {name!r}; run `classgraph atlas --list`") from None
-    specs = _load_specs(Path(ref))
+    specs = _load_specs(Path(ref), {})
     if len(specs) != 1:
         raise ClassGraphError(
             f"{ref!r} holds {len(specs)} records; --group needs exactly one")
@@ -134,13 +140,17 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     cap = _max_order(args)
     groups: list[Group] = []
+    sources: dict[str, str] = {}
     if args.atlas or not args.corpus:
         for name in atlas_names():
             _require_atlas_order(name, cap)
+            sources[name] = "the built-in atlas"
         groups.extend(e.group for e in builtin_atlas())
     if args.corpus:
-        for spec in _load_specs(Path(args.corpus)):
-            groups.append(spec.build(max_order=cap))
+        specs = _load_specs(Path(args.corpus), sources)
+        if not specs:  # a run that checks nothing must not pass
+            raise ClassGraphError(f"no group records in {args.corpus}")
+        groups.extend(spec.build(max_order=cap) for spec in specs)
     summary = run_corpus(groups, args.primes, jobs=args.jobs)
 
     counts = summary.counts()

@@ -327,9 +327,6 @@ class Group:
             self._element_set = frozenset(self.elements)
         return self._element_set
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         def build():
             mul = self.product()

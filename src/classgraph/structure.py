@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -102,25 +102,20 @@ def _class_data(G: Group) -> _ClassData:
     return G._memo("class_data", build)
 
 
-def _class_centralizers(G: Group) -> list[frozenset[Permutation]]:
-    """C_G(x) for the representative x of each class, by position, memoised.
+def _class_centralizer(G: Group, k: int) -> list[bool]:
+    """C_G(x) for the representative x of the k-th class, as a mask over
+    G's elements, memoised per class.  One scan of G compares the base
+    images of x*g and g*x: g's images read at x's base images, and x's
+    images read at g's base images, both made in C."""
+    data = _class_data(G)
+    bases = G._memo("base_images", lambda: list(map(data.at_base, map(_images, G.elements))))
 
-    One scan of G per class, comparing the base images of x*g and g*x: the
-    first are g's images read at x's base images, the second x's images
-    read at g's base images, both made in C.
-    """
     def build():
-        data = _class_data(G)
-        bases = list(map(data.at_base, map(_images, G.elements)))
-        scalar = not isinstance(bases[0], tuple)
-        out = []
-        for c, step in zip(conjugacy_classes(G), data.steps):
-            read = c.representative.images.__getitem__
-            left = map(step, map(_images, G.elements))
-            right = map(read, bases) if scalar else map(tuple, map(map, repeat(read), bases))
-            out.append(frozenset(compress(G.elements, map(eq, left, right))))
-        return out
-    return G._memo("class_centralizers", build)
+        read = conjugacy_classes(G)[k].representative.images.__getitem__
+        right = (map(read, bases) if not isinstance(bases[0], tuple)
+                 else map(tuple, map(map, repeat(read), bases)))
+        return list(map(eq, map(data.steps[k], map(_images, G.elements)), right))
+    return G._memo(("centralizer", k), build)
 
 
 def _class_positions(G: Group, N: Group) -> frozenset[int]:
@@ -284,10 +279,13 @@ def coset_classes(G: Group, N: Group) -> tuple[frozenset[int], ...]:
     set of positions of the classes that make up C_k*N, the preimage of
     cl_{G/N}(x_k N), for C_k the k-th class of G.  So |cl_{G/N}(x_k N)| is
     the sum of their sizes over |N|, and classes with equal entries lie over
-    one class of G/N.  Memoised per N's classes."""
+    one class of G/N."""
     _require_normal(G, N)
-    inside = _class_positions(G, N)
+    return _coset_classes(G, _class_positions(G, N))
 
+
+def _coset_classes(G: Group, inside: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """``coset_classes`` for the union of the classes at ``inside``, memoised."""
     def build():
         support = _class_data(G).support
         return tuple(frozenset(support(inside, k)) for k in range(len(conjugacy_classes(G))))
@@ -422,21 +420,24 @@ def p_complement(G: Group, p: int) -> Group:
 # ---------------------------------------------------------------------------
 # normal subgroups
 
-def normal_subgroups(G: Group) -> tuple[Group, ...]:
-    """All normal subgroups: the seeds (single-class normal closures) and joins.
+class _Member(NamedTuple):
+    """A member of the normal-subgroup lattice, held as G's class set."""
 
-    A normal subgroup is generated by its conjugacy classes, so it is the
-    join of the seeds it contains; each member is therefore joined only
-    with the seeds it neither contains nor lies in.  The lattice is found
-    on sets of class positions, the join with the seed ncl(x_k) being
-    ``_grow`` by k, and its members are built as groups once it is complete.
-    """
+    classes: frozenset[int]
+    order: int
+    seeds: tuple[Permutation, ...]  # representatives whose classes generate it
+    name: str
+
+
+def _normal_lattice(G: Group) -> tuple[_Member, ...]:
+    """The normal subgroups of G as class sets, seeds first, memoised.  A
+    normal subgroup is the join of the seeds (single-class normal closures)
+    it contains, so each member is joined only with the seeds it neither
+    contains nor lies in; the join with the seed ncl(x_k) is ``_grow`` by k."""
     def build():
-        data = _class_data(G)
-        classes = conjugacy_classes(G)
-        ident = frozenset({0})
-        # classes -> (seed representatives, name) of each member, seeds first
-        lattice = {ident: ((), f"1<{G.name}")}
+        data, classes, ident = _class_data(G), conjugacy_classes(G), frozenset({0})
+        # classes -> (order, seed representatives, name) of each member
+        lattice = {ident: (1, (), f"1<{G.name}")}
         seeds: dict[frozenset[int], int] = {}  # classes of ncl(x_k) -> k
         mul = G.product()
         done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
@@ -449,10 +450,10 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                 if math.gcd(j, n) == 1:
                     done.add(data.position(power))
                 power = mul(power, x)
-            S, _ = _grow(G, ident, k)
+            S, order = _grow(G, ident, k)
             if S not in seeds:
                 seeds[S] = k
-                lattice[S] = ((x,), f"ncl{len(lattice)}<{G.name}")
+                lattice[S] = (order, (x,), f"ncl{len(lattice)}<{G.name}")
         frontier = list(lattice)
         while frontier:
             new = []
@@ -460,19 +461,24 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
                 for S, k in seeds.items():
                     if S <= A or A <= S:
                         continue  # the join is A or S, both found already
-                    join, _ = _grow(G, A, k)
+                    join, order = _grow(G, A, k)
                     if join not in lattice:
-                        lattice[join] = (lattice[A][0] + (classes[k].representative,),
+                        lattice[join] = (order, lattice[A][1] + (classes[k].representative,),
                                          f"join{len(lattice)}<{G.name}")
                         new.append(join)
                     if len(lattice) > LATTICE_CAP:
                         raise LatticeCapExceeded(
                             f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
             frontier = new
-        members = [_normal_subgroup(G, c, reps, name) for c, (reps, name) in lattice.items()]
-        return tuple(sorted(members,
-                            key=lambda N: (N.order, [g.images for g in N.elements])))
-    return G._memo("normals", build)
+        return tuple(_Member(c, *rest) for c, rest in lattice.items())
+    return G._memo("normal_lattice", build)
+
+
+def normal_subgroups(G: Group) -> tuple[Group, ...]:
+    """All normal subgroups as groups, sorted by order, then elements."""
+    return G._memo("normals", lambda: tuple(sorted(
+        (_normal_subgroup(G, m.classes, m.seeds, m.name) for m in _normal_lattice(G)),
+        key=lambda N: (N.order, [g.images for g in N.elements]))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import construct
 from .classify import (ComplementCase, _central_meet, _elementary_abelian_over,
@@ -16,11 +18,10 @@ from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors
-from .perm import ConjClass, Group, center, class_index, conjugacy_classes
-from .structure import (ISO_CAP, _class_centralizers, _is_normal,
-                        coset_classes, hall_subgroup, is_isomorphic, is_p_separable,
-                        is_soluble, normal_subgroups, p_complement, p_core,
-                        p_prime_core, quotient)
+from .perm import Group, center, class_index, conjugacy_classes
+from .structure import (ISO_CAP, _Member, _class_centralizer, _class_data, _coset_classes,
+                        _is_normal, _normal_lattice, hall_subgroup, is_isomorphic, is_p_separable,
+                        is_soluble, p_complement, p_core, p_prime_core, quotient)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -116,48 +117,36 @@ def _check_class_equation(G: Group):
             f"sum of class sizes {total} vs order {G.order}")
 
 
-def _normal_class_sizes(G: Group, N: Group) -> dict[ConjClass, int]:
-    """|cl_N(x)| for each class of G inside N (N normal in G), keyed by the
-    class of x.
-
-    |cl_N(x)| = |N| / |C_G(x) n N|, and C_G(x^g) = C_G(x)^g with N^g = N,
-    so it is the same for every x in one class of G: one centralizer per
-    class of G.
-    """
-    members = N.element_set()
-    return {c: N.order // len(cent & members)
-            for c, cent in zip(conjugacy_classes(G), _class_centralizers(G))
-            if c.representative in members}
+def _inner_class_size(G: Group, N: _Member, k: int) -> int:
+    """|cl_N(x)| for x in the k-th class of G and N a lattice member holding
+    it: |N| / |C_G(x) n N|, the same for every x in the class since
+    C_G(x^g) = C_G(x)^g and N^g = N.  The elements of C_G(x_k) are counted
+    by class of G once per k (memoised), and the counts summed over N's."""
+    where = G._memo("element_classes", lambda: list(map(_class_data(G).position, G.elements)))
+    count = G._memo(("centralizer_count", k),
+                    lambda: Counter(compress(where, _class_centralizer(G, k))))
+    return N.order // sum(n for j, n in count.items() if j in N.classes)
 
 
 def _check_normal_class_divisibility(G: Group):
-    # a failure counts every element of its class, as a scan over N would
+    # a failure counts every element of its class, as a scan over N would;
+    # N = G has none, since |cl_G(x)| divides itself
     def build():
-        bad = 0
-        for N in normal_subgroups(G):
-            if N.order <= 1:
-                continue
-            for c, inner in _normal_class_sizes(G, N).items():
-                if c.size % inner != 0:
-                    bad += c.size
+        lattice, size = _normal_lattice(G), _class_data(G).sizes
+        bad = sum(size[k] for N in lattice if N.order < G.order for k in N.classes
+                  if size[k] % _inner_class_size(G, N, k))
         return (bad == 0,
-                f"{len(normal_subgroups(G))} normal subgroups sampled, "
-                f"{bad} divisibility failures")
+                f"{len(lattice)} normal subgroups sampled, {bad} divisibility failures")
     return G._memo("normal_div_check", build)
 
 
 def _check_quotient_class_divisibility(G: Group):
     # |cl_{G/N}(xN)| = |cl_G(x)N| / |N|, summed over the classes of cl_G(x)N
     def build():
-        bad = 0
-        classes = conjugacy_classes(G)
-        size = [c.size for c in classes].__getitem__
-        for N in normal_subgroups(G):
-            if N.order == 1 or N.order == G.order:
-                continue
-            for c, over in zip(classes, coset_classes(G, N)):
-                if c.size % (sum(map(size, over)) // N.order) != 0:
-                    bad += 1
+        size = _class_data(G).sizes
+        bad = sum(1 for N in _normal_lattice(G) if 1 < N.order < G.order
+                  for s, over in zip(size, _coset_classes(G, N.classes))
+                  if s % (sum(map(size.__getitem__, over)) // N.order))
         return bad == 0, f"{bad} coset-class divisibility failures"
     return G._memo("quotient_div_check", build)
 

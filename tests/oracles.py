@@ -7,6 +7,7 @@ checked against a different computation path.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -144,12 +145,19 @@ def naive_class_product(elements, A, B):
     return {c for c in classes if c & products}
 
 
+@functools.lru_cache(maxsize=4)
+def _naive_class_sizes_of(elements):
+    """|cl(x)| for every x of the group on the frozenset ``elements``; kept
+    for a few groups, so that every N of one G reuses G's classes."""
+    return {x: len(c) for c in naive_conjugacy_classes(elements) for x in c}
+
+
 def naive_normal_class_sizes(g_elements, n_elements):
     """(sizes, failures) for N normal in G: |cl_N(x)| for every x in N, read
     from N's own classes, and the number of x in N whose |cl_N(x)| does not
     divide |cl_G(x)|."""
-    g_size = {g: len(c) for c in naive_conjugacy_classes(g_elements) for g in c}
-    sizes = {x: len(c) for c in naive_conjugacy_classes(n_elements) for x in c}
+    g_size = _naive_class_sizes_of(frozenset(g_elements))
+    sizes = dict(_naive_class_sizes_of(frozenset(n_elements)))
     failures = sum(1 for x, n in sizes.items() if g_size[x] % n)
     return sizes, failures
 

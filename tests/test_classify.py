@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given
 
-from classgraph import classify
+from classgraph import classify, structure
 from classgraph.classify import (count_p_regular_classes, is_elementary_abelian,
                                  is_frobenius, is_quasi_frobenius,
                                  pi_class_size_criterion, complement_case)
@@ -13,10 +13,10 @@ from classgraph.construct import (affine_prime_group, cyclic, direct_product,
                                   elementary_abelian, symmetric)
 from classgraph.errors import PreconditionViolated
 from classgraph.numtheory import prime_factors
-from classgraph.perm import (Group, center, make_group, parse_cycle_string,
-                             subgroup_from_elements)
+from classgraph.perm import (Group, center, class_elements, conjugacy_classes, make_group,
+                             parse_cycle_string, subgroup_from_elements)
 from classgraph.structure import normal_subgroups, p_complement, p_core, quotient
-from oracles import centralizer_order, naive_centralizer, naive_is_normal
+from oracles import naive_centralizer, naive_is_normal
 from strategies import generating_sets
 
 
@@ -71,12 +71,16 @@ def test_frobenius_witness_invariants(atlas_groups):
 @given(generating_sets())
 @example([parse_cycle_string("(1,2,3,4,5)", 5), parse_cycle_string("(2,3,5,4)", 5)])  # C5:C4
 @example([parse_cycle_string("(1,2,3)", 4), parse_cycle_string("(1,2)(3,4)", 4)])  # A4
-def test_frobenius_kernel_test_matches_commuting_counts(gens):
+def test_class_size_kernel_test_matches_the_centralizer_definition(gens):
+    # a kernel is 1 < N < G holding C_G(k) for every nontrivial k in N
     G = make_group(gens, "G")
-    for N in normal_subgroups(G):
-        expected = all(centralizer_order(G, k) == centralizer_order(N, k)
-                       for k in N.elements if not k.is_identity())
-        assert classify._is_frobenius_kernel(G, N) == expected
+    classes = conjugacy_classes(G)
+    for m in structure._normal_lattice(G):
+        N = {x for k in m.classes for x in class_elements(G, classes[k])}
+        assert len(N) == m.order
+        expected = 1 < len(N) < G.order and all(
+            naive_centralizer(G.elements, k) <= N for k in N if not k.is_identity())
+        assert classify._is_kernel(G, m) == expected
 
 
 def test_frobenius_none_when_center_nontrivial(atlas_groups):

@@ -110,6 +110,34 @@ def test_corpus_syntax_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--corpus", str(corpus)]) == 2
 
 
+@pytest.mark.parametrize("layout", ["empty directory", "no jsonl file", "empty file"])
+def test_a_corpus_with_no_records_is_an_error(layout, tmp_path, capsys):
+    # a run that checks nothing must not pass
+    corpus = tmp_path / ("c.jsonl" if layout == "empty file" else "corpus")
+    if layout == "empty file":
+        corpus.write_text("")
+    else:
+        corpus.mkdir()
+        if layout == "no jsonl file":
+            (corpus / "notes.txt").write_text("not a corpus\n")
+    assert main(["verify", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err == f"error: no group records in {corpus}\n"
+
+
+def test_a_group_name_in_two_sources_is_an_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["atlas", "--emit", str(out)]) == 0
+    (out / "zz_copy.jsonl").write_text((out / "Sigma3.jsonl").read_text())
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: duplicate group name 'Sigma3' in "
+                                       f"{out / 'Sigma3.jsonl'} and {out / 'zz_copy.jsonl'}\n")
+    # the built-in atlas counts as a source too
+    assert main(["verify", "--atlas", "--corpus", str(out / "D10.jsonl")]) == 2
+    assert capsys.readouterr().err == (f"error: duplicate group name 'D10' in "
+                                       f"the built-in atlas and {out / 'D10.jsonl'}\n")
+
+
 def test_max_order_env_override(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"name":"C7","degree":7,"generators":["(1,2,3,4,5,6,7)"]}\n')

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,14 @@ from hypothesis import given
 
 import classgraph
 from classgraph import classify, structure, verify
+from classgraph.classify import is_frobenius
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
 from classgraph.errors import HallSearchExhausted, InvalidParameter, LatticeCapExceeded
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
-from classgraph.perm import Group, center, class_elements, class_index, make_group
+from classgraph.perm import (Group, center, class_elements, class_index, conjugacy_classes,
+                             make_group)
 from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
                                run_corpus, verify_pair)
 from oracles import naive_coprime_commuting_counts, naive_normal_class_sizes
@@ -452,17 +455,20 @@ def test_coprime_commuting_check_walks_the_group_once():
 
 
 def _assert_normal_class_sizes_match_naive(G):
+    # |cl_N(x)| read off the centralizer counts, against N's own classes
     failures = 0
-    for N in structure.normal_subgroups(G):
-        sizes = verify._normal_class_sizes(G, N)
-        naive, bad = naive_normal_class_sizes(G.elements, N.elements)
-        failures += bad if N.order > 1 else 0
-        # one entry per class of G inside N, and every x in it has that size
-        assert {x for c in sizes for x in class_elements(G, c)} == N.element_set()
-        for c, n in sizes.items():
-            assert {naive[x] for x in class_elements(G, c)} == {n}
+    classes = conjugacy_classes(G)
+    lattice = structure._normal_lattice(G)
+    for N in lattice:
+        elements = [x for k in N.classes for x in class_elements(G, classes[k])]
+        assert len(elements) == N.order
+        naive, bad = naive_normal_class_sizes(G.elements, elements)
+        failures += bad
+        for k in N.classes:
+            size = verify._inner_class_size(G, N, k)
+            assert {naive[x] for x in class_elements(G, classes[k])} == {size}
     ok, detail = verify._check_normal_class_divisibility(G)
-    assert detail.endswith(f", {failures} divisibility failures")
+    assert detail == f"{len(lattice)} normal subgroups sampled, {failures} divisibility failures"
     assert ok == (failures == 0)
 
 
@@ -476,6 +482,40 @@ def test_normal_class_sizes_match_naive_above_the_old_sample():
     G = direct_product(symmetric(5), cyclic(6))
     assert max(N.order for N in structure.normal_subgroups(G)) == 720
     _assert_normal_class_sizes_match_naive(G)
+
+
+def test_normal_class_sizes_match_naive_on_the_atlas(atlas_groups):
+    for G in atlas_groups.values():
+        _assert_normal_class_sizes_match_naive(G)
+
+
+def test_run_corpus_builds_no_lattice_member_but_the_frobenius_kernel(atlas_groups,
+                                                                     monkeypatch):
+    # the checks read the normal-subgroup lattice as class sets: a member
+    # (named ncl<i> or join<i>) becomes a Group only as the kernel that
+    # is_frobenius returns, and no kernel candidate's classes are computed
+    member = re.compile(r"(ncl|join)\d+<")
+    built, classed = [], []
+    constructor, classes_of = structure._normal_subgroup, classify.conjugacy_classes
+
+    def building(G, classes, seeds, name):
+        N = constructor(G, classes, seeds, name)
+        built.append((G, N))
+        return N
+
+    def classing(G):
+        classed.append(G)
+        return classes_of(G)
+    monkeypatch.setattr(structure, "_normal_subgroup", building)
+    monkeypatch.setattr(classify, "_normal_subgroup", building, raising=False)
+    monkeypatch.setattr(classify, "conjugacy_classes", classing)
+    run_corpus([Group(G.name, G.degree, G.generators, G.elements)  # no caches
+                for G in atlas_groups.values()])
+    members = [(G, N) for G, N in built if member.match(N.name)]
+    assert members
+    assert len({id(G) for G, _ in members}) == len(members)
+    assert all(N is is_frobenius(G).kernel for G, N in members)
+    assert not [H.name for H in classed if member.match(H.name)]
 
 
 def test_library_has_no_assert_statements():
