@@ -11,11 +11,11 @@ from typing import Optional
 from . import construct
 from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
-from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors
+from .numtheory import is_pi_number, is_prime_power, prime_factors, require_primes
 from .perm import Group, center, conjugacy_classes, subgroup_from_elements
 from .structure import (_Member, _class_centralizer, _class_data, _is_normal, _normal_lattice,
-                        _normal_subgroup, _search_subgroup, coset_classes, hall_subgroup,
-                        is_isomorphic, is_p_separable, is_soluble, p_complement, pi_core,
+                        _normal_subgroup, _pi_core, _search_subgroup, coset_classes,
+                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble, p_complement,
                         quotient, sylow)
 
 
@@ -83,7 +83,7 @@ def is_frobenius(G: Group) -> Optional[FrobeniusWitness]:
         m = next((m for m in _normal_lattice(G) if _is_kernel(G, m)), None)
         if m is None:
             return None
-        N = _normal_subgroup(G, m.classes, m.seeds, m.name)
+        N = _normal_subgroup(G, m)
         index = G.order // N.order
         comp = _search_subgroup(G, frozenset(prime_factors(index)), index, f"FrobC({G.name})")
         _verify_frobenius(G, N, comp)
@@ -131,8 +131,7 @@ def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> i
     classes of G.  Those cover every p-regular class of G/N: when xN has
     p'-order, the p-part of x lies in N, so xN is the image of x's p'-part.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
+    require_primes(p)
     classes = conjugacy_classes(G)
     if over is None:
         return sum(1 for c in classes if c.element_order % p != 0)
@@ -147,9 +146,11 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
     mode "pi_number": every pi-element has class size a pi-number iff
     G = O_pi(G) x O_pi'(G).  mode "pi_prime_number": every pi-element has
     class size a pi'-number iff the Hall pi-subgroups are abelian.  Returns
-    (lhs, rhs) so callers can assert the biconditional.
+    (lhs, rhs) so callers can assert the biconditional; a member of pi that
+    is not prime raises PreconditionViolated.
     """
     pi = frozenset(pi)
+    require_primes(*pi)
     if len(pi) == 1:
         (p,) = pi
         if not is_p_separable(G, p)[0]:
@@ -161,9 +162,8 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
                   if is_pi_number(c.element_order, pi)]
     if mode == "pi_number":
         lhs = all(is_pi_number(c.size, pi) for c in pi_classes)
-        o_pi = pi_core(G, pi)
-        o_pi_prime = pi_core(G, frozenset(prime_factors(G.order)) - pi)
-        rhs = o_pi.order * o_pi_prime.order == G.order
+        others = frozenset(prime_factors(G.order)) - pi
+        rhs = _pi_core(G, pi).order * _pi_core(G, others).order == G.order
         return lhs, rhs
     if mode == "pi_prime_number":
         lhs = all(not any(q in pi for q in c.prime_support) for c in pi_classes)

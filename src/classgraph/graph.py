@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NoVertices, PreconditionViolated
-from .numtheory import is_prime
+from .errors import NoVertices
+from .numtheory import require_primes
 from .perm import ConjClass, Group, center, conjugacy_classes, subgroup_from_elements
 from .structure import normal_closure
 
@@ -89,8 +89,7 @@ def _reach(nb: tuple[int, ...], frontier: int) -> int:
 
 def p_regular_classes(G: Group, p: int) -> tuple[ConjClass, ...]:
     """Classes whose representatives have order coprime to p, central included."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
+    require_primes(p)
     return tuple(c for c in conjugacy_classes(G) if c.element_order % p != 0)
 
 
@@ -143,23 +142,20 @@ class CoprimeSpan:
     max_class: ConjClass
 
 
-def coprime_class_span(G: Group, p: int, *,
-                       max_class: ConjClass | None = None) -> CoprimeSpan:
+def coprime_class_span(G: Group, p: int) -> CoprimeSpan:
     """The subgroup generated by the p-regular classes of size coprime to |B0|.
 
-    B0 is a non-central p-regular class of maximal size (ties broken by the
-    deterministic class order) unless one is supplied.  Central p-regular
-    classes have size 1 and are always included, so the span contains the
-    p'-part of the center.  A union of whole classes generates a normal
-    subgroup, so the span is the normal closure of the representatives.
+    B0 is the first non-central p-regular class of maximal size in class
+    order.  Central p-regular classes have size 1 and always count, so the
+    span contains the p'-part of the center.  A union of whole classes
+    generates a normal subgroup: the normal closure of the representatives.
     """
     regs = p_regular_classes(G, p)
     noncentral = [c for c in regs if not c.is_central]
     if not noncentral:
         raise NoVertices(f"no non-central p-regular classes in {G.name!r} at p={p}")
-    if max_class is None:
-        best = max(c.size for c in noncentral)
-        max_class = next(c for c in noncentral if c.size == best)
+    best = max(c.size for c in noncentral)
+    max_class = next(c for c in noncentral if c.size == best)
     reps = [cls.representative for cls in regs
             if math.gcd(cls.size, max_class.size) == 1]
     return CoprimeSpan(span=normal_closure(G, reps, f"S({G.name},{p})"),

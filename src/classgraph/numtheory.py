@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import PreconditionViolated
+
 
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -25,6 +27,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def is_prime(n: int) -> bool:
     return n > 1 and prime_factors(n) == (n,)
+
+
+def require_primes(*qs: int) -> None:
+    """Raise PreconditionViolated for the first of ``qs`` that is not prime."""
+    for q in qs:
+        if not is_prime(q):
+            raise PreconditionViolated(f"{q} is not prime")
 
 
 def p_part(n: int, p: int) -> int:

@@ -10,8 +10,8 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
-                     NotASubgroup, NotNormal, PreconditionViolated)
-from .numtheory import is_pi_number, is_prime, pi_part, prime_factors
+                     NotASubgroup, NotNormal)
+from .numtheory import is_pi_number, pi_part, prime_factors, require_primes
 from .perm import (Group, Permutation, _class_orbits, _images, bulk_conjugate, center,
                    class_elements, class_index, closed_subgroup, conjugacy_classes,
                    conjugation_maps, element_order_map, extend_hom, generating_set,
@@ -145,28 +145,41 @@ def _grow(G: Group, classes: frozenset[int], k: int,
     return frozenset(reached), order
 
 
-def _normal_subgroup(G: Group, classes: Iterable[int], seeds: Iterable[Permutation],
-                     name: str) -> Group:
-    """The union of the classes at ``classes``, the one place where a class
-    set becomes a ``Group``: its elements class by class in position order,
-    its generators from one greedy pass over ``seeds``, then those elements."""
-    conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
-    elems = [at(i) for k in sorted(classes) for i in orbits[conj[k].representative]]
-    gens, _ = generating_set(G, chain(seeds, elems), len(elems), lambda n: True)
-    return closed_subgroup(G, gens, elems, name)
+class _Member(NamedTuple):
+    """A normal subgroup held as G's class set."""
+
+    classes: frozenset[int]
+    order: int
+    seeds: tuple[Permutation, ...]  # elements whose classes generate it
+    name: str
+
+
+_ONE = _Member(frozenset({0}), 1, (), "1")  # the identity's class alone
+
+
+def _normal_subgroup(G: Group, m: _Member) -> Group:
+    """m as a ``Group``, memoised per member: the one place where a class set
+    becomes a group.  Its elements class by class in position order, its
+    generators from one greedy pass over m's seeds, then those elements."""
+    def build():
+        conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
+        elems = [at(i) for k in sorted(m.classes) for i in orbits[conj[k].representative]]
+        gens, _ = generating_set(G, chain(m.seeds, elems), len(elems), lambda n: True)
+        return closed_subgroup(G, gens, elems, m.name)
+    return G._memo(("normal_subgroup", m), build)
 
 
 def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
     """Smallest normal subgroup of G containing the seed elements: the
     classes ``_grow`` reaches from the identity's over the seeds' classes."""
-    seeds = list(seeds)
+    seeds = tuple(seeds)
     require_members(G, seeds, "seed")
     position = _class_data(G).position
-    reached = frozenset({0})
+    reached, order = frozenset({0}), 1
     for k in map(position, seeds):
         if k not in reached:
-            reached, _ = _grow(G, reached, k)
-    return _normal_subgroup(G, reached, seeds, name)
+            reached, order = _grow(G, reached, k)
+    return _normal_subgroup(G, _Member(reached, order, seeds, name))
 
 
 # ---------------------------------------------------------------------------
@@ -201,59 +214,54 @@ def is_soluble(G: Group) -> tuple[bool, SeriesCertificate]:
 def sylow(G: Group, p: int) -> Group:
     """A Sylow p-subgroup: the Hall {p}-subgroup, which one greedy pass
     always finds."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
     return G._memo(("sylow", p), lambda: hall_subgroup(
         G, frozenset({p}), f"Syl_{p}({G.name})"))
 
 
 def p_core(G: Group, p: int) -> Group:
     """O_p(G): the largest normal p-subgroup, ``pi_core(G, {p})``."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
     return pi_core(G, frozenset({p}))
 
 
-def pi_core(G: Group, primes: frozenset[int], *, over: Group | None = None) -> Group:
-    """The preimage of O_pi(G/N) for N = ``over`` (None: N = 1, giving O_pi(G)).
+def pi_core(G: Group, primes: frozenset[int]) -> Group:
+    """O_pi(G): the largest normal pi-subgroup."""
+    require_primes(*primes)
+    return _normal_subgroup(G, _pi_core(G, primes))
+
+
+def _pi_core(G: Group, primes: frozenset[int], N: _Member = _ONE) -> _Member:
+    """The preimage of O_pi(G/N) for N normal in G (by default N = 1, giving O_pi(G)).
 
     That is the largest normal M >= N with |M:N| a pi-number, grown from N's
     classes as one class set M: for M/N a pi-group, |<M, g>^G:N| is a
     pi-number (so at most |N| * pi_part(|G:N|)) exactly when |ncl(N, g):N|
-    is.  It is memoised per pi and N's classes (the identity's alone for
-    ``over`` None), and named by pi and |N| alone, e.g. ``O_{2,3}(G)``,
-    ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
+    is.  It is memoised per pi and N's classes, builds no ``Group``, and is
+    named by pi and |N| alone, e.g. ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``,
+    or ``1<G`` for the empty prime set.
     """
-    if over is None:
-        inside, n_order, seeds = frozenset({0}), 1, ()
-    else:
-        _require_normal(G, over)
-        inside, n_order, seeds = _class_positions(G, over), over.order, over.generators
-
     def build():
-        cap = n_order * pi_part(G.order // n_order, primes)
-        M = inside
+        cap = N.order * pi_part(G.order // N.order, primes)
+        M, order = N.classes, N.order
         gens: list[Permutation] = []
         for k, cls in enumerate(conjugacy_classes(G)):
-            if not is_pi_number(cls.element_order, primes) or k in inside:
+            if not is_pi_number(cls.element_order, primes) or k in N.classes:
                 continue
             if k not in M:  # a class already in M is accepted without a trial
                 grown = _grow(G, M, k, cap)
-                if grown is None or not is_pi_number(grown[1] // n_order, primes):
+                if grown is None or not is_pi_number(grown[1] // N.order, primes):
                     continue
-                M = grown[0]
+                M, order = grown
             gens.append(cls.representative)
-        top = G.name if n_order == 1 else f"{G.name} mod |N|={n_order}"
+        top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
         pi = ",".join(map(str, sorted(primes)))
         name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-        return _normal_subgroup(G, M, [*seeds, *gens], name)
-    return G._memo(("pi_core", primes, inside), build)
+        return _Member(M, order, (*N.seeds, *gens), name)
+    return G._memo(("pi_core", primes, N.classes), build)
 
 
 def p_prime_core(G: Group, p: int) -> Group:
     """O_{p'}(G): the largest normal p'-subgroup."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
+    require_primes(p)
     return pi_core(G, frozenset(prime_factors(G.order)) - {p})
 
 
@@ -330,24 +338,23 @@ def quotient(G: Group, N: Group) -> Quotient:
 def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
     """Alternating-core series: climb by O_p / O_{p'} until stuck or at G.
 
-    Each step is ``pi_core(G, {p} or p', over=N)``, computed inside G: the
-    p-step first, and neither repeats the step before it.  The certificate
-    lists the descending series in G with each factor tagged; a stalled
-    series (not ending at the trivial group) witnesses a negative answer.
+    Each step is ``_pi_core(G, {p} or p', N)``, a class set of G: the
+    p-step first, and neither repeats the step before it.  Only the
+    certificate's terms become groups: the series descending in G, each
+    factor tagged, and G in front of a stalled one, a negative answer.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
+    require_primes(p)
 
     def build():
         others = frozenset(prime_factors(G.order)) - {p}
-        ascending = [_normal_subgroup(G, {0}, (), "1")]
+        ascending = [_ONE]
         labels: list[str] = []
         while ascending[-1].order < G.order:
             N = ascending[-1]
             # O_pi(G/M) = 1 for M/N = O_pi(G/N): a step never repeats the last kind
             for primes, label in ((frozenset({p}), "p-group"), (others, "p'-group")):
                 if labels[-1:] != [label]:
-                    core = pi_core(G, primes, over=N)
+                    core = _pi_core(G, primes, N)
                     if core.order > N.order:
                         break
             else:
@@ -355,7 +362,7 @@ def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
             ascending.append(core)
             labels.append(label)
         ok = ascending[-1].order == G.order
-        terms = ascending[::-1] if ok else [G] + ascending[::-1]
+        terms = ([] if ok else [G]) + [_normal_subgroup(G, m) for m in reversed(ascending)]
         return ok, SeriesCertificate("core_series", tuple(terms), tuple(labels[::-1]))
     return G._memo(("p_separable", p), build)
 
@@ -398,9 +405,7 @@ def hall_subgroup(G: Group, primes: frozenset[int], name: str | None = None) -> 
     {2, 3}-separable, and the pass misses S4.
     Raises PreconditionViolated when a member of pi is not prime.
     """
-    for q in primes:
-        if not is_prime(q):
-            raise PreconditionViolated(f"{q} is not prime")
+    require_primes(*primes)
     return _search_subgroup(
         G, primes, pi_part(G.order, primes),
         name or f"Hall_{{{','.join(map(str, sorted(primes)))}}}({G.name})")
@@ -409,9 +414,7 @@ def hall_subgroup(G: Group, primes: frozenset[int], name: str | None = None) -> 
 def p_complement(G: Group, p: int) -> Group:
     """A Hall p'-subgroup.  Exists whenever G is p-separable, and then one
     greedy pass finds it; elsewhere see ``hall_subgroup``."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
-
+    require_primes(p)
     others = frozenset(prime_factors(G.order)) - {p}
     return G._memo(("p_complement", p),
                    lambda: hall_subgroup(G, others, f"Hall_{p}'({G.name})"))
@@ -419,15 +422,6 @@ def p_complement(G: Group, p: int) -> Group:
 
 # ---------------------------------------------------------------------------
 # normal subgroups
-
-class _Member(NamedTuple):
-    """A member of the normal-subgroup lattice, held as G's class set."""
-
-    classes: frozenset[int]
-    order: int
-    seeds: tuple[Permutation, ...]  # representatives whose classes generate it
-    name: str
-
 
 def _normal_lattice(G: Group) -> tuple[_Member, ...]:
     """The normal subgroups of G as class sets, seeds first, memoised.  A
@@ -477,7 +471,7 @@ def _normal_lattice(G: Group) -> tuple[_Member, ...]:
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """All normal subgroups as groups, sorted by order, then elements."""
     return G._memo("normals", lambda: tuple(sorted(
-        (_normal_subgroup(G, m.classes, m.seeds, m.name) for m in _normal_lattice(G)),
+        (_normal_subgroup(G, m) for m in _normal_lattice(G)),
         key=lambda N: (N.order, [g.images for g in N.elements]))))
 
 

@@ -17,11 +17,11 @@ from .classify import (ComplementCase, _central_meet, _elementary_abelian_over,
 from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
-from .numtheory import is_prime, is_prime_power, p_part, prime_factors
+from .numtheory import is_prime, is_prime_power, p_part, prime_factors, require_primes
 from .perm import Group, center, class_index, conjugacy_classes
 from .structure import (ISO_CAP, _Member, _class_centralizer, _class_data, _coset_classes,
-                        _is_normal, _normal_lattice, hall_subgroup, is_isomorphic, is_p_separable,
-                        is_soluble, p_complement, p_core, p_prime_core, quotient)
+                        _is_normal, _normal_lattice, _pi_core, hall_subgroup, is_isomorphic,
+                        is_p_separable, is_soluble, p_complement, p_core, quotient)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -280,8 +280,8 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
                 and zh.element_set() == meet.element_set())
 
     if p not in pi0:
-        nilpotent = G.order // p_part(G.order, p) == p_prime_core(G, p).order
-        if not nilpotent:
+        p_prime = frozenset(prime_factors(G.order)) - {p}
+        if _pi_core(G, p_prime).order != G.order // p_part(G.order, p):
             return False, "group is not p-nilpotent"
         if not qf_ok():
             return False, "p-complement is not quasi-Frobenius with abelian parts"
@@ -499,8 +499,9 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
 
     Checks whose hypotheses fail are recorded as skipped with the failed
     hypothesis named; genuine errors inside a check are recorded as
-    failures, never raised.
+    failures, never raised.  A p that is not prime raises PreconditionViolated.
     """
+    require_primes(p)
     try:
         separable, _ = is_p_separable(G, p)
         graph = build_graph(G, p)

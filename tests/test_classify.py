@@ -242,6 +242,14 @@ def test_complement_case_shape_pairing(atlas):
             assert case.shape in _CASE_SHAPES[case.case], (G.name, p)
 
 
+@pytest.mark.parametrize("mode", ["pi_number", "pi_prime_number"])
+@pytest.mark.parametrize("pi", [{2, 4}, {4}, {1}, {3, 6}])
+def test_pi_class_size_criterion_rejects_non_primes(pi, mode):
+    # a non-prime member of pi is refused, not read as a prime dividing nothing
+    with pytest.raises(PreconditionViolated, match="is not prime"):
+        pi_class_size_criterion(symmetric(4), pi, mode)
+
+
 def test_complement_case_preconditions(atlas_groups):
     with pytest.raises(PreconditionViolated):
         complement_case(atlas_groups["Q8"], 2)  # no vertices

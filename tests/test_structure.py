@@ -14,7 +14,7 @@ from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
 from classgraph.classify import is_frobenius
 from classgraph.errors import (HallSearchExhausted, IsoCapExceeded, NotAMember, NotASubgroup,
                                NotNormal, PreconditionViolated)
-from classgraph.numtheory import is_pi_number, p_part, pi_part, prime_factors
+from classgraph.numtheory import is_pi_number, p_part, pi_part, prime_factors, require_primes
 from classgraph.perm import (Group, Permutation, center, class_elements, class_index,
                              closed_subgroup, conjugacy_classes, extend_hom, make_group,
                              mulclose, parse_cycle_string, subgroup_from_elements)
@@ -193,6 +193,21 @@ def test_hall_subgroup_rejects_non_primes(primes):
         hall_subgroup(symmetric(4), frozenset(primes))
 
 
+@pytest.mark.parametrize("primes", [{4}, {1}, {0}, {2, 4}, {3, 9}])
+def test_pi_core_rejects_non_primes(primes):
+    # a non-prime member of pi is refused, not read as a prime dividing nothing
+    bad = min(q for q in primes if q not in (2, 3))
+    with pytest.raises(PreconditionViolated, match=f"^{bad} is not prime$"):
+        require_primes(*sorted(primes))
+    with pytest.raises(PreconditionViolated, match=f"^{bad} is not prime$"):
+        pi_core(symmetric(4), frozenset(primes))
+
+
+def test_require_primes_accepts_primes():
+    require_primes()
+    require_primes(2, 3, 5, 7, 97)
+
+
 @given(generating_sets(max_degree=5))
 @example(A5_GENS)
 @example(S5_GENS)
@@ -221,48 +236,53 @@ def test_is_p_separable_matches_naive(gens):
             assert naive_pi_core_over(G.elements, others, top) == top
 
 
+def _member_elements(G, m):
+    classes = conjugacy_classes(G)
+    return frozenset(x for k in m.classes for x in class_elements(G, classes[k]))
+
+
 @given(generating_sets(max_degree=5))
 @example(A5_GENS)
 @example(S5_GENS)
 def test_pi_core_over_matches_naive(gens):
     G = make_group(gens, "G")
     primes = prime_factors(G.order)
-    for N_set in naive_normal_subgroups(G.elements):
-        N = subgroup_from_elements(G, N_set, "N")
+    for N in structure._normal_lattice(G):
         for p in primes:
             for pi in (frozenset({p}), frozenset(primes) - {p}):
-                assert pi_core(G, pi, over=N).element_set() == \
-                    naive_pi_core_over(G.elements, pi, N_set)
-
-
-def test_pi_core_over_requires_normal():
-    s3 = symmetric(3)
-    c2 = make_group([parse_cycle_string("(1,2)", 3)], "C2")
-    with pytest.raises(NotNormal):
-        pi_core(s3, frozenset({3}), over=c2)
-
-
-def test_pi_core_over_trivial_shares_the_memo():
-    s4 = symmetric(4)
-    triv = make_group([], "1", degree=4)
-    assert pi_core(s4, frozenset({2}), over=triv) is pi_core(s4, frozenset({2}))
+                core = structure._pi_core(G, pi, N)
+                expected = naive_pi_core_over(G.elements, pi, _member_elements(G, N))
+                assert _member_elements(G, core) == expected
+                assert core.order == len(expected)
 
 
 def test_a_pi_core_memo_hit_builds_no_group(monkeypatch):
-    # the memo is keyed by N's classes, so a repeat call, with over=None or
-    # over=1, reaches no _normal_subgroup
+    # _pi_core is memoised on N's classes and builds no Group, and pi_core
+    # builds its one Group through the per-member memo: a repeat call of
+    # either grows and builds nothing
     s4 = symmetric(4)
-    core = pi_core(s4, frozenset({2}))
-    built = []
-    real_build = structure._normal_subgroup
+    built, grown = [], []
+    real_build, real_grow = structure._normal_subgroup, structure._grow
 
-    def recording(*args):
-        built.append(args)
-        return real_build(*args)
+    def recording(G, m):
+        N = real_build(G, m)
+        built.append(N)
+        return N
+
+    def growing(*args, **kwargs):
+        grown.append(args)
+        return real_grow(*args, **kwargs)
     monkeypatch.setattr(structure, "_normal_subgroup", recording)
-    assert pi_core(s4, frozenset({2})) is core
-    assert pi_core(s4, frozenset({2}), over=make_group([], "1", degree=4)) is core
-    assert built == []
+    monkeypatch.setattr(structure, "_grow", growing)
+    member = structure._pi_core(s4, frozenset({2}))
+    assert member.order == 4 and grown and built == []
+    grown.clear()
+    trivial = structure._Member(frozenset({0}), 1, (), "another name")
+    assert structure._pi_core(s4, frozenset({2}), trivial) is member
+    core = pi_core(s4, frozenset({2}))
+    assert built == [core] and core.name == member.name
+    assert pi_core(s4, frozenset({2})) is core and p_core(s4, 2) is core
+    assert grown == []
 
 
 def test_core_name_does_not_depend_on_first_caller():
@@ -272,11 +292,39 @@ def test_core_name_does_not_depend_on_first_caller():
     is_p_separable(after, 2)
     assert p_prime_core(after, 2).name == name == "O_{3}(Sigma3)"
     assert pi_core(after, frozenset({2, 3})).name == "O_{2,3}(Sigma3)"
-    N = pi_core(after, frozenset({3}))
-    same = closed_subgroup(after, N.generators, N.elements, "another name")
-    for M in (same, N):
-        assert pi_core(after, frozenset({2}), over=M).name == "O_{2}(Sigma3 mod |N|=3)"
+    N = structure._pi_core(after, frozenset({3}))
+    for M in (N._replace(name="another name"), N):
+        assert structure._pi_core(after, frozenset({2}), M).name == "O_{2}(Sigma3 mod |N|=3)"
     assert p_prime_core(cyclic(4), 2).name == "1<C4"  # no other prime divides |C4|
+
+
+def test_is_p_separable_builds_only_its_terms(atlas, monkeypatch):
+    # the climb is held as class sets: no core is checked for normality or
+    # mapped back to class positions, and one Group is built per term that
+    # is not G itself; its O_p(G) term is p_core's own object
+    calls, built = [], []
+    real_require, real_build = structure._require_normal, structure._normal_subgroup
+
+    def require(*args):
+        calls.append(args)
+        return real_require(*args)
+
+    def recording(G, m):
+        N = real_build(G, m)
+        built.append(N)
+        return N
+    monkeypatch.setattr(structure, "_require_normal", require)
+    monkeypatch.setattr(structure, "_normal_subgroup", recording)
+    for entry in atlas.values():
+        for p in entry.primes:
+            G = entry.group
+            fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+            built.clear()
+            _, cert = is_p_separable(fresh, p)
+            assert built == [t for t in cert.terms if t is not fresh]
+            if cert.step_labels[-1:] == ("p-group",):
+                assert cert.terms[-2] is p_core(fresh, p)
+    assert calls == []
 
 
 def test_is_p_separable_builds_no_quotient(atlas, monkeypatch):
@@ -474,9 +522,9 @@ def test_grown_subgroups_keep_their_generators(monkeypatch):
         passes.append(args)
         return real_pass(*args, **kwargs)
 
-    def normal_subgroup(G, classes, seeds, name):
+    def normal_subgroup(G, m):
         before = len(passes)
-        N = real_build(G, classes, seeds, name)
+        N = real_build(G, m)
         assert len(passes) == before + 1
         built.append(N.name)
         return N
@@ -584,11 +632,11 @@ def test_cores_and_lattice_joins_close_only_what_they_return(monkeypatch):
     real_build, real_mulclose, real_grow = (structure._normal_subgroup, perm.mulclose,
                                             structure._grow)
 
-    def normal_subgroup(G, classes, seeds, name):
+    def normal_subgroup(G, m):
         events.append("build")
-        open_builds.append(name)
+        open_builds.append(m.name)
         try:
-            N = real_build(G, classes, seeds, name)
+            N = real_build(G, m)
         finally:
             open_builds.pop()
         built.append(N)

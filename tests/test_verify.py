@@ -19,7 +19,8 @@ from classgraph import classify, structure, verify
 from classgraph.classify import is_frobenius
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
-from classgraph.errors import HallSearchExhausted, InvalidParameter, LatticeCapExceeded
+from classgraph.errors import (HallSearchExhausted, InvalidParameter, LatticeCapExceeded,
+                               PreconditionViolated)
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, class_index, conjugacy_classes,
@@ -287,6 +288,13 @@ def test_disconnected_structure_fails_when_no_sylow_centralizes_the_complement(
         "fail", "no Sylow p-subgroup centralizes the found complement")
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, 6, 9])
+def test_verify_pair_refuses_a_non_prime(p):
+    # refused, as the CLI refuses it, not reported as a pair whose checks all fail
+    with pytest.raises(PreconditionViolated, match=f"^{p} is not prime$"):
+        verify_pair(symmetric(4), p)
+
+
 def test_a_failure_in_the_hypotheses_fails_only_its_pair(atlas_groups, monkeypatch):
     groups = [atlas_groups["C7:C6"], atlas_groups["D10"]]
     before = run_corpus(groups)
@@ -498,8 +506,8 @@ def test_run_corpus_builds_no_lattice_member_but_the_frobenius_kernel(atlas_grou
     built, classed = [], []
     constructor, classes_of = structure._normal_subgroup, classify.conjugacy_classes
 
-    def building(G, classes, seeds, name):
-        N = constructor(G, classes, seeds, name)
+    def building(G, m):
+        N = constructor(G, m)
         built.append((G, N))
         return N
 
