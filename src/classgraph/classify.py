@@ -132,11 +132,15 @@ def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> i
     p'-order, the p-part of x lies in N, so xN is the image of x's p'-part.
     """
     require_primes(p)
-    classes = conjugacy_classes(G)
     if over is None:
-        return sum(1 for c in classes if c.element_order % p != 0)
-    return len({cosets for c, cosets in zip(classes, coset_classes(G, over))
-                if c.element_order % p != 0})
+        return sum(1 for c in conjugacy_classes(G) if c.element_order % p != 0)
+    return _p_regular_coset_classes(G, p, coset_classes(G, over))
+
+
+def _p_regular_coset_classes(G: Group, p: int, cosets: tuple[frozenset[int], ...]) -> int:
+    """The distinct entries of ``cosets`` (``coset_classes`` for some N) at
+    the p-regular classes of G: the number of p-regular classes of G/N."""
+    return len({c for cls, c in zip(conjugacy_classes(G), cosets) if cls.element_order % p != 0})
 
 
 def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],

@@ -164,6 +164,7 @@ def coprime_class_span(G: Group, p: int) -> CoprimeSpan:
 
 def central_p_prime_part(G: Group, p: int) -> Group:
     """The p-complement of the center of G."""
+    require_primes(p)
     z = center(G)
     elems = [g for g in z.elements if g.order() % p != 0]
     return subgroup_from_elements(G, elems, f"Z({G.name})_{p}'")

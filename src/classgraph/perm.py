@@ -609,7 +609,10 @@ def _right_table(G: Group) -> list[array]:
     """``right[k][i]``: the position of ``elements[i] * generators[k]``.
 
     Taken from the cache where ``make_group`` left it (the class build is its
-    only reader, and removes it), else built through the group's product.
+    only reader, and removes it): every element there was reached as a
+    product, so the generators generate G.  Else it is built through the
+    group's product, and a breadth-first pass over it from the identity
+    checks that the generators reach every element.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
@@ -617,45 +620,58 @@ def _right_table(G: Group) -> list[array]:
         pos = {x: i for i, x in enumerate(G.elements)}
         right = [array("I", [pos[mul(x, g)] for x in G.elements])
                  for g in G.generators]
+        reached, frontier = {0}, {0}
+        while frontier:
+            frontier = set().union(*(map(r.__getitem__, frontier) for r in right)) - reached
+            reached |= frontier
+        require(len(reached) == G.order, f"generators of {G.name!r} do not generate it")
     return right
+
+
+def _conjugation_tables(G: Group) -> list[list[int]]:
+    """``conj[k][i]``: the position of g^-1 * elements[i] * g for g =
+    ``generators[k]``, read off g's right table in C; no ``Permutation`` is
+    conjugated.
+
+    Byte-string images (``make_group`` up to degree 256) are looked up by
+    their images.  ``bytes.maketrans`` sends an image back to its points,
+    which gives the position ``inv[i]`` of elements[i]^-1, and g^-1 * x * g
+    is at ``right[inv[right[inv[x]]]]``.  Other images (tuples above degree
+    256, the ``Permutation``s of sorted subgroups) are looked up by their
+    base images: g^-1 * x sends the base point b to x(g^-1(b)), so its
+    position is read off x's images at g^-1's base images, and g^-1 * x * g
+    is one right multiplication more.  (An inverse found by ``x.index(b)``
+    scans the tuple; base images for byte strings need a ``base()`` that
+    ``make_group`` groups do not otherwise build.)
+    """
+    images = G._images or list(map(_images, G.elements))  # ordered as the elements
+    right = list(map(array.tolist, _right_table(G)))
+    if isinstance(images[0], bytes):
+        pos = dict(zip(images, count()))
+        inverted = map(bytes.maketrans, images, repeat(images[0]))  # the identity's images
+        inv = list(map(pos.__getitem__, map(itemgetter(slice(G.degree)), inverted)))
+        return [list(map(r.__getitem__, map(inv.__getitem__, map(r.__getitem__, inv))))
+                for r in right]
+    base = G.base() or (0,)  # the identity alone is told apart by any point
+    pos = dict(zip(map(itemgetter(*base), images), count()))  # a scalar for one point
+    return [list(map(r.__getitem__, map(pos.__getitem__,
+                                        map(itemgetter(*map(g.images.index, base)), images))))
+            for g, r in zip(G.generators, right)]
 
 
 def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
     """Conjugacy classes as lists of element positions, keyed by their least
     element and in order of their first element.
 
-    Works on positions 0..n-1, the identity at 0.  A spanning tree of the
-    Cayley graph from the identity gives each other position t as
-    parent[t] * generators[k]; the position of g^-1 * x then follows from
-    its parent's, and conjugation by g is one more right multiplication.
-    The least element is read off the encoded images, so only the
-    representatives become ``Permutation``s.
+    Works on positions 0..n-1, the identity at 0, with conjugation by each
+    generator as a table of positions (``_conjugation_tables``).  Each orbit
+    is walked breadth first from its first position, conjugating by the
+    generators in order.  The least element is read off the encoded
+    images, so only the representatives become ``Permutation``s.
     """
     def build():
         n = G.order
-        right = _right_table(G)
-        tree = []       # (t, parent, k) in breadth-first order
-        reached = bytearray(n)
-        reached[0] = 1
-        frontier = [0]
-        while frontier:
-            new = []
-            for s in frontier:
-                for k, r in enumerate(right):
-                    t = r[s]
-                    if not reached[t]:
-                        reached[t] = 1
-                        tree.append((t, s, k))
-                        new.append(t)
-            frontier = new
-        require(len(tree) == n - 1, f"generators of {G.name!r} do not generate it")
-        conj = []
-        for rk in right:
-            left = [0] * n  # left[i]: position of g^-1 * elements[i]
-            left[0] = rk.index(0)
-            for t, s, k in tree:
-                left[t] = right[k][left[s]]
-            conj.append(list(map(rk.__getitem__, left)))
+        conj = _conjugation_tables(G)
         keys = G._images or list(map(_images, G.elements))  # ordered as the elements
         seen = bytearray(n)
         orbits = {}

@@ -12,8 +12,9 @@ from itertools import compress
 
 from . import construct
 from .classify import (ComplementCase, _central_meet, _elementary_abelian_over,
-                       count_p_regular_classes, is_elementary_abelian, is_frobenius,
-                       is_quasi_frobenius, pi_class_size_criterion, complement_case)
+                       _p_regular_coset_classes, count_p_regular_classes,
+                       is_elementary_abelian, is_frobenius, is_quasi_frobenius,
+                       pi_class_size_criterion, complement_case)
 from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
@@ -207,11 +208,11 @@ def _check_coprime_commuting_divisibility(G: Group):
 
 
 def _check_count_stable(G: Group, p: int):
-    core = p_core(G, p)
+    core = _pi_core(G, frozenset({p}))  # O_p(G) as a class set
     if core.order == 1:
         return (True, "trivial p-core; counts agree by construction")
     a = count_p_regular_classes(G, p)
-    b = count_p_regular_classes(G, p, over=core)
+    b = _p_regular_coset_classes(G, p, _coset_classes(G, core.classes))
     return a == b, f"{a} p-regular classes in the group, {b} in the quotient"
 
 

@@ -113,6 +113,20 @@ def naive_conjugacy_classes(elements):
     return classes
 
 
+def naive_orbit_walk(elements, gens, start):
+    """The positions in ``elements`` of the class of elements[start], walked
+    breadth first: each position's conjugates g^-1 * x * g by ``gens`` in
+    order (naive_conjugate), each appended when first met."""
+    pos = {x: i for i, x in enumerate(elements)}
+    orbit = [start]
+    for y in orbit:
+        for g in gens:
+            z = pos[naive_conjugate(elements[y], g)]
+            if z not in orbit:
+                orbit.append(z)
+    return orbit
+
+
 def naive_class_sizes(elements):
     return sorted(len(c) for c in naive_conjugacy_classes(elements))
 

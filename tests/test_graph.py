@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 
 from classgraph.construct import cyclic, generalized_quaternion
-from classgraph.errors import NoVertices
+from classgraph.errors import NoVertices, PreconditionViolated
 from classgraph.graph import (ClassGraph, build_graph, central_p_prime_part,
                               coprime_class_span, diameter, is_triangle_free,
                               p_regular_classes, to_dot)
@@ -181,6 +181,12 @@ def test_coprime_span_contains_central_part(atlas_groups):
     zp = central_p_prime_part(G, 3)
     assert span.span.element_set() == zp.element_set()
     assert span.span.order == 4
+
+
+def test_central_p_prime_part_refuses_a_non_prime():
+    # like every function of one prime: not the elements of order prime to 4
+    with pytest.raises(PreconditionViolated, match="^4 is not prime$"):
+        central_p_prime_part(cyclic(12), 4)
 
 
 def test_coprime_span_e25_sigma3(atlas_groups):

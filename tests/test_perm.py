@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from classgraph import perm as perm_module
-from classgraph.errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup,
-                               OrderCapExceeded)
+from classgraph.errors import (BadCycle, DegreeMismatch, InvariantViolated, NotAMember,
+                               NotASubgroup, OrderCapExceeded)
 from classgraph.construct import alternating, cyclic, symmetric
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
 from classgraph.perm import (Group, Permutation, bulk_conjugate, center, centralizer,
@@ -19,7 +19,7 @@ from classgraph.perm import (Group, Permutation, bulk_conjugate, center, central
 from oracles import (centralizer_order, naive_center, naive_centralizer,
                      naive_class_sizes, naive_closure, naive_compose, naive_conjugacy_classes,
                      naive_conjugate, naive_element_order, naive_extend_hom,
-                     naive_greedy_base, naive_layered_closure)
+                     naive_greedy_base, naive_layered_closure, naive_orbit_walk)
 from strategies import generating_sets, permutations
 
 
@@ -328,12 +328,52 @@ def test_class_orbits_match_naive(gens):
         for (rep, orbit), cls in zip(by_rep.items(), members):
             assert rep == min(cls)
             assert rep is H.elements[min(orbit, key=lambda i: H.elements[i])]
-        # listed in order of each class's first element
+        # listed in order of each class's first element, each walked breadth
+        # first from it over the generators in order
         firsts = [min(orbit) for orbit in orbits]
         assert firsts == sorted(firsts)
+        assert all(orbit == naive_orbit_walk(H.elements, H.generators, orbit[0])
+                   for orbit in orbits)
         assert {g for cls in conjugacy_classes(H) for g in class_elements(H, cls)} \
             == H.element_set()
         assert "right_table" not in H._cache  # released by the class build
+
+
+def _naive_conjugation_tables(H):
+    pos = {x: i for i, x in enumerate(H.elements)}
+    return [[pos[naive_conjugate(x, g)] for x in H.elements] for g in H.generators]
+
+
+@given(generating_sets(), st.data())
+def test_conjugation_tables_match_naive(gens, data):
+    G = make_group(gens, "G")  # byte images, undecoded
+    twin = make_group(gens, "G'")
+    seeds = data.draw(st.lists(st.sampled_from(twin.elements), min_size=1, max_size=2))
+    S = subgroup_from_elements(twin, mulclose(seeds, group=twin), "S")  # sorted, base images
+    trivial = make_group([], "1", degree=gens[0].degree)
+    ident = twin.identity
+    sorted_trivial = Group("1'", ident.degree, (ident,), (ident,))  # empty base
+    for H in (G, S, trivial, sorted_trivial):
+        conj = perm_module._conjugation_tables(H)
+        assert H in (S, sorted_trivial) or H._elements is None  # read off the images
+        assert conj == _naive_conjugation_tables(H)
+
+
+def test_conjugation_tables_above_degree_256(atlas_groups):
+    big = atlas_groups["(C5xC5):SL(2,3)"]  # regular, degree 600: tuple images
+    G = make_group(big.generators, "G")
+    S = subgroup_from_elements(big, big.elements, "S")  # sorted
+    for H in (G, S):
+        conj = perm_module._conjugation_tables(H)
+        assert H is S or H._elements is None
+        assert conj == _naive_conjugation_tables(H)
+
+
+def test_generators_of_a_proper_subgroup_fail_the_class_build():
+    s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
+    H = Group("S4 by a 4-cycle", 4, (perm("(1,2,3,4)", 4),), s4.elements)
+    with pytest.raises(InvariantViolated, match="do not generate it"):
+        conjugacy_classes(H)
 
 
 def test_conjugacy_classes_conjugate_no_permutations(monkeypatch):

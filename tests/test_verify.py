@@ -336,6 +336,30 @@ def test_class_checks_read_quotients_inside_the_group(atlas, monkeypatch):
             assert ok, (G.name, p, detail)
 
 
+def test_count_stable_reads_the_p_core_as_a_class_set(atlas, monkeypatch):
+    # O_p(G) is read as _pi_core's class set: no Group is built for it,
+    # checked for normality or mapped to class positions, and the verdicts
+    # and details are those of the route through p_core and coset_classes
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count check built or checked the p-core as a Group")
+    for entry in atlas.values():
+        G = entry.group
+        for p in entry.primes:
+            twin = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+            a = classify.count_p_regular_classes(twin, p)
+            b = classify.count_p_regular_classes(twin, p, over=structure.p_core(twin, p))
+            fresh = Group(G.name, G.degree, G.generators, G.elements)
+            with monkeypatch.context() as m:
+                for name in ("_require_normal", "_class_positions", "_normal_subgroup"):
+                    m.setattr(structure, name, refuse)
+                ok, detail = verify._check_count_stable(fresh, p)
+            if structure.p_core(twin, p).order == 1:
+                assert (ok, detail) == (True, "trivial p-core; counts agree by construction")
+            else:
+                assert (ok, detail) == (a == b, f"{a} p-regular classes in the group, "
+                                                 f"{b} in the quotient")
+
+
 @pytest.mark.parametrize("name, p", [("C7:C6", 3), ("C7:C6", 2), ("(C5xC5):SL(2,3)", 3)])
 def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, monkeypatch,
                                                                  name, p):
