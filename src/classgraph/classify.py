@@ -211,58 +211,61 @@ def complement_case(G: Group, p: int) -> ComplementCase:
     (i) H is a q-group for a prime q != p; (ii) H is quasi-Frobenius on two
     primes with abelian kernel and complements and Z(H) = H n Z(G) of order
     at most 2; (iii) H is isomorphic to the order-200 group (C5xC5):Q8.
-    The graph shape must pair with the case, and G must be soluble.
+    The graph shape must pair with the case, and G must be soluble.  The
+    match is memoised per (G, p); a refusal is raised again on each call.
     """
-    if not is_p_separable(G, p)[0]:
-        raise PreconditionViolated(f"{G.name!r} is not {p}-separable")
-    graph = build_graph(G, p)
-    if not is_triangle_free(graph):
-        raise PreconditionViolated(f"graph of {G.name!r} at p={p} has a triangle")
-    if not graph.vertices:
-        raise PreconditionViolated(
-            f"p-complement of {G.name!r} is central at p={p}")
+    def build():
+        if not is_p_separable(G, p)[0]:
+            raise PreconditionViolated(f"{G.name!r} is not {p}-separable")
+        graph = build_graph(G, p)
+        if not is_triangle_free(graph):
+            raise PreconditionViolated(f"graph of {G.name!r} at p={p} has a triangle")
+        if not graph.vertices:
+            raise PreconditionViolated(
+                f"p-complement of {G.name!r} is central at p={p}")
 
-    H = p_complement(G, p)
-    matches: list[ComplementCase] = []
+        H = p_complement(G, p)
+        matches: list[ComplementCase] = []
 
-    # the target is built only for a complement of its declared order
-    if H.order == construct.atlas_order(_CASE_III_TARGET):
-        target = construct.atlas_group(_CASE_III_TARGET)
-        if is_isomorphic(H, target):
-            matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
+        # the target is built only for a complement of its declared order
+        if H.order == construct.atlas_order(_CASE_III_TARGET):
+            target = construct.atlas_group(_CASE_III_TARGET)
+            if is_isomorphic(H, target):
+                matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
 
-    if is_prime_power(H.order):
-        q = prime_factors(H.order)[0]
-        matches.append(ComplementCase("i", graph.shape, {"q": q}))
+        if is_prime_power(H.order):
+            q = prime_factors(H.order)[0]
+            matches.append(ComplementCase("i", graph.shape, {"q": q}))
 
-    qf = is_quasi_frobenius(H)
-    if qf is not None and qf.kernel_abelian and qf.complement_abelian:
-        h_primes = prime_factors(H.order)
-        zh = center(H)
-        if (len(h_primes) == 2
-                and zh.element_set() == _central_meet(G, H).element_set()
-                and zh.order <= 2):
-            q, r = h_primes
-            matches.append(ComplementCase("ii", graph.shape, {
-                "q": q, "r": r, "center_order": zh.order,
-                "kernel_order": qf.kernel.order,
-                "complement_order": qf.complement.order}))
+        qf = is_quasi_frobenius(H)
+        if qf is not None and qf.kernel_abelian and qf.complement_abelian:
+            h_primes = prime_factors(H.order)
+            zh = center(H)
+            if (len(h_primes) == 2
+                    and zh.element_set() == _central_meet(G, H).element_set()
+                    and zh.order <= 2):
+                q, r = h_primes
+                matches.append(ComplementCase("ii", graph.shape, {
+                    "q": q, "r": r, "center_order": zh.order,
+                    "kernel_order": qf.kernel.order,
+                    "complement_order": qf.complement.order}))
 
-    if not matches:
-        raise NoCaseMatches(
-            f"({G.name}, p={p}): no structural case matches (|H|={H.order})")
-    if len(matches) > 1:
-        raise NoCaseMatches(
-            f"({G.name}, p={p}): ambiguous case match "
-            f"{[m.case for m in matches]}")
-    result = matches[0]
-    if result.shape not in _CASE_SHAPES[result.case]:
-        raise NoCaseMatches(
-            f"({G.name}, p={p}): case {result.case} paired with shape "
-            f"{result.shape!r}")
-    if not is_soluble(G)[0]:
-        raise NoCaseMatches(f"({G.name}, p={p}): group is not soluble")
-    return result
+        if not matches:
+            raise NoCaseMatches(
+                f"({G.name}, p={p}): no structural case matches (|H|={H.order})")
+        if len(matches) > 1:
+            raise NoCaseMatches(
+                f"({G.name}, p={p}): ambiguous case match "
+                f"{[m.case for m in matches]}")
+        result = matches[0]
+        if result.shape not in _CASE_SHAPES[result.case]:
+            raise NoCaseMatches(
+                f"({G.name}, p={p}): case {result.case} paired with shape "
+                f"{result.shape!r}")
+        if not is_soluble(G)[0]:
+            raise NoCaseMatches(f"({G.name}, p={p}): group is not soluble")
+        return result
+    return G._memo(("complement_case", p), build)
 
 
 def is_elementary_abelian(G: Group) -> bool:

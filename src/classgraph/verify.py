@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from . import construct
-from .classify import (ComplementCase, _central_meet, _elementary_abelian_over,
+from .classify import (_central_meet, _elementary_abelian_over,
                        _p_regular_coset_classes, count_p_regular_classes,
                        is_elementary_abelian, is_frobenius, is_quasi_frobenius,
                        pi_class_size_criterion, complement_case)
@@ -25,28 +25,6 @@ from .structure import (ISO_CAP, _Member, _class_centralizer, _class_data, _cose
                         is_p_separable, is_soluble, p_complement, p_core, quotient)
 
 REPORT_SCHEMA = "classgraph-report-v1"
-
-ALL_CHECK_IDS = (
-    "class-equation",
-    "normal-class-divisibility",
-    "quotient-class-divisibility",
-    "coprime-commuting-divisibility",
-    "p-regular-count-stable",
-    "graph-consistency",
-    "two-complete-components",
-    "diameter-bound",
-    "disconnected-p-structure",
-    "coprime-span-structure",
-    "class-size-product-form",
-    "class-size-abelian-hall",
-    "central-intersection-bound",
-    "triangle-free-soluble",
-    "case-classification",
-    "shape-refinement",
-)
-
-_COUNTEREXAMPLE_CHECKS = {"triangle-free-soluble", "case-classification",
-                          "shape-refinement"}
 
 _SAMPLE_LIMIT = 500
 
@@ -402,8 +380,13 @@ def _quotient_candidates(shape: str, p: int, n: int) -> list[Group]:
     return out
 
 
-def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
-                            case: ComplementCase):
+def _check_case(G: Group, p: int):
+    case = complement_case(G, p)
+    return True, f"case {case.case}, shape {case.shape}, {case.details}"
+
+
+def _check_shape_refinement(G: Group, p: int, graph: ClassGraph):
+    case = complement_case(G, p)  # memoised: the one case-classification made
     H = p_complement(G, p)
     shape = graph.shape
     k = count_p_regular_classes(G, p)
@@ -485,6 +468,70 @@ def _check_shape_refinement(G: Group, p: int, graph: ClassGraph,
 # ---------------------------------------------------------------------------
 # the per-pair driver
 
+# One row per check, in the order the checks run: its id, the hypotheses it
+# needs (a skip names the first that fails), its check of (G, p, graph), and
+# whether a fail marks the pair as a counterexample.  A row calls the check
+# by name, so that a function replaced on the module is the one that runs.
+_SEP = ("p-separability",)
+_CLASSIFIED = ("p-separability", "triangle-freeness", "H-noncentrality")  # complement_case needs
+_CHECKS = (
+    ("class-equation", (), lambda G, p, graph: _check_class_equation(G), False),
+    ("normal-class-divisibility", (),
+     lambda G, p, graph: _check_normal_class_divisibility(G), False),
+    ("quotient-class-divisibility", (),
+     lambda G, p, graph: _check_quotient_class_divisibility(G), False),
+    ("coprime-commuting-divisibility", (),
+     lambda G, p, graph: _check_coprime_commuting_divisibility(G), False),
+    ("p-regular-count-stable", (), lambda G, p, graph: _check_count_stable(G, p), False),
+    ("graph-consistency", (), lambda G, p, graph: _check_graph_consistency(G, graph), False),
+    ("two-complete-components", _SEP,
+     lambda G, p, graph: _check_two_complete_components(graph), False),
+    ("diameter-bound", _SEP, lambda G, p, graph: _check_diameter_bound(graph), False),
+    ("disconnected-p-structure", _SEP,
+     lambda G, p, graph: _check_disconnected_structure(G, p, graph), False),
+    ("coprime-span-structure", _SEP + ("H-noncentrality",),
+     lambda G, p, graph: _check_coprime_span(G, p, graph), False),
+    ("class-size-product-form", _SEP,
+     lambda G, p, graph: _check_class_size_criterion(G, p, "pi_number"), False),
+    ("class-size-abelian-hall", _SEP,
+     lambda G, p, graph: _check_class_size_criterion(G, p, "pi_prime_number"), False),
+    ("central-intersection-bound", _CLASSIFIED + ("H-non-prime-power-order",),
+     lambda G, p, graph: _check_central_intersection(G, p), False),
+    ("triangle-free-soluble", _SEP + ("triangle-freeness",),
+     lambda G, p, graph: _check_soluble(G), True),
+    ("case-classification", _CLASSIFIED, lambda G, p, graph: _check_case(G, p), True),
+    ("shape-refinement", _CLASSIFIED + ("case-classification-failed",),
+     lambda G, p, graph: _check_shape_refinement(G, p, graph), True),
+)
+
+ALL_CHECK_IDS = tuple(row[0] for row in _CHECKS)
+
+# the pair's own hypotheses, by the name a skip gives them
+_PAIR_HYPOTHESES = {"p-separability": "p_separable", "triangle-freeness": "triangle_free",
+                    "H-noncentrality": "H_noncentral"}
+
+
+def _failed_hypothesis(needs: tuple, G: Group, p: int,
+                       report: VerificationReport) -> str | None:
+    """The first hypothesis in ``needs`` that fails for the pair, or None.  The
+    two derived ones are worked out only when a check that needs them is reached."""
+    for name in needs:
+        if name in _PAIR_HYPOTHESES:
+            holds = report.hypotheses[_PAIR_HYPOTHESES[name]]
+        elif name == "H-non-prime-power-order":
+            try:
+                h_order = p_complement(G, p).order
+            except Exception:  # left open: the check's own call records the failure
+                holds = True
+            else:
+                holds = h_order != 1 and not is_prime_power(h_order)
+        else:  # "case-classification-failed", read off the check run just before
+            holds = report.checks[-1].status == "pass"
+        if not holds:
+            return name
+    return None
+
+
 def _unverified_report(G: Group, p: int, exc: Exception) -> VerificationReport:
     """The report of a pair whose hypotheses could not be computed: no
     hypothesis or graph, and every check a failure naming the exception."""
@@ -509,7 +556,6 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
         tf = is_triangle_free(graph)
     except Exception as exc:  # nor may a failure in the hypotheses
         return _unverified_report(G, p, exc)
-    noncentral = bool(graph.vertices)
 
     report = VerificationReport(
         group_name=G.name,
@@ -518,7 +564,7 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
         hypotheses={
             "p_separable": separable,
             "triangle_free": tf,
-            "H_noncentral": noncentral,
+            "H_noncentral": bool(graph.vertices),
         },
         checks=[],
         graph_summary={
@@ -528,77 +574,22 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
             "shape": graph.shape,
         },
     )
-
-    case_holder: dict[str, ComplementCase] = {}
-
-    def run(check_id: str, fn, gate: str | None = None):
-        if gate is not None:
+    for check_id, needs, check, severe in _CHECKS:
+        failed = _failed_hypothesis(needs, G, p, report)
+        if failed is not None:
             report.checks.append(CheckResult(check_id, "skipped",
-                                             f"hypothesis failed: {gate}", 0.0))
-            return
+                                             f"hypothesis failed: {failed}", 0.0))
+            continue
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = check(G, p, graph)
             status = "pass" if ok else "fail"
         except Exception as exc:  # one broken check must not abort a corpus run
-            ok, status, detail = False, "fail", f"{type(exc).__name__}: {exc}"
+            status, detail = "fail", f"{type(exc).__name__}: {exc}"
         ms = (time.perf_counter() - t0) * 1000.0
         report.checks.append(CheckResult(check_id, status, detail, ms))
-        if status == "fail" and check_id in _COUNTEREXAMPLE_CHECKS:
+        if severe and status == "fail":
             report.counterexample = True
-
-    sep_gate = None if separable else "p-separability"
-    tf_gate = None if tf else "triangle-freeness"
-    nc_gate = None if noncentral else "H-noncentrality"
-
-    run("class-equation", lambda: _check_class_equation(G))
-    run("normal-class-divisibility", lambda: _check_normal_class_divisibility(G))
-    run("quotient-class-divisibility", lambda: _check_quotient_class_divisibility(G))
-    run("coprime-commuting-divisibility",
-        lambda: _check_coprime_commuting_divisibility(G))
-    run("p-regular-count-stable", lambda: _check_count_stable(G, p))
-    run("graph-consistency", lambda: _check_graph_consistency(G, graph))
-    run("two-complete-components", lambda: _check_two_complete_components(graph),
-        gate=sep_gate)
-    run("diameter-bound", lambda: _check_diameter_bound(graph), gate=sep_gate)
-    run("disconnected-p-structure",
-        lambda: _check_disconnected_structure(G, p, graph), gate=sep_gate)
-    run("coprime-span-structure", lambda: _check_coprime_span(G, p, graph),
-        gate=sep_gate or nc_gate)
-    run("class-size-product-form",
-        lambda: _check_class_size_criterion(G, p, "pi_number"), gate=sep_gate)
-    run("class-size-abelian-hall",
-        lambda: _check_class_size_criterion(G, p, "pi_prime_number"),
-        gate=sep_gate)
-
-    h_pp_gate = sep_gate or tf_gate or nc_gate
-    if h_pp_gate is None:
-        try:
-            h_order = p_complement(G, p).order
-        except Exception:  # the gate stays open: the check's own call records it
-            pass
-        else:
-            if h_order == 1 or is_prime_power(h_order):
-                h_pp_gate = "H-non-prime-power-order"
-    run("central-intersection-bound",
-        lambda: _check_central_intersection(G, p), gate=h_pp_gate)
-    run("triangle-free-soluble", lambda: _check_soluble(G),
-        gate=sep_gate or tf_gate)
-
-    def run_case():
-        case = complement_case(G, p)
-        case_holder["case"] = case
-        return True, f"case {case.case}, shape {case.shape}, {case.details}"
-
-    run("case-classification", run_case, gate=sep_gate or tf_gate or nc_gate)
-
-    if "case" in case_holder:
-        run("shape-refinement",
-            lambda: _check_shape_refinement(G, p, graph, case_holder["case"]))
-    else:
-        run("shape-refinement", lambda: (False, "unreachable"),
-            gate=sep_gate or tf_gate or nc_gate or "case-classification-failed")
-
     return report
 
 

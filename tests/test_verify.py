@@ -20,7 +20,7 @@ from classgraph.classify import is_frobenius
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
 from classgraph.errors import (HallSearchExhausted, InvalidParameter, LatticeCapExceeded,
-                               PreconditionViolated)
+                               NoCaseMatches, PreconditionViolated)
 from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, class_index, conjugacy_classes,
@@ -265,6 +265,60 @@ def test_a_hall_search_failure_in_a_gate_fails_only_its_check(atlas_groups, monk
     assert (_by_id(after)[gated].status, _by_id(after)[gated].detail) == failed
     summary = run_corpus([G])
     assert len(summary.reports) == len(primes_for(G, ("all",)))  # the run completes
+
+
+def test_a_case_classification_failure_skips_shape_refinement_and_is_a_counterexample(
+        atlas_groups, monkeypatch):
+    # no atlas or natural-corpus pair fails case-classification, so one is made
+    # to: C7:C3 at p = 2 is case ii, shape c, with every check passing
+    G, other = atlas_groups["C7:C3"], atlas_groups["C3:C4"]
+    before = verify_pair(G, 2)
+    assert _by_id(before)["case-classification"].status == "pass"
+    real = verify.complement_case
+
+    def unmatched(H, p):
+        if H is G:
+            raise NoCaseMatches("no structural case matches")
+        return real(H, p)
+
+    monkeypatch.setattr(verify, "complement_case", unmatched)
+    summary = run_corpus([other, G], ("list", [2]))
+    report = summary.reports[1]
+    checks = _by_id(report)
+    assert (checks["case-classification"].status, checks["case-classification"].detail) == (
+        "fail", "NoCaseMatches: no structural case matches")
+    assert (checks["shape-refinement"].status, checks["shape-refinement"].detail) == (
+        "skipped", "hypothesis failed: case-classification-failed")
+    for old, new in zip(before.checks[:-2], report.checks[:-2]):
+        assert (new.status, new.detail) == (old.status, old.detail)
+    assert report.counterexample
+    assert not summary.reports[0].counterexample
+    doc = summary.to_json_dict()
+    assert [r["group"] for r in doc["reports"]] == ["C7:C3", "C3:C4"]  # listed first
+    assert doc["summary"]["counterexamples"] == [{"group": "C7:C3", "prime": 2}]
+
+
+def test_each_pair_builds_its_complement_case_once(atlas, monkeypatch):
+    # shape-refinement reads the ComplementCase that case-classification made
+    real, seen = verify.complement_case, []
+
+    def spy(G, p):
+        seen.append(real(G, p))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "complement_case", spy)
+    reached = 0
+    for entry in atlas.values():
+        G = entry.group
+        for p in entry.primes:
+            fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
+            seen.clear()
+            report = verify_pair(fresh, p)
+            if _by_id(report)["shape-refinement"].status == "skipped":
+                continue
+            reached += 1
+            assert len(seen) == 2 and seen[0] is seen[1], (G.name, p)
+    assert reached > 0
 
 
 def test_disconnected_structure_fails_when_no_sylow_centralizes_the_complement(
