@@ -12,10 +12,10 @@ from . import construct
 from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime_power, prime_factors, require_primes
-from .perm import Group, center, conjugacy_classes, subgroup_from_elements
-from .structure import (_Member, _class_centralizer, _class_data, _is_normal, _normal_lattice,
-                        _normal_subgroup, _pi_core, _search_subgroup, coset_classes,
-                        hall_subgroup, is_isomorphic, is_p_separable, is_soluble, p_complement,
+from .perm import Group, _memoised, center, conjugacy_classes, subgroup_from_elements
+from .structure import (_ONE, _Member, _class_centralizer, _class_data, _core_climb, _is_normal,
+                        _normal_lattice, _normal_subgroup, _pi_core, _search_subgroup,
+                        coset_classes, hall_subgroup, is_isomorphic, is_soluble, p_complement,
                         quotient, sylow)
 
 
@@ -71,56 +71,54 @@ def _is_kernel(G: Group, N: _Member) -> bool:
             and all(size[k] % index == 0 for k in N.classes if k))
 
 
+@_memoised
 def is_frobenius(G: Group) -> Optional[FrobeniusWitness]:
     """Search the normal subgroups, as class sets, for the kernel (unique,
     and the only one built as a group), then a complement: a Hall subgroup
     for the primes of the index.  By Schur-Zassenhaus every subgroup of
     order dividing the index lies in a complement, so one greedy pass finds
     one."""
-    def build():
-        if center(G).order > 1:
-            return None  # Frobenius groups have trivial center
-        m = next((m for m in _normal_lattice(G) if _is_kernel(G, m)), None)
-        if m is None:
-            return None
-        N = _normal_subgroup(G, m)
-        index = G.order // N.order
-        comp = _search_subgroup(G, frozenset(prime_factors(index)), index, f"FrobC({G.name})")
-        _verify_frobenius(G, N, comp)
-        return FrobeniusWitness(kernel=N, complement=comp, kernel_abelian=N.is_abelian(),
-                                complement_abelian=comp.is_abelian())
-    return G._memo("frobenius", build)
+    if center(G).order > 1:
+        return None  # Frobenius groups have trivial center
+    m = next((m for m in _normal_lattice(G) if _is_kernel(G, m)), None)
+    if m is None:
+        return None
+    N = _normal_subgroup(G, m)
+    index = G.order // N.order
+    comp = _search_subgroup(G, frozenset(prime_factors(index)), index, f"FrobC({G.name})")
+    _verify_frobenius(G, N, comp)
+    return FrobeniusWitness(kernel=N, complement=comp, kernel_abelian=N.is_abelian(),
+                            complement_abelian=comp.is_abelian())
 
 
+@_memoised
 def is_quasi_frobenius(G: Group) -> Optional[QuasiFrobeniusWitness]:
     """Apply the Frobenius test to G/Z(G) and pull the witness back to G.
 
     When Z(G) = 1 the test runs on G itself, through the memoised
     ``is_frobenius(G)``, and no quotient is built.
     """
-    def build():
-        Z = center(G)
-        if Z.order == G.order:
+    Z = center(G)
+    if Z.order == G.order:
+        return None
+    if Z.order == 1:
+        w = is_frobenius(G)
+        if w is None:
             return None
-        if Z.order == 1:
-            w = is_frobenius(G)
-            if w is None:
-                return None
-            kern_pre, comp_pre = w.kernel, w.complement
-        else:
-            Q, proj = quotient(G, Z)
-            w = is_frobenius(Q)
-            if w is None:
-                return None
-            kern_pre = subgroup_from_elements(
-                G, [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
-            comp_pre = subgroup_from_elements(
-                G, [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
-        return QuasiFrobeniusWitness(
-            quotient_witness=w, kernel=kern_pre, complement=comp_pre,
-            kernel_abelian=kern_pre.is_abelian(),
-            complement_abelian=comp_pre.is_abelian())
-    return G._memo("quasi_frobenius", build)
+        kern_pre, comp_pre = w.kernel, w.complement
+    else:
+        Q, proj = quotient(G, Z)
+        w = is_frobenius(Q)
+        if w is None:
+            return None
+        kern_pre = subgroup_from_elements(
+            G, [g for g in G.elements if proj[g] in w.kernel], f"K<{G.name}")
+        comp_pre = subgroup_from_elements(
+            G, [g for g in G.elements if proj[g] in w.complement], f"H<{G.name}")
+    return QuasiFrobeniusWitness(
+        quotient_witness=w, kernel=kern_pre, complement=comp_pre,
+        kernel_abelian=kern_pre.is_abelian(),
+        complement_abelian=comp_pre.is_abelian())
 
 
 def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> int:
@@ -157,7 +155,7 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
     require_primes(*pi)
     if len(pi) == 1:
         (p,) = pi
-        if not is_p_separable(G, p)[0]:
+        if not _core_climb(G, p)[0]:
             raise PreconditionViolated(f"{G.name!r} is not {p}-separable")
     elif not is_soluble(G)[0]:
         raise PreconditionViolated(f"{G.name!r} is not soluble")
@@ -167,7 +165,8 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
     if mode == "pi_number":
         lhs = all(is_pi_number(c.size, pi) for c in pi_classes)
         others = frozenset(prime_factors(G.order)) - pi
-        rhs = _pi_core(G, pi).order * _pi_core(G, others).order == G.order
+        one = _ONE.classes
+        rhs = _pi_core(G, pi, one).order * _pi_core(G, others, one).order == G.order
         return lhs, rhs
     if mode == "pi_prime_number":
         lhs = all(not any(q in pi for q in c.prime_support) for c in pi_classes)
@@ -198,11 +197,13 @@ def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
     return subgroup_from_elements(A, A.element_set() & B.element_set(), name)
 
 
+@_memoised
 def _central_meet(G: Group, H: Group) -> Group:
-    """H n Z(G) for H = ``p_complement(G, p)``, memoised on H: once per (G, p)."""
-    return H._memo("central_meet", lambda: intersection_subgroup(H, center(G), "HnZ(G)"))
+    """H n Z(G) for H = ``p_complement(G, p)``: once per (G, p)."""
+    return intersection_subgroup(H, center(G), "HnZ(G)")
 
 
+@_memoised
 def complement_case(G: Group, p: int) -> ComplementCase:
     """Match a (group, prime) pair against the three structural cases.
 
@@ -214,58 +215,56 @@ def complement_case(G: Group, p: int) -> ComplementCase:
     The graph shape must pair with the case, and G must be soluble.  The
     match is memoised per (G, p); a refusal is raised again on each call.
     """
-    def build():
-        if not is_p_separable(G, p)[0]:
-            raise PreconditionViolated(f"{G.name!r} is not {p}-separable")
-        graph = build_graph(G, p)
-        if not is_triangle_free(graph):
-            raise PreconditionViolated(f"graph of {G.name!r} at p={p} has a triangle")
-        if not graph.vertices:
-            raise PreconditionViolated(
-                f"p-complement of {G.name!r} is central at p={p}")
+    if not _core_climb(G, p)[0]:
+        raise PreconditionViolated(f"{G.name!r} is not {p}-separable")
+    graph = build_graph(G, p)
+    if not is_triangle_free(graph):
+        raise PreconditionViolated(f"graph of {G.name!r} at p={p} has a triangle")
+    if not graph.vertices:
+        raise PreconditionViolated(
+            f"p-complement of {G.name!r} is central at p={p}")
 
-        H = p_complement(G, p)
-        matches: list[ComplementCase] = []
+    H = p_complement(G, p)
+    matches: list[ComplementCase] = []
 
-        # the target is built only for a complement of its declared order
-        if H.order == construct.atlas_order(_CASE_III_TARGET):
-            target = construct.atlas_group(_CASE_III_TARGET)
-            if is_isomorphic(H, target):
-                matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
+    # the target is built only for a complement of its declared order
+    if H.order == construct.atlas_order(_CASE_III_TARGET):
+        target = construct.atlas_group(_CASE_III_TARGET)
+        if is_isomorphic(H, target):
+            matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
 
-        if is_prime_power(H.order):
-            q = prime_factors(H.order)[0]
-            matches.append(ComplementCase("i", graph.shape, {"q": q}))
+    if is_prime_power(H.order):
+        q = prime_factors(H.order)[0]
+        matches.append(ComplementCase("i", graph.shape, {"q": q}))
 
-        qf = is_quasi_frobenius(H)
-        if qf is not None and qf.kernel_abelian and qf.complement_abelian:
-            h_primes = prime_factors(H.order)
-            zh = center(H)
-            if (len(h_primes) == 2
-                    and zh.element_set() == _central_meet(G, H).element_set()
-                    and zh.order <= 2):
-                q, r = h_primes
-                matches.append(ComplementCase("ii", graph.shape, {
-                    "q": q, "r": r, "center_order": zh.order,
-                    "kernel_order": qf.kernel.order,
-                    "complement_order": qf.complement.order}))
+    qf = is_quasi_frobenius(H)
+    if qf is not None and qf.kernel_abelian and qf.complement_abelian:
+        h_primes = prime_factors(H.order)
+        zh = center(H)
+        if (len(h_primes) == 2
+                and zh.element_set() == _central_meet(G, H).element_set()
+                and zh.order <= 2):
+            q, r = h_primes
+            matches.append(ComplementCase("ii", graph.shape, {
+                "q": q, "r": r, "center_order": zh.order,
+                "kernel_order": qf.kernel.order,
+                "complement_order": qf.complement.order}))
 
-        if not matches:
-            raise NoCaseMatches(
-                f"({G.name}, p={p}): no structural case matches (|H|={H.order})")
-        if len(matches) > 1:
-            raise NoCaseMatches(
-                f"({G.name}, p={p}): ambiguous case match "
-                f"{[m.case for m in matches]}")
-        result = matches[0]
-        if result.shape not in _CASE_SHAPES[result.case]:
-            raise NoCaseMatches(
-                f"({G.name}, p={p}): case {result.case} paired with shape "
-                f"{result.shape!r}")
-        if not is_soluble(G)[0]:
-            raise NoCaseMatches(f"({G.name}, p={p}): group is not soluble")
-        return result
-    return G._memo(("complement_case", p), build)
+    if not matches:
+        raise NoCaseMatches(
+            f"({G.name}, p={p}): no structural case matches (|H|={H.order})")
+    if len(matches) > 1:
+        raise NoCaseMatches(
+            f"({G.name}, p={p}): ambiguous case match "
+            f"{[m.case for m in matches]}")
+    result = matches[0]
+    if result.shape not in _CASE_SHAPES[result.case]:
+        raise NoCaseMatches(
+            f"({G.name}, p={p}): case {result.case} paired with shape "
+            f"{result.shape!r}")
+    if not is_soluble(G)[0]:
+        raise NoCaseMatches(f"({G.name}, p={p}): group is not soluble")
+    return result
 
 
 def is_elementary_abelian(G: Group) -> bool:

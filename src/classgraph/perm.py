@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import wraps
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -22,6 +23,21 @@ DEFAULT_MAX_ORDER = 20000
 # the sort key of Permutation.__lt__, read in C
 _images = attrgetter("images")
 _first, _second = itemgetter(0), itemgetter(1)
+_MISSING = object()
+
+
+def _memoised(fn: Callable) -> Callable:
+    """Memoise ``fn(G, *args)`` in ``G._cache``, keyed by ``fn`` alone or by
+    ``(fn, *args)``; no keyword arguments.  Nothing is stored when ``fn``
+    raises, so a refusal is raised again on every call."""
+    @wraps(fn)
+    def cached(G, *args):
+        key = (fn, *args) if args else fn
+        out = G._cache.get(key, _MISSING)
+        if out is _MISSING:
+            out = G._cache[key] = fn(G, *args)
+        return out
+    return cached
 
 
 class Permutation:
@@ -267,8 +283,7 @@ class Group:
     first read.
     """
 
-    __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made",
-                 "_element_set", "_cache")
+    __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made", "_cache")
 
     def __init__(self, name: str, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...]):
@@ -277,7 +292,7 @@ class Group:
         self.generators = generators
         self.order = len(elements)
         self._elements = elements
-        self._images = self._made = self._element_set = None
+        self._images = self._made = None
         self._cache: dict = {}
 
     @classmethod
@@ -322,37 +337,34 @@ class Group:
         """The group's own identity element, listed first."""
         return self._at(0)
 
+    @_memoised
     def element_set(self) -> frozenset[Permutation]:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements)
-        return self._element_set
+        return frozenset(self.elements)
 
+    @_memoised
     def is_abelian(self) -> bool:
-        def build():
-            mul = self.product()
-            return all(mul(a, b) is mul(b, a)
-                       for a in self.generators for b in self.generators)
-        return self._memo("abelian", build)
+        mul = self.product()
+        return all(mul(a, b) is mul(b, a) for a in self.generators for b in self.generators)
 
+    @_memoised
     def base(self) -> tuple[int, ...]:
         """Points whose images separate the elements, chosen greedily: a
         point joins when an element of the pointwise stabilizer of the base
         so far moves it (so its images split elements the base does not),
         and the stabilizer keeps the elements fixing it.  The identity group
         has the empty base."""
-        def build():
-            base: list[int] = []
-            stab = self._images or list(map(_images, self.elements))
-            for b in range(self.degree):
-                if len(stab) == 1:
-                    break
-                fixing = [x for x in stab if x[b] == b]
-                if len(fixing) < len(stab):
-                    base.append(b)
-                    stab = fixing
-            return tuple(base)
-        return self._memo("base", build)
+        base: list[int] = []
+        stab = self._images or list(map(_images, self.elements))
+        for b in range(self.degree):
+            if len(stab) == 1:
+                break
+            fixing = [x for x in stab if x[b] == b]
+            if len(fixing) < len(stab):
+                base.append(b)
+                stab = fixing
+        return tuple(base)
 
+    @_memoised
     def product(self) -> Callable[[Permutation, Permutation], Permutation]:
         """Multiplication of members, returning the group's own elements.
 
@@ -364,22 +376,15 @@ class Group:
         entry points check their inputs (see ``require_members``), and
         products of members are members.
         """
-        def build():
-            base = self.base()
-            if len(base) == 1:  # a scalar key: about 4x cheaper than a 1-tuple
-                (b,) = base
-                by_image = {x.images[b]: x for x in self.elements}
-                return lambda x, y: by_image[y.images[x.images[b]]]
-            at_base = _then(base)
-            by_images = {at_base(x.images): x for x in self.elements}
-            getter = {x: _then(k) for k, x in by_images.items()}
-            return lambda x, y: by_images[getter[x](y.images)]
-        return self._memo("product", build)
-
-    def _memo(self, key: str, fn: Callable):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        base = self.base()
+        if len(base) == 1:  # a scalar key: about 4x cheaper than a 1-tuple
+            (b,) = base
+            by_image = {x.images[b]: x for x in self.elements}
+            return lambda x, y: by_image[y.images[x.images[b]]]
+        at_base = _then(base)
+        by_images = {at_base(x.images): x for x in self.elements}
+        getter = {x: _then(k) for k, x in by_images.items()}
+        return lambda x, y: by_images[getter[x](y.images)]
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order={self.order}, degree={self.degree})"
@@ -558,9 +563,10 @@ def closed_subgroup(G: Group, gens: Sequence[Permutation], elems: Iterable[Permu
                     name: str) -> Group:
     """The subgroup of G that ``gens`` generate, from its closed set of G's
     own elements, listed sorted.  It shares G's ``base()``, which separates
-    them, and G's ``product()``, which returns them, so it builds neither."""
+    them, and G's ``product()``, which returns them, so it builds neither
+    (both go in H's cache under their ``_memoised`` keys)."""
     H = Group(name, G.degree, tuple(gens), tuple(sorted(elems, key=_images)))
-    H._cache["base"], H._cache["product"] = G.base(), G.product()
+    H._cache.update((shared.__wrapped__, shared(G)) for shared in (Group.base, Group.product))
     return H
 
 
@@ -597,12 +603,11 @@ def centralizer(G: Group, x: Permutation) -> Group:
     return subgroup_from_elements(G, elems, f"C_{G.name}({x.cycle_string()})")
 
 
+@_memoised
 def center(G: Group) -> Group:
     """The elements whose conjugacy class is a single point."""
-    def build():
-        elems = [c.representative for c in conjugacy_classes(G) if c.is_central]
-        return subgroup_from_elements(G, elems, f"Z({G.name})")
-    return G._memo("center", build)
+    elems = [c.representative for c in conjugacy_classes(G) if c.is_central]
+    return subgroup_from_elements(G, elems, f"Z({G.name})")
 
 
 def _right_table(G: Group) -> list[array]:
@@ -659,6 +664,7 @@ def _conjugation_tables(G: Group) -> list[list[int]]:
             for g, r in zip(G.generators, right)]
 
 
+@_memoised
 def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
     """Conjugacy classes as lists of element positions, keyed by their least
     element and in order of their first element.
@@ -669,68 +675,61 @@ def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
     generators in order.  The least element is read off the encoded
     images, so only the representatives become ``Permutation``s.
     """
-    def build():
-        n = G.order
-        conj = _conjugation_tables(G)
-        keys = G._images or list(map(_images, G.elements))  # ordered as the elements
-        seen = bytearray(n)
-        orbits = {}
-        for i in range(n):
-            if seen[i]:
-                continue
-            seen[i] = 1
-            orbit = [i]
-            for y in orbit:
-                for c in conj:
-                    z = c[y]
-                    if not seen[z]:
-                        seen[z] = 1
-                        orbit.append(z)
-            orbits[G._at(min(orbit, key=keys.__getitem__))] = orbit
-        return orbits
-    return G._memo("class_orbits", build)
+    n = G.order
+    conj = _conjugation_tables(G)
+    keys = G._images or list(map(_images, G.elements))  # ordered as the elements
+    seen = bytearray(n)
+    orbits = {}
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for y in orbit:
+            for c in conj:
+                z = c[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        orbits[G._at(min(orbit, key=keys.__getitem__))] = orbit
+    return orbits
 
 
+@_memoised
 def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
     """All conjugacy classes, sorted by (size, element order, representative)."""
-    def build():
-        classes = []
-        for rep, orbit in _class_orbits(G).items():
-            size = len(orbit)
-            classes.append(ConjClass(
-                representative=rep,
-                size=size,
-                element_order=rep.order(),
-                is_central=(size == 1),
-                prime_support=frozenset(prime_factors(size)) if size > 1 else frozenset(),
-            ))
-        classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
-        return tuple(classes)
-    return G._memo("classes", build)
+    classes = []
+    for rep, orbit in _class_orbits(G).items():
+        size = len(orbit)
+        classes.append(ConjClass(
+            representative=rep,
+            size=size,
+            element_order=rep.order(),
+            is_central=(size == 1),
+            prime_support=frozenset(prime_factors(size)) if size > 1 else frozenset(),
+        ))
+    classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
+    return tuple(classes)
 
 
+@_memoised
 def class_elements(G: Group, cls: ConjClass) -> frozenset[Permutation]:
     """The full element set of a conjugacy class of G, made on first call."""
-    sets = G._memo("class_sets", dict)
-    rep = cls.representative
-    if rep not in sets:
-        orbit = _class_orbits(G).get(rep)
-        if orbit is None:
-            raise NotAMember("representative is not in any class of this group")
-        sets[rep] = frozenset(map(G.elements.__getitem__, orbit))
-    return sets[rep]
+    orbit = _class_orbits(G).get(cls.representative)
+    if orbit is None:
+        raise NotAMember("representative is not in any class of this group")
+    return frozenset(map(G.elements.__getitem__, orbit))
 
 
+@_memoised
 def class_index(G: Group) -> dict[Permutation, ConjClass]:
     """Cached map from each element of G to its conjugacy class."""
-    def build():
-        orbits, elements = _class_orbits(G), G.elements
-        return {elements[i]: cls for cls in conjugacy_classes(G)
-                for i in orbits[cls.representative]}
-    return G._memo("class_index", build)
+    orbits, elements = _class_orbits(G), G.elements
+    return {elements[i]: cls for cls in conjugacy_classes(G)
+            for i in orbits[cls.representative]}
 
 
+@_memoised
 def element_order_map(G: Group) -> dict[Permutation, int]:
     """Cached map from each element to its order, read from its class."""
-    return G._memo("order_map", lambda: {
-        g: cls.element_order for g, cls in class_index(G).items()})
+    return {g: cls.element_order for g, cls in class_index(G).items()}

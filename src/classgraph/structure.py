@@ -12,10 +12,10 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotASubgroup, NotNormal)
 from .numtheory import is_pi_number, pi_part, prime_factors, require_primes
-from .perm import (Group, Permutation, _class_orbits, _images, bulk_conjugate, center,
-                   class_elements, class_index, closed_subgroup, conjugacy_classes,
-                   conjugation_maps, element_order_map, extend_hom, generating_set,
-                   make_group, require_members)
+from .perm import (Group, Permutation, _class_orbits, _images, _memoised, bulk_conjugate,
+                   center, class_elements, class_index, closed_subgroup, conjugacy_classes,
+                   conjugation_maps, extend_hom, generating_set, make_group,
+                   require_members)
 
 ISO_CAP = 1024
 LATTICE_CAP = 10000
@@ -79,43 +79,45 @@ class _ClassData(NamedTuple):
             self.steps[k], chain.from_iterable(map(self.images.__getitem__, positions)))))
 
 
+@_memoised
 def _class_data(G: Group) -> _ClassData:
-    """The lookups that read products of classes off base images, memoised.
+    """The lookups that read products of classes off base images.
 
     As in ``Group.product()``, the base images of x*y are y's images read at
     x's base images, so multiplying a whole class by one representative is
     ``map(key, map(step, images))``, run in C.  Nothing is multiplied here.
     """
-    def build():
-        base = G.base() or (0,)  # only the trivial group has an empty base
-        at_base = itemgetter(*base)  # a scalar for a one-point base
-        classes = conjugacy_classes(G)
-        key: dict = {}
-        images = []
-        for i, c in enumerate(classes):
-            imgs = [x.images for x in class_elements(G, c)]
-            key.update(dict.fromkeys(map(at_base, imgs), i))
-            images.append(imgs)
-        steps = [itemgetter(b) if len(base) == 1 else itemgetter(*b)
-                 for b in (at_base(c.representative.images) for c in classes)]
-        return _ClassData(at_base, key, images, [c.size for c in classes], steps)
-    return G._memo("class_data", build)
+    base = G.base() or (0,)  # only the trivial group has an empty base
+    at_base = itemgetter(*base)  # a scalar for a one-point base
+    classes = conjugacy_classes(G)
+    key: dict = {}
+    images = []
+    for i, c in enumerate(classes):
+        imgs = [x.images for x in class_elements(G, c)]
+        key.update(dict.fromkeys(map(at_base, imgs), i))
+        images.append(imgs)
+    steps = [itemgetter(b) if len(base) == 1 else itemgetter(*b)
+             for b in (at_base(c.representative.images) for c in classes)]
+    return _ClassData(at_base, key, images, [c.size for c in classes], steps)
 
 
+@_memoised
+def _base_images(G: Group) -> list:
+    """Each element's base images, read by ``_ClassData.at_base``."""
+    return list(map(_class_data(G).at_base, map(_images, G.elements)))
+
+
+@_memoised
 def _class_centralizer(G: Group, k: int) -> list[bool]:
     """C_G(x) for the representative x of the k-th class, as a mask over
-    G's elements, memoised per class.  One scan of G compares the base
-    images of x*g and g*x: g's images read at x's base images, and x's
-    images read at g's base images, both made in C."""
-    data = _class_data(G)
-    bases = G._memo("base_images", lambda: list(map(data.at_base, map(_images, G.elements))))
-
-    def build():
-        read = conjugacy_classes(G)[k].representative.images.__getitem__
-        right = (map(read, bases) if not isinstance(bases[0], tuple)
-                 else map(tuple, map(map, repeat(read), bases)))
-        return list(map(eq, map(data.steps[k], map(_images, G.elements)), right))
-    return G._memo(("centralizer", k), build)
+    G's elements.  One scan of G compares the base images of x*g and g*x:
+    g's images read at x's base images, and x's images read at g's base
+    images, both made in C."""
+    bases = _base_images(G)
+    read = conjugacy_classes(G)[k].representative.images.__getitem__
+    right = (map(read, bases) if not isinstance(bases[0], tuple)
+             else map(tuple, map(map, repeat(read), bases)))
+    return list(map(eq, map(_class_data(G).steps[k], map(_images, G.elements)), right))
 
 
 def _class_positions(G: Group, N: Group) -> frozenset[int]:
@@ -150,23 +152,22 @@ class _Member(NamedTuple):
 
     classes: frozenset[int]
     order: int
-    seeds: tuple[Permutation, ...]  # elements whose classes generate it
+    seeds: tuple[Permutation, ...]  # elements whose classes generate it (with N's, over N)
     name: str
 
 
 _ONE = _Member(frozenset({0}), 1, (), "1")  # the identity's class alone
 
 
+@_memoised
 def _normal_subgroup(G: Group, m: _Member) -> Group:
     """m as a ``Group``, memoised per member: the one place where a class set
     becomes a group.  Its elements class by class in position order, its
     generators from one greedy pass over m's seeds, then those elements."""
-    def build():
-        conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
-        elems = [at(i) for k in sorted(m.classes) for i in orbits[conj[k].representative]]
-        gens, _ = generating_set(G, chain(m.seeds, elems), len(elems), lambda n: True)
-        return closed_subgroup(G, gens, elems, m.name)
-    return G._memo(("normal_subgroup", m), build)
+    conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
+    elems = [at(i) for k in sorted(m.classes) for i in orbits[conj[k].representative]]
+    gens, _ = generating_set(G, chain(m.seeds, elems), len(elems), lambda n: True)
+    return closed_subgroup(G, gens, elems, m.name)
 
 
 def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
@@ -185,37 +186,33 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
 # ---------------------------------------------------------------------------
 # derived series and solubility
 
+@_memoised
 def derived_subgroup(G: Group) -> Group:
-    def build():
-        mul = G.product()
-        comms = [mul(mul(~a, ~b), mul(a, b)) for a in G.generators for b in G.generators]
-        return normal_closure(G, comms, f"[{G.name},{G.name}]")
-    return G._memo("derived", build)
+    mul = G.product()
+    comms = [mul(mul(~a, ~b), mul(a, b)) for a in G.generators for b in G.generators]
+    return normal_closure(G, comms, f"[{G.name},{G.name}]")
 
 
+@_memoised
 def is_soluble(G: Group) -> tuple[bool, SeriesCertificate]:
     """Derived-series test; the certificate carries the (possibly stalled) series."""
-    def build():
-        terms = [G]
-        cur = G
-        while cur.order > 1:
-            nxt = derived_subgroup(cur)
-            if nxt.order == cur.order:
-                return False, SeriesCertificate("derived_series", tuple(terms))
-            terms.append(nxt)
-            cur = nxt
-        return True, SeriesCertificate("derived_series", tuple(terms))
-    return G._memo("soluble", build)
+    terms = [G]
+    while terms[-1].order > 1:
+        nxt = derived_subgroup(terms[-1])
+        if nxt.order == terms[-1].order:
+            return False, SeriesCertificate("derived_series", tuple(terms))
+        terms.append(nxt)
+    return True, SeriesCertificate("derived_series", tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # Sylow subgroups and cores
 
+@_memoised
 def sylow(G: Group, p: int) -> Group:
     """A Sylow p-subgroup: the Hall {p}-subgroup, which one greedy pass
     always finds."""
-    return G._memo(("sylow", p), lambda: hall_subgroup(
-        G, frozenset({p}), f"Syl_{p}({G.name})"))
+    return hall_subgroup(G, frozenset({p}), f"Syl_{p}({G.name})")
 
 
 def p_core(G: Group, p: int) -> Group:
@@ -226,37 +223,38 @@ def p_core(G: Group, p: int) -> Group:
 def pi_core(G: Group, primes: frozenset[int]) -> Group:
     """O_pi(G): the largest normal pi-subgroup."""
     require_primes(*primes)
-    return _normal_subgroup(G, _pi_core(G, primes))
+    return _normal_subgroup(G, _pi_core(G, primes, _ONE.classes))
 
 
-def _pi_core(G: Group, primes: frozenset[int], N: _Member = _ONE) -> _Member:
-    """The preimage of O_pi(G/N) for N normal in G (by default N = 1, giving O_pi(G)).
+@_memoised
+def _pi_core(G: Group, primes: frozenset[int], inside: frozenset[int]) -> _Member:
+    """The preimage of O_pi(G/N), N normal in G the union of the classes at
+    ``inside`` (``_ONE.classes`` for N = 1, giving O_pi(G)).
 
     That is the largest normal M >= N with |M:N| a pi-number, grown from N's
     classes as one class set M: for M/N a pi-group, |<M, g>^G:N| is a
     pi-number (so at most |N| * pi_part(|G:N|)) exactly when |ncl(N, g):N|
-    is.  It is memoised per pi and N's classes, builds no ``Group``, and is
-    named by pi and |N| alone, e.g. ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``,
-    or ``1<G`` for the empty prime set.
+    is.  It builds no ``Group``; its seeds are the accepted representatives
+    outside N, and its name reads pi and |N| alone, e.g. ``O_{2,3}(G)``,
+    ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
     """
-    def build():
-        cap = N.order * pi_part(G.order // N.order, primes)
-        M, order = N.classes, N.order
-        gens: list[Permutation] = []
-        for k, cls in enumerate(conjugacy_classes(G)):
-            if not is_pi_number(cls.element_order, primes) or k in N.classes:
+    below = sum(map(_class_data(G).sizes.__getitem__, inside))  # |N|
+    cap = below * pi_part(G.order // below, primes)
+    M, order = inside, below
+    gens: list[Permutation] = []
+    for k, cls in enumerate(conjugacy_classes(G)):
+        if not is_pi_number(cls.element_order, primes) or k in inside:
+            continue
+        if k not in M:  # a class already in M is accepted without a trial
+            grown = _grow(G, M, k, cap)
+            if grown is None or not is_pi_number(grown[1] // below, primes):
                 continue
-            if k not in M:  # a class already in M is accepted without a trial
-                grown = _grow(G, M, k, cap)
-                if grown is None or not is_pi_number(grown[1] // N.order, primes):
-                    continue
-                M, order = grown
-            gens.append(cls.representative)
-        top = G.name if N.order == 1 else f"{G.name} mod |N|={N.order}"
-        pi = ",".join(map(str, sorted(primes)))
-        name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-        return _Member(M, order, (*N.seeds, *gens), name)
-    return G._memo(("pi_core", primes, N.classes), build)
+            M, order = grown
+        gens.append(cls.representative)
+    top = G.name if below == 1 else f"{G.name} mod |N|={below}"
+    pi = ",".join(map(str, sorted(primes)))
+    name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
+    return _Member(M, order, tuple(gens), name)
 
 
 def p_prime_core(G: Group, p: int) -> Group:
@@ -265,10 +263,16 @@ def p_prime_core(G: Group, p: int) -> Group:
     return pi_core(G, frozenset(prime_factors(G.order)) - {p})
 
 
+@_memoised
+def _generator_maps(G: Group) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``conjugation_maps`` of G's generators."""
+    return conjugation_maps(G.generators)
+
+
 def _is_normal(G: Group, N: Group) -> bool:
     """Whether N's generators, conjugated by G's generators, stay in N: for
     a subgroup N of G, whether N is normal.  The maps are made once per G."""
-    maps = G._memo("conjugation_maps", lambda: conjugation_maps(G.generators))
+    maps = _generator_maps(G)
     return all(bulk_conjugate(n, m) in N for n in N.generators for m in maps)
 
 
@@ -292,12 +296,11 @@ def coset_classes(G: Group, N: Group) -> tuple[frozenset[int], ...]:
     return _coset_classes(G, _class_positions(G, N))
 
 
+@_memoised
 def _coset_classes(G: Group, inside: frozenset[int]) -> tuple[frozenset[int], ...]:
-    """``coset_classes`` for the union of the classes at ``inside``, memoised."""
-    def build():
-        support = _class_data(G).support
-        return tuple(frozenset(support(inside, k)) for k in range(len(conjugacy_classes(G))))
-    return G._memo(("coset_classes", inside), build)
+    """``coset_classes`` for the union of the classes at ``inside``."""
+    support = _class_data(G).support
+    return tuple(frozenset(support(inside, k)) for k in range(len(conjugacy_classes(G))))
 
 
 def quotient(G: Group, N: Group) -> Quotient:
@@ -335,36 +338,39 @@ def quotient(G: Group, N: Group) -> Quotient:
 # ---------------------------------------------------------------------------
 # p-separability
 
-def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
-    """Alternating-core series: climb by O_p / O_{p'} until stuck or at G.
-
-    Each step is ``_pi_core(G, {p} or p', N)``, a class set of G: the
-    p-step first, and neither repeats the step before it.  Only the
-    certificate's terms become groups: the series descending in G, each
-    factor tagged, and G in front of a stalled one, a negative answer.
-    """
+@_memoised
+def _core_climb(G: Group, p: int) -> tuple[bool, tuple[_Member, ...], tuple[str, ...]]:
+    """The alternating-core series as class sets, built as no ``Group``:
+    whether it reaches G, its members ascending from 1 (each with the seeds
+    below it), and each step's label.  A step is ``_pi_core(G, {p} or p',
+    N)``, the p-step first, and neither repeats the step before it."""
     require_primes(p)
+    others = frozenset(prime_factors(G.order)) - {p}
+    ascending = [_ONE]
+    labels: list[str] = []
+    while ascending[-1].order < G.order:
+        N = ascending[-1]
+        # O_pi(G/M) = 1 for M/N = O_pi(G/N): a step never repeats the last kind
+        for primes, label in ((frozenset({p}), "p-group"), (others, "p'-group")):
+            if labels[-1:] != [label]:
+                core = _pi_core(G, primes, N.classes)
+                if core.order > N.order:
+                    break
+        else:
+            break
+        ascending.append(core._replace(seeds=N.seeds + core.seeds))
+        labels.append(label)
+    return ascending[-1].order == G.order, tuple(ascending), tuple(labels)
 
-    def build():
-        others = frozenset(prime_factors(G.order)) - {p}
-        ascending = [_ONE]
-        labels: list[str] = []
-        while ascending[-1].order < G.order:
-            N = ascending[-1]
-            # O_pi(G/M) = 1 for M/N = O_pi(G/N): a step never repeats the last kind
-            for primes, label in ((frozenset({p}), "p-group"), (others, "p'-group")):
-                if labels[-1:] != [label]:
-                    core = _pi_core(G, primes, N)
-                    if core.order > N.order:
-                        break
-            else:
-                break
-            ascending.append(core)
-            labels.append(label)
-        ok = ascending[-1].order == G.order
-        terms = ([] if ok else [G]) + [_normal_subgroup(G, m) for m in reversed(ascending)]
-        return ok, SeriesCertificate("core_series", tuple(terms), tuple(labels[::-1]))
-    return G._memo(("p_separable", p), build)
+
+@_memoised
+def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
+    """Alternating-core series: ``_core_climb``, by O_p / O_{p'} until stuck
+    or at G, with the certificate's terms built as groups: the series
+    descending in G, each factor tagged, and G in front of a stalled one."""
+    ok, ascending, labels = _core_climb(G, p)
+    terms = ([] if ok else [G]) + [_normal_subgroup(G, m) for m in reversed(ascending)]
+    return ok, SeriesCertificate("core_series", tuple(terms), labels[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -411,80 +417,77 @@ def hall_subgroup(G: Group, primes: frozenset[int], name: str | None = None) -> 
         name or f"Hall_{{{','.join(map(str, sorted(primes)))}}}({G.name})")
 
 
+@_memoised
 def p_complement(G: Group, p: int) -> Group:
     """A Hall p'-subgroup.  Exists whenever G is p-separable, and then one
     greedy pass finds it; elsewhere see ``hall_subgroup``."""
     require_primes(p)
-    others = frozenset(prime_factors(G.order)) - {p}
-    return G._memo(("p_complement", p),
-                   lambda: hall_subgroup(G, others, f"Hall_{p}'({G.name})"))
+    return hall_subgroup(G, frozenset(prime_factors(G.order)) - {p}, f"Hall_{p}'({G.name})")
 
 
 # ---------------------------------------------------------------------------
 # normal subgroups
 
+@_memoised
 def _normal_lattice(G: Group) -> tuple[_Member, ...]:
-    """The normal subgroups of G as class sets, seeds first, memoised.  A
+    """The normal subgroups of G as class sets, seeds first.  A
     normal subgroup is the join of the seeds (single-class normal closures)
     it contains, so each member is joined only with the seeds it neither
     contains nor lies in; the join with the seed ncl(x_k) is ``_grow`` by k."""
-    def build():
-        data, classes, ident = _class_data(G), conjugacy_classes(G), frozenset({0})
-        # classes -> (order, seed representatives, name) of each member
-        lattice = {ident: (1, (), f"1<{G.name}")}
-        seeds: dict[frozenset[int], int] = {}  # classes of ncl(x_k) -> k
-        mul = G.product()
-        done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
-        for k in range(1, len(classes)):
-            if k in done:
-                continue
-            x = power = classes[k].representative
-            n = classes[k].element_order
-            for j in range(1, n):
-                if math.gcd(j, n) == 1:
-                    done.add(data.position(power))
-                power = mul(power, x)
-            S, order = _grow(G, ident, k)
-            if S not in seeds:
-                seeds[S] = k
-                lattice[S] = (order, (x,), f"ncl{len(lattice)}<{G.name}")
-        frontier = list(lattice)
-        while frontier:
-            new = []
-            for A in frontier:
-                for S, k in seeds.items():
-                    if S <= A or A <= S:
-                        continue  # the join is A or S, both found already
-                    join, order = _grow(G, A, k)
-                    if join not in lattice:
-                        lattice[join] = (order, lattice[A][1] + (classes[k].representative,),
-                                         f"join{len(lattice)}<{G.name}")
-                        new.append(join)
-                    if len(lattice) > LATTICE_CAP:
-                        raise LatticeCapExceeded(
-                            f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
-            frontier = new
-        return tuple(_Member(c, *rest) for c, rest in lattice.items())
-    return G._memo("normal_lattice", build)
+    data, classes, ident = _class_data(G), conjugacy_classes(G), frozenset({0})
+    # classes -> (order, seed representatives, name) of each member
+    lattice = {ident: (1, (), f"1<{G.name}")}
+    seeds: dict[frozenset[int], int] = {}  # classes of ncl(x_k) -> k
+    mul = G.product()
+    done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
+    for k in range(1, len(classes)):
+        if k in done:
+            continue
+        x = power = classes[k].representative
+        n = classes[k].element_order
+        for j in range(1, n):
+            if math.gcd(j, n) == 1:
+                done.add(data.position(power))
+            power = mul(power, x)
+        S, order = _grow(G, ident, k)
+        if S not in seeds:
+            seeds[S] = k
+            lattice[S] = (order, (x,), f"ncl{len(lattice)}<{G.name}")
+    frontier = list(lattice)
+    while frontier:
+        new = []
+        for A in frontier:
+            for S, k in seeds.items():
+                if S <= A or A <= S:
+                    continue  # the join is A or S, both found already
+                join, order = _grow(G, A, k)
+                if join not in lattice:
+                    lattice[join] = (order, lattice[A][1] + (classes[k].representative,),
+                                     f"join{len(lattice)}<{G.name}")
+                    new.append(join)
+                if len(lattice) > LATTICE_CAP:
+                    raise LatticeCapExceeded(
+                        f"more than {LATTICE_CAP} normal subgroups in {G.name!r}")
+        frontier = new
+    return tuple(_Member(c, *rest) for c, rest in lattice.items())
 
 
+@_memoised
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """All normal subgroups as groups, sorted by order, then elements."""
-    return G._memo("normals", lambda: tuple(sorted(
-        (_normal_subgroup(G, m) for m in _normal_lattice(G)),
-        key=lambda N: (N.order, [g.images for g in N.elements]))))
+    return tuple(sorted((_normal_subgroup(G, m) for m in _normal_lattice(G)),
+                        key=lambda N: (N.order, [g.images for g in N.elements])))
 
 
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
+@_memoised
 def _fingerprint(G: Group) -> tuple:
-    def build():
-        orders = sorted(element_order_map(G).values())
-        sizes = sorted(c.size for c in conjugacy_classes(G))
-        return (G.order, tuple(orders), tuple(sizes), center(G).order,
-                derived_subgroup(G).order)
-    return G._memo("fingerprint", build)
+    classes = conjugacy_classes(G)
+    orders = sorted(chain.from_iterable(repeat(c.element_order, c.size) for c in classes))
+    return (G.order, tuple(orders), tuple(sorted(c.size for c in classes)), center(G).order,
+            derived_subgroup(G).order)
 
 
 def _minimal_generating_sequence(G: Group) -> list[Permutation]:

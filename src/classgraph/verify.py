@@ -6,9 +6,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 
 from . import construct
 from .classify import (_central_meet, _elementary_abelian_over,
@@ -19,10 +17,10 @@ from .errors import InvalidParameter
 from .graph import (ClassGraph, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors, require_primes
-from .perm import Group, center, class_index, conjugacy_classes
-from .structure import (ISO_CAP, _Member, _class_centralizer, _class_data, _coset_classes,
-                        _is_normal, _normal_lattice, _pi_core, hall_subgroup, is_isomorphic,
-                        is_p_separable, is_soluble, p_complement, p_core, quotient)
+from .perm import Group, _class_orbits, _memoised, center, class_index, conjugacy_classes
+from .structure import (_ONE, ISO_CAP, _Member, _class_centralizer, _class_data, _core_climb,
+                        _coset_classes, _is_normal, _normal_lattice, _pi_core, hall_subgroup,
+                        is_isomorphic, is_soluble, p_complement, p_core, quotient)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -78,12 +76,11 @@ def _stride_sample(items: tuple, limit: int = _SAMPLE_LIMIT) -> list:
     return [items[i] for i in idx]
 
 
+@_memoised
 def _mod_p_core(G: Group, p: int) -> Group:
-    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group, memoised."""
+    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group."""
     core = p_core(G, p)
-    if core.order == 1:
-        return G
-    return G._memo(("quotient", core.element_set()), lambda: quotient(G, core)).group
+    return G if core.order == 1 else quotient(G, core).group
 
 
 # ---------------------------------------------------------------------------
@@ -96,38 +93,41 @@ def _check_class_equation(G: Group):
             f"sum of class sizes {total} vs order {G.order}")
 
 
+@_memoised
+def _centralizer_count(G: Group, k: int) -> list[int]:
+    """|C_G(x_k) n C_j| for x_k the k-th class's representative, per class
+    position j: C_G(x_k)'s mask read at each class orbit's positions."""
+    mask, orbits = _class_centralizer(G, k), _class_orbits(G)
+    return [sum(map(mask.__getitem__, orbits[c.representative])) for c in conjugacy_classes(G)]
+
+
 def _inner_class_size(G: Group, N: _Member, k: int) -> int:
     """|cl_N(x)| for x in the k-th class of G and N a lattice member holding
     it: |N| / |C_G(x) n N|, the same for every x in the class since
     C_G(x^g) = C_G(x)^g and N^g = N.  The elements of C_G(x_k) are counted
-    by class of G once per k (memoised), and the counts summed over N's."""
-    where = G._memo("element_classes", lambda: list(map(_class_data(G).position, G.elements)))
-    count = G._memo(("centralizer_count", k),
-                    lambda: Counter(compress(where, _class_centralizer(G, k))))
-    return N.order // sum(n for j, n in count.items() if j in N.classes)
+    by class of G once per k, and the counts summed over N's."""
+    return N.order // sum(map(_centralizer_count(G, k).__getitem__, N.classes))
 
 
+@_memoised
 def _check_normal_class_divisibility(G: Group):
     # a failure counts every element of its class, as a scan over N would;
     # N = G has none, since |cl_G(x)| divides itself
-    def build():
-        lattice, size = _normal_lattice(G), _class_data(G).sizes
-        bad = sum(size[k] for N in lattice if N.order < G.order for k in N.classes
-                  if size[k] % _inner_class_size(G, N, k))
-        return (bad == 0,
-                f"{len(lattice)} normal subgroups sampled, {bad} divisibility failures")
-    return G._memo("normal_div_check", build)
+    lattice, size = _normal_lattice(G), _class_data(G).sizes
+    bad = sum(size[k] for N in lattice if N.order < G.order for k in N.classes
+              if size[k] % _inner_class_size(G, N, k))
+    return (bad == 0,
+            f"{len(lattice)} normal subgroups sampled, {bad} divisibility failures")
 
 
+@_memoised
 def _check_quotient_class_divisibility(G: Group):
     # |cl_{G/N}(xN)| = |cl_G(x)N| / |N|, summed over the classes of cl_G(x)N
-    def build():
-        size = _class_data(G).sizes
-        bad = sum(1 for N in _normal_lattice(G) if 1 < N.order < G.order
-                  for s, over in zip(size, _coset_classes(G, N.classes))
-                  if s % (sum(map(size.__getitem__, over)) // N.order))
-        return bad == 0, f"{bad} coset-class divisibility failures"
-    return G._memo("quotient_div_check", build)
+    size = _class_data(G).sizes
+    bad = sum(1 for N in _normal_lattice(G) if 1 < N.order < G.order
+              for s, over in zip(size, _coset_classes(G, N.classes))
+              if s % (sum(map(size.__getitem__, over)) // N.order))
+    return bad == 0, f"{bad} coset-class divisibility failures"
 
 
 def _prime_part_powers(z, n: int, mul) -> list:
@@ -156,37 +156,33 @@ def _prime_part_powers(z, n: int, mul) -> list:
     return parts
 
 
+@_memoised
 def _check_coprime_commuting_divisibility(G: Group):
     # commuting x, y of coprime orders are the pi- and pi'-parts of z = xy,
     # pi the primes of o(x); so each z in G gives one pair per subset pi of
     # the primes of o(z), and a pair counts when both parts are sampled
-    def build():
-        classes = class_index(G)
-        mul = G.product()
-        ident = G.identity
-        sampled = set(_stride_sample(G.elements))
-        bad = 0
-        checked = 0
-        for z in G.elements:
-            cz = classes[z]
-            n = cz.element_order
-            pi_parts = [ident]  # pi_parts[m]: the product of the q-parts in bitmask m
-            for zq in _prime_part_powers(z, n, mul):
-                pi_parts += [zq] + [mul(x, zq) for x in pi_parts[1:]]
-            full = len(pi_parts) - 1
-            sz = cz.size
-            for m, x in enumerate(pi_parts):
-                y = pi_parts[full ^ m]
-                if x in sampled and y in sampled:
-                    checked += 1
-                    if sz % classes[x].size != 0 or sz % classes[y].size != 0:
-                        bad += 1
-        return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
-    return G._memo("coprime_div_check", build)
+    classes = class_index(G)
+    mul, ident = G.product(), G.identity
+    sampled = set(_stride_sample(G.elements))
+    bad = checked = 0
+    for z in G.elements:
+        cz = classes[z]
+        pi_parts = [ident]  # pi_parts[m]: the product of the q-parts in bitmask m
+        for zq in _prime_part_powers(z, cz.element_order, mul):
+            pi_parts += [zq] + [mul(x, zq) for x in pi_parts[1:]]
+        full = len(pi_parts) - 1
+        sz = cz.size
+        for m, x in enumerate(pi_parts):
+            y = pi_parts[full ^ m]
+            if x in sampled and y in sampled:
+                checked += 1
+                if sz % classes[x].size != 0 or sz % classes[y].size != 0:
+                    bad += 1
+    return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
 
 
 def _check_count_stable(G: Group, p: int):
-    core = _pi_core(G, frozenset({p}))  # O_p(G) as a class set
+    core = _pi_core(G, frozenset({p}), _ONE.classes)  # O_p(G) as a class set
     if core.order == 1:
         return (True, "trivial p-core; counts agree by construction")
     a = count_p_regular_classes(G, p)
@@ -260,7 +256,7 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
 
     if p not in pi0:
         p_prime = frozenset(prime_factors(G.order)) - {p}
-        if _pi_core(G, p_prime).order != G.order // p_part(G.order, p):
+        if _pi_core(G, p_prime, _ONE.classes).order != G.order // p_part(G.order, p):
             return False, "group is not p-nilpotent"
         if not qf_ok():
             return False, "p-complement is not quasi-Frobenius with abelian parts"
@@ -551,7 +547,7 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
     """
     require_primes(p)
     try:
-        separable, _ = is_p_separable(G, p)
+        separable = _core_climb(G, p)[0]
         graph = build_graph(G, p)
         tf = is_triangle_free(graph)
     except Exception as exc:  # nor may a failure in the hypotheses

@@ -250,16 +250,16 @@ def test_pi_core_over_matches_naive(gens):
     for N in structure._normal_lattice(G):
         for p in primes:
             for pi in (frozenset({p}), frozenset(primes) - {p}):
-                core = structure._pi_core(G, pi, N)
+                core = structure._pi_core(G, pi, N.classes)
                 expected = naive_pi_core_over(G.elements, pi, _member_elements(G, N))
                 assert _member_elements(G, core) == expected
                 assert core.order == len(expected)
 
 
 def test_a_pi_core_memo_hit_builds_no_group(monkeypatch):
-    # _pi_core is memoised on N's classes and builds no Group, and pi_core
-    # builds its one Group through the per-member memo: a repeat call of
-    # either grows and builds nothing
+    # _pi_core is memoised on N's classes (equal sets, not one object) and
+    # builds no Group, and pi_core builds its one Group through the
+    # per-member memo: a repeat call of either grows and builds nothing
     s4 = symmetric(4)
     built, grown = [], []
     real_build, real_grow = structure._normal_subgroup, structure._grow
@@ -274,11 +274,10 @@ def test_a_pi_core_memo_hit_builds_no_group(monkeypatch):
         return real_grow(*args, **kwargs)
     monkeypatch.setattr(structure, "_normal_subgroup", recording)
     monkeypatch.setattr(structure, "_grow", growing)
-    member = structure._pi_core(s4, frozenset({2}))
+    member = structure._pi_core(s4, frozenset({2}), frozenset({0}))
     assert member.order == 4 and grown and built == []
     grown.clear()
-    trivial = structure._Member(frozenset({0}), 1, (), "another name")
-    assert structure._pi_core(s4, frozenset({2}), trivial) is member
+    assert structure._pi_core(s4, frozenset({2}), frozenset([0])) is member
     core = pi_core(s4, frozenset({2}))
     assert built == [core] and core.name == member.name
     assert pi_core(s4, frozenset({2})) is core and p_core(s4, 2) is core
@@ -292,9 +291,8 @@ def test_core_name_does_not_depend_on_first_caller():
     is_p_separable(after, 2)
     assert p_prime_core(after, 2).name == name == "O_{3}(Sigma3)"
     assert pi_core(after, frozenset({2, 3})).name == "O_{2,3}(Sigma3)"
-    N = structure._pi_core(after, frozenset({3}))
-    for M in (N._replace(name="another name"), N):
-        assert structure._pi_core(after, frozenset({2}), M).name == "O_{2}(Sigma3 mod |N|=3)"
+    N = structure._pi_core(after, frozenset({3}), structure._ONE.classes)
+    assert structure._pi_core(after, frozenset({2}), N.classes).name == "O_{2}(Sigma3 mod |N|=3)"
     assert p_prime_core(cyclic(4), 2).name == "1<C4"  # no other prime divides |C4|
 
 

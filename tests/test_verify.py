@@ -9,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 import classgraph
-from classgraph import classify, structure, verify
+from classgraph import classify, perm, structure, verify
 from classgraph.classify import is_frobenius
 from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
                                   parse_corpus, symmetric)
@@ -352,14 +353,14 @@ def test_verify_pair_refuses_a_non_prime(p):
 def test_a_failure_in_the_hypotheses_fails_only_its_pair(atlas_groups, monkeypatch):
     groups = [atlas_groups["C7:C6"], atlas_groups["D10"]]
     before = run_corpus(groups)
-    real = verify.is_p_separable
+    real = verify._core_climb
 
     def capped(G, p):
         if G.name == "C7:C6":
             raise LatticeCapExceeded("lattice too large")
         return real(G, p)
 
-    monkeypatch.setattr(verify, "is_p_separable", capped)
+    monkeypatch.setattr(verify, "_core_climb", capped)
     after = run_corpus(groups)  # completes
     assert [(r.group_name, r.prime) for r in after.reports] == \
         [(r.group_name, r.prime) for r in before.reports]
@@ -521,6 +522,56 @@ def test_sampled_coprime_commuting_counts_match_naive(build, pairs):
     assert _assert_coprime_counts_match_naive(G) == pairs
 
 
+_MEMO_CODE = perm._memoised(lambda G: None).__code__  # shared by every memo wrapper
+
+
+def _memoised_functions() -> dict:
+    """Every memoised function of the library, keyed by the function it wraps."""
+    found = chain(vars(Group).values(),
+                  *(vars(m).values() for m in (perm, structure, classify, verify)))
+    return {f.__wrapped__: f for f in found if getattr(f, "__code__", None) is _MEMO_CODE}
+
+
+def test_every_cache_entry_is_a_memo_of_its_call(atlas):
+    # after whole pairs are verified, each entry in the cache of G and of
+    # the groups cached there is keyed by a memoised function and its
+    # arguments, apart from the right table make_group leaves for the class
+    # build; a repeat call of a public one, by its public name, returns the
+    # cached object itself
+    memoised = _memoised_functions()
+    repeated = set()
+    for name in ("C7:C6", "GammaL(1,8)", "E25:Sigma3", "(C5xC5):Q8"):
+        entry = atlas[name]
+        G = make_group(entry.group.generators, name)
+        for p in entry.primes:
+            verify_pair(G, p)
+        seen, todo = set(), [G]
+        while todo:
+            H = todo.pop()
+            if H in seen:
+                continue
+            seen.add(H)
+            for key, value in list(H._cache.items()):
+                if isinstance(value, Group):
+                    todo.append(value)
+                if key == "right_table":
+                    continue
+                fn, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+                assert fn in memoised, (H.name, key)
+                public = memoised[fn].__name__
+                if public.startswith("_"):
+                    continue
+                if hasattr(Group, public):
+                    again = getattr(H, public)(*args)
+                else:
+                    again = getattr(sys.modules[fn.__module__], public)(H, *args)
+                assert again is value, (H.name, public, args)
+                repeated.add(public)
+    assert {"base", "product", "element_set", "conjugacy_classes", "class_elements",
+            "center", "sylow", "p_complement", "is_quasi_frobenius",
+            "complement_case"} <= repeated
+
+
 def test_coprime_commuting_check_walks_the_group_once():
     # each z takes its q-parts by repeated squaring, then its pi-parts as
     # products of q-parts: O(|G| log o(z)) products, not |sample|^2
@@ -533,7 +584,7 @@ def test_coprime_commuting_check_walks_the_group_once():
         nonlocal calls
         calls += 1
         return mul(x, y)
-    G._cache["product"] = counted
+    G._cache[Group.product.__wrapped__] = counted  # product()'s memo key
     verify._check_coprime_commuting_divisibility(G)
     bound = sum(2 * len(prime_factors(n)) * n.bit_length() + 2 ** len(prime_factors(n))
                 for n in orders.values())
