@@ -8,8 +8,10 @@ prime.  Graphs at this scale are analyzed by direct enumeration.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement, compress
 
 from .errors import NoVertices
 from .numtheory import require_primes
@@ -19,10 +21,12 @@ from .structure import normal_closure
 
 @dataclass(frozen=True)
 class ClassGraph:
-    """A class graph: its vertices and edges, from which the rest is read.
+    """A class graph: its vertices and, per vertex, a bitmask of its neighbours.
 
-    ``neighbours``, ``components`` and ``shape`` are computed from the
-    edges on first read and cached; they are not part of the value.
+    ``neighbours[i]`` has bit j set when vertices i and j are adjacent; the
+    masks are symmetric and no vertex is its own neighbour.  ``edges``,
+    ``components`` and ``shape`` are computed from the masks on first read
+    and cached; they are not part of the value.
     Shapes: (a) two isolated vertices, (b) three vertices and one edge,
     (c) two disjoint edges, (d) one vertex, (e) one edge on two vertices,
     (f) a path on three vertices; anything else is "other".
@@ -30,19 +34,16 @@ class ClassGraph:
 
     prime: int | None
     vertices: tuple[ConjClass, ...]
-    edges: frozenset[tuple[int, int]]
+    neighbours: tuple[int, ...]
 
     def vertex_sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.vertices)
 
     @cached_property
-    def neighbours(self) -> tuple[int, ...]:
-        """One bitmask per vertex, bit j set when vertex j is adjacent."""
-        nb = [0] * len(self.vertices)
-        for i, j in self.edges:
-            nb[i] |= 1 << j
-            nb[j] |= 1 << i
-        return tuple(nb)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The pairs (i, j), i < j, of adjacent vertices."""
+        ids = range(len(self.neighbours))
+        return frozenset((i, j) for i in ids for j in _higher(self.neighbours, i, ids))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -61,7 +62,8 @@ class ClassGraph:
 
     @cached_property
     def shape(self) -> str:
-        n, ne, comps = len(self.vertices), len(self.edges), self.components
+        n, comps = len(self.vertices), self.components
+        ne = sum(mask.bit_count() for mask in self.neighbours) // 2
         if n == 1:
             return "d"
         if n == 2:
@@ -74,8 +76,17 @@ class ClassGraph:
             return "c"
         return "other"
 
-    def is_connected(self) -> bool:
-        return len(self.components) <= 1
+
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _higher(nb: tuple[int, ...], i: int, ids: Sequence) -> Iterator:
+    """``ids[j]`` for each neighbour j > i of vertex i, in increasing order of j.
+
+    The bits of ``nb[i] >> (i + 1)``, least first, are read in C: ``bin``
+    reversed, translated to 0/1 bytes, selecting from ``ids[i + 1:]``.
+    """
+    return compress(ids[i + 1:], bin(nb[i] >> i + 1)[:1:-1].encode().translate(_BIT))
 
 
 def _reach(nb: tuple[int, ...], frontier: int) -> int:
@@ -99,15 +110,24 @@ def build_graph(G: Group, p: int | None = None) -> ClassGraph:
         verts = tuple(c for c in conjugacy_classes(G) if not c.is_central)
     else:
         verts = tuple(c for c in p_regular_classes(G, p) if not c.is_central)
-    edges = frozenset((i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
-                      if math.gcd(verts[i].size, verts[j].size) > 1)
-    return ClassGraph(prime=p, vertices=verts, edges=edges)
+    # adjacency depends only on the size: OR each size's vertices into one
+    # mask, join the masks of sizes that share a prime, and drop the own bit
+    by_size: dict[int, int] = {}
+    for i, v in enumerate(verts):
+        by_size[v.size] = by_size.get(v.size, 0) | 1 << i
+    adjacent = dict.fromkeys(by_size, 0)
+    for a, b in combinations_with_replacement(by_size, 2):
+        if math.gcd(a, b) > 1:
+            adjacent[a] |= by_size[b]
+            adjacent[b] |= by_size[a]
+    nb = tuple(adjacent[v.size] & ~(1 << i) for i, v in enumerate(verts))
+    return ClassGraph(prime=p, vertices=verts, neighbours=nb)
 
 
 def is_triangle_free(g: ClassGraph) -> bool:
-    """True iff no three vertices are pairwise adjacent."""
+    """True iff no edge's ends have a common neighbour."""
     nb = g.neighbours
-    return not any(nb[i] & nb[j] for i, j in g.edges)
+    return not any(any(map(nb[i].__and__, _higher(nb, i, nb))) for i in range(len(nb)))
 
 
 def diameter(g: ClassGraph) -> int | None:
@@ -176,7 +196,10 @@ def to_dot(g: ClassGraph, graph_name: str = "gamma") -> str:
     ids = [f'"v{v.size}_{idx}"' for idx, v in enumerate(g.vertices)]
     for vid, v in zip(ids, g.vertices):
         lines.append(f'  {vid} [label="size={v.size}, ord={v.element_order}"];')
-    for i, j in sorted(g.edges):
-        lines.append(f"  {ids[i]} -- {ids[j]};")
+    nb = g.neighbours
+    for i, vid in enumerate(ids):
+        joined = f";\n  {vid} -- ".join(_higher(nb, i, ids))
+        if joined:
+            lines.append(f"  {vid} -- {joined};")
     lines.append("}")
     return "\n".join(lines) + "\n"

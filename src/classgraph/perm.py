@@ -283,7 +283,8 @@ class Group:
     first read.
     """
 
-    __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made", "_cache")
+    __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made",
+                 "_generated", "_cache")
 
     def __init__(self, name: str, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...]):
@@ -293,6 +294,7 @@ class Group:
         self.order = len(elements)
         self._elements = elements
         self._images = self._made = None
+        self._generated = False  # whether ``generators`` are known to generate it
         self._cache: dict = {}
 
     @classmethod
@@ -564,8 +566,10 @@ def closed_subgroup(G: Group, gens: Sequence[Permutation], elems: Iterable[Permu
     """The subgroup of G that ``gens`` generate, from its closed set of G's
     own elements, listed sorted.  It shares G's ``base()``, which separates
     them, and G's ``product()``, which returns them, so it builds neither
-    (both go in H's cache under their ``_memoised`` keys)."""
+    (both go in H's cache under their ``_memoised`` keys).  The class build
+    takes ``gens`` at their word (see ``_right_table``)."""
     H = Group(name, G.degree, tuple(gens), tuple(sorted(elems, key=_images)))
+    H._generated = True
     H._cache.update((shared.__wrapped__, shared(G)) for shared in (Group.base, Group.product))
     return H
 
@@ -616,8 +620,8 @@ def _right_table(G: Group) -> list[array]:
     Taken from the cache where ``make_group`` left it (the class build is its
     only reader, and removes it): every element there was reached as a
     product, so the generators generate G.  Else it is built through the
-    group's product, and a breadth-first pass over it from the identity
-    checks that the generators reach every element.
+    group's product, and unless ``closed_subgroup`` made G, whose generators
+    generate it by contract, ``_require_generated`` checks them.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
@@ -625,12 +629,19 @@ def _right_table(G: Group) -> list[array]:
         pos = {x: i for i, x in enumerate(G.elements)}
         right = [array("I", [pos[mul(x, g)] for x in G.elements])
                  for g in G.generators]
-        reached, frontier = {0}, {0}
-        while frontier:
-            frontier = set().union(*(map(r.__getitem__, frontier) for r in right)) - reached
-            reached |= frontier
-        require(len(reached) == G.order, f"generators of {G.name!r} do not generate it")
+        if not G._generated:
+            _require_generated(G, right)
     return right
+
+
+def _require_generated(G: Group, right: list[array]) -> None:
+    """A breadth-first pass over the right table from the identity: raise
+    InvariantViolated unless the generators reach every element."""
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = set().union(*(map(r.__getitem__, frontier) for r in right)) - reached
+        reached |= frontier
+    require(len(reached) == G.order, f"generators of {G.name!r} do not generate it")
 
 
 def _conjugation_tables(G: Group) -> list[list[int]]:

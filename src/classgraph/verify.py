@@ -14,7 +14,7 @@ from .classify import (_central_meet, _elementary_abelian_over,
                        is_elementary_abelian, is_frobenius, is_quasi_frobenius,
                        pi_class_size_criterion, complement_case)
 from .errors import InvalidParameter
-from .graph import (ClassGraph, build_graph, central_p_prime_part,
+from .graph import (ClassGraph, _higher, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors, require_primes
 from .perm import Group, _class_orbits, _memoised, center, class_index, conjugacy_classes
@@ -191,24 +191,23 @@ def _check_count_stable(G: Group, p: int):
 
 
 def _check_graph_consistency(G: Group, graph: ClassGraph):
-    for i, j in graph.edges:
-        if i == j:
+    nb, verts = graph.neighbours, graph.vertices
+    edges = 0
+    for i in range(len(verts)):
+        if nb[i] >> i & 1:
             return False, "loop edge"
-        share = graph.vertices[i].prime_support & graph.vertices[j].prime_support
-        if not share:
-            return False, f"edge ({i},{j}) without a shared prime"
-    for i in range(len(graph.vertices)):
-        for j in range(i + 1, len(graph.vertices)):
-            share = graph.vertices[i].prime_support & graph.vertices[j].prime_support
-            if share and (i, j) not in graph.edges:
-                return False, f"missing edge ({i},{j})"
-    component_of = {v: k for k, comp in enumerate(graph.components) for v in comp}
-    covered = sorted(v for comp in graph.components for v in comp)
-    if (covered != list(range(len(graph.vertices)))
-            or any(component_of[i] != component_of[j] for i, j in graph.edges)):
+        for j in range(i + 1, len(verts)):
+            share = bool(verts[i].prime_support & verts[j].prime_support)
+            if nb[i] >> j & 1 != share or nb[j] >> i & 1 != share:
+                return False, (f"missing edge ({i},{j})" if share
+                               else f"edge ({i},{j}) without a shared prime")
+            edges += share
+    comps = graph.components
+    wholes = [sum(1 << v for v in comp) for comp in comps]
+    if (sorted(v for comp in comps for v in comp) != list(range(len(verts)))
+            or any(nb[v] & ~whole for comp, whole in zip(comps, wholes) for v in comp)):
         return False, "components do not partition the vertices"
-    return True, (f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
-                  f"shape {graph.shape}")
+    return True, f"{len(verts)} vertices, {edges} edges, shape {graph.shape}"
 
 
 def _check_two_complete_components(graph: ClassGraph):
@@ -553,6 +552,7 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
     except Exception as exc:  # nor may a failure in the hypotheses
         return _unverified_report(G, p, exc)
 
+    ids = range(len(graph.vertices))
     report = VerificationReport(
         group_name=G.name,
         group_order=G.order,
@@ -566,7 +566,7 @@ def verify_pair(G: Group, p: int) -> VerificationReport:
         graph_summary={
             "vertex_sizes": list(graph.vertex_sizes()),
             "vertex_orders": [v.element_order for v in graph.vertices],
-            "edges": sorted(list(e) for e in graph.edges),
+            "edges": [[i, j] for i in ids for j in _higher(graph.neighbours, i, ids)],
             "shape": graph.shape,
         },
     )

@@ -223,6 +223,24 @@ def naive_is_triangle_free(sizes):
     return True
 
 
+def naive_class_graph_edges(sizes):
+    """The pairs (i, j), i < j, whose sizes share a prime: one gcd per pair."""
+    return frozenset((i, j) for i, j in combinations(range(len(sizes)), 2)
+                     if math.gcd(sizes[i], sizes[j]) > 1)
+
+
+def naive_dot(vertices, edges, graph_name="gamma"):
+    """DOT text with ids v<size>_<index>: the vertices, then the sorted edges."""
+    lines = [f"graph {graph_name} {{"]
+    ids = [f'"v{v.size}_{idx}"' for idx, v in enumerate(vertices)]
+    for vid, v in zip(ids, vertices):
+        lines.append(f'  {vid} [label="size={v.size}, ord={v.element_order}"];')
+    for i, j in sorted(edges):
+        lines.append(f"  {ids[i]} -- {ids[j]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def naive_diameter(n, edges):
     """Floyd-Warshall; None if empty or disconnected."""
     if n == 0:

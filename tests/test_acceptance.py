@@ -41,8 +41,8 @@ def test_criterion_01_semilinear_group_at_7(atlas_groups):
                 if c.element_order == 2 and c.size == 3]
         assert hits, "no involution class of size 3 in the complement"
         assert all(class_index(G)[c.representative].size == 7 for c in hits)
-        assert not build_graph(H).is_connected()
-        assert build_graph(G, 7).is_connected()
+        assert len(build_graph(H).components) > 1
+        assert len(build_graph(G, 7).components) <= 1
 
 
 def test_criterion_02_c7c6_at_2(atlas_groups):
@@ -139,7 +139,7 @@ def test_criterion_09_property_suite(atlas):
                 if not is_p_separable(entry.group, p)[0]:
                     continue
                 g = build_graph(entry.group, p)
-                if g.vertices and g.is_connected():
+                if g.vertices and len(g.components) <= 1:
                     assert diameter(g) <= 3
                 elif g.vertices:
                     assert len(g.components) == 2

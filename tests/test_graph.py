@@ -2,22 +2,43 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 
-from classgraph.construct import cyclic, generalized_quaternion
+from classgraph.construct import cyclic, dihedral, direct_product, generalized_quaternion
 from classgraph.errors import NoVertices, PreconditionViolated
 from classgraph.graph import (ClassGraph, build_graph, central_p_prime_part,
                               coprime_class_span, diameter, is_triangle_free,
                               p_regular_classes, to_dot)
 from classgraph.perm import conjugacy_classes
 from classgraph.verify import _check_two_complete_components
-from oracles import (naive_components, naive_diameter, naive_has_triangle,
-                     naive_is_triangle_free)
+from oracles import (naive_class_graph_edges, naive_components, naive_diameter, naive_dot,
+                     naive_has_triangle, naive_is_triangle_free)
 from strategies import graphs_with_twins
+
+
+def graph_from_edges(n, edges, vertices=None):
+    """A ClassGraph on n vertices (stand-ins by default) with these edges, as masks."""
+    nb = [0] * n
+    for i, j in edges:
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    return ClassGraph(None, (None,) * n if vertices is None else vertices, tuple(nb))
+
+
+@pytest.fixture(scope="module")
+def real_graphs(atlas_groups):
+    """Every atlas group at p in {2, 3, 5, None}, and one graph whose masks
+    exceed 64 bits: D20 x D52 at p = 3, 124 vertices and 6522 edges."""
+    graphs = {(name, p): build_graph(G, p)
+              for name, G in atlas_groups.items() for p in (2, 3, 5, None)}
+    graphs["D20xD52", 3] = build_graph(direct_product(dihedral(20), dihedral(52)), 3)
+    return graphs
 
 
 def test_p_regular_classes_c7c6(atlas_groups):
@@ -67,7 +88,7 @@ def test_graph_without_prime_equals_nondividing_prime(atlas_groups):
         plain = build_graph(G)
         at_q = build_graph(G, q)
         assert plain.vertex_sizes() == at_q.vertex_sizes()
-        assert plain.edges == at_q.edges
+        assert plain.neighbours == at_q.neighbours
         assert plain.shape == at_q.shape
 
 
@@ -110,7 +131,24 @@ def test_diameter(atlas_groups):
 def test_diameter_matches_naive(atlas_groups):
     for name in ["Sigma4", "GammaL(1,8)", "E16:C15", "(C5xC5):Q8"]:
         g = build_graph(atlas_groups[name], 2)
-        assert diameter(g) == naive_diameter(len(g.vertices), g.edges), name
+        edges = naive_class_graph_edges(g.vertex_sizes())
+        assert diameter(g) == naive_diameter(len(g.vertices), edges), name
+
+
+def test_masks_are_symmetric_loop_free_and_match_naive(real_graphs):
+    big = real_graphs["D20xD52", 3]
+    assert len(big.vertices) == 124 and len(big.edges) == 6522
+    for key, g in real_graphs.items():
+        nb, n = g.neighbours, len(g.vertices)
+        assert len(nb) == n and all(0 <= mask < 1 << n for mask in nb), key
+        assert not any(nb[i] >> i & 1 for i in range(n)), key
+        assert all(nb[i] >> j & 1 == nb[j] >> i & 1 for i in range(n) for j in range(n)), key
+        assert g.edges == naive_class_graph_edges(g.vertex_sizes()), key
+
+
+def test_dot_matches_naive_on_real_graphs(real_graphs):
+    for key, g in real_graphs.items():
+        assert to_dot(g) == naive_dot(g.vertices, naive_class_graph_edges(g.vertex_sizes())), key
 
 
 @given(graphs_with_twins())
@@ -121,7 +159,7 @@ def test_diameter_matches_naive(atlas_groups):
 @example((6, frozenset({(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)})))  # leaves 3, 5 differ
 def test_diameter_matches_naive_with_twins(graph):
     n, edges = graph
-    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges)
+    g = graph_from_edges(n, edges)
     assert diameter(g) == naive_diameter(n, edges)
 
 
@@ -131,7 +169,8 @@ def test_diameter_matches_naive_with_twins(graph):
 @example((6, frozenset({(0, 1), (2, 3), (4, 5)})))  # three components
 def test_mask_queries_match_naive(graph):
     n, edges = graph
-    g = ClassGraph(prime=None, vertices=(None,) * n, edges=edges)
+    g = graph_from_edges(n, edges)
+    assert g.edges == edges
     comps = naive_components(n, edges)
     assert g.components == comps
     assert is_triangle_free(g) == (not naive_has_triangle(n, edges))
@@ -142,23 +181,34 @@ def test_mask_queries_match_naive(graph):
 
 
 def test_adjacency_built_once_and_not_part_of_the_value(atlas_groups, monkeypatch):
+    derived = ("edges", "components", "shape")
     builds = []
-    build = ClassGraph.neighbours.func
-    monkeypatch.setattr(ClassGraph.neighbours, "func",
-                        lambda self: builds.append(self) or build(self))
+    for name in derived:
+        build = getattr(ClassGraph, name).func
+        monkeypatch.setattr(getattr(ClassGraph, name), "func",
+                            lambda self, name=name, build=build:
+                            builds.append(name) or build(self))
     g = build_graph(atlas_groups["Sigma4"], 5)  # connected, diameter 2
     assert not builds  # nothing is derived until a query reads it
+    edges = naive_class_graph_edges(g.vertex_sizes())
     assert is_triangle_free(g) == naive_is_triangle_free(g.vertex_sizes())
-    assert diameter(g) == naive_diameter(len(g.vertices), g.edges)
-    assert g.components == naive_components(len(g.vertices), g.edges)
-    assert g.neighbours is g.neighbours and builds == [g]
-    bare = ClassGraph(g.prime, g.vertices, g.edges)
-    assert not {"neighbours", "components", "shape"} & vars(bare).keys()
+    assert diameter(g) == naive_diameter(len(g.vertices), edges)
+    assert to_dot(g) == naive_dot(g.vertices, edges)
+    assert builds == ["components"]  # the queries read the masks, not the edges
+    assert g.components == naive_components(len(g.vertices), edges)
+    assert g.edges == edges and g.shape == "other"
+    for name in derived:
+        assert getattr(g, name) is getattr(g, name)
+    assert builds == ["components", "edges", "shape"]
+    bare = ClassGraph(g.prime, g.vertices, g.neighbours)
+    assert not set(derived) & vars(bare).keys()
     assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
-    with pytest.raises(TypeError):  # they follow from the edges; no caller sets them
-        ClassGraph(g.prime, g.vertices, g.edges, g.components, g.shape)
-    with pytest.raises(TypeError):
-        ClassGraph(g.prime, g.vertices, g.edges, neighbours=g.neighbours)
+    assert "edges" not in repr(g)
+    with pytest.raises(TypeError):  # they follow from the masks; no caller sets them
+        ClassGraph(g.prime, g.vertices, g.neighbours, g.edges)
+    for name in derived:
+        with pytest.raises(TypeError):
+            ClassGraph(g.prime, g.vertices, g.neighbours, **{name: getattr(g, name)})
 
 
 def test_components_partition(atlas_groups):
@@ -217,6 +267,27 @@ def test_dot_export_golden(atlas_groups):
         '}\n'
     )
     assert to_dot(g) == expected
+
+
+@given(graphs_with_twins())
+@example((0, frozenset()))
+@example((1, frozenset()))
+@example((4, frozenset()))  # no edges
+@example((3, frozenset({(0, 2), (1, 2)})))
+def test_dot_matches_naive(graph):
+    n, edges = graph
+    vertices = tuple(SimpleNamespace(size=2 + i % 3, element_order=i + 1) for i in range(n))
+    assert to_dot(graph_from_edges(n, edges, vertices)) == naive_dot(vertices, edges)
+
+
+def test_dot_bytes_pinned(atlas_groups):
+    # the same bytes as `classgraph graph` pins in CI: degree 216 and 600
+    for name, p, digest in [
+            ("ES27:Q8", 5, "29d86d361bc774c2a8221a0598c189f08da727502294ba2e5abdbd2a5a9ca223"),
+            ("(C5xC5):SL(2,3)", 7,
+             "c47d8527de8b661a56e1bc9883d51d93412fa98f36ba41dc16cca5315622da6b")]:
+        dot = to_dot(build_graph(atlas_groups[name], p))
+        assert hashlib.sha256(dot.encode()).hexdigest() == digest, name
 
 
 def test_dot_export_stable(atlas_groups):

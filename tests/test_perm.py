@@ -376,6 +376,21 @@ def test_generators_of_a_proper_subgroup_fail_the_class_build():
         conjugacy_classes(H)
 
 
+def test_only_groups_without_a_generation_contract_walk_their_table(monkeypatch):
+    walked = []
+    walk = perm_module._require_generated
+    monkeypatch.setattr(perm_module, "_require_generated",
+                        lambda G, right: walked.append(G.name) or walk(G, right))
+    s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
+    even = [g for g in s4.elements if sum(len(c) - 1 for c in g.cycles()) % 2 == 0]
+    a4 = subgroup_from_elements(s4, even, "A4")  # made by closed_subgroup
+    by_hand = Group("A4 by hand", 4, a4.generators, a4.elements)
+    assert len(conjugacy_classes(s4)) == 5  # its table was reached as products
+    assert [c.size for c in conjugacy_classes(a4)] == [1, 3, 4, 4]
+    assert [c.size for c in conjugacy_classes(by_hand)] == [1, 3, 4, 4]
+    assert walked == ["A4 by hand"]
+
+
 def test_conjugacy_classes_conjugate_no_permutations(monkeypatch):
     s4 = make_group([perm("(1,2)", 4), perm("(1,2,3,4)", 4)], "S4")
     a4 = subgroup_from_elements(

@@ -232,6 +232,21 @@ def test_graph_consistency_fails_on_wrong_components(atlas_groups):
         False, "components do not partition the vertices")
 
 
+def test_graph_consistency_fails_on_a_dropped_bit(atlas_groups):
+    g = build_graph(atlas_groups["Sigma4"], 5)
+    assert verify._check_graph_consistency(None, g)[0]
+
+    def check_with(vertex, flip):
+        nb = list(g.neighbours)
+        nb[vertex] ^= flip
+        return verify._check_graph_consistency(None, dataclasses.replace(g, neighbours=tuple(nb)))
+
+    i, j = min(g.edges)
+    assert check_with(i, 1 << j) == (False, f"missing edge ({i},{j})")  # lost at one end
+    assert check_with(j, 1 << i) == (False, f"missing edge ({i},{j})")  # or the other
+    assert check_with(i, 1 << i) == (False, "loop edge")
+
+
 def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
     def broken(G):
         raise RuntimeError("broken check")
