@@ -11,12 +11,12 @@ from typing import Optional
 from . import construct
 from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
-from .numtheory import is_pi_number, is_prime_power, prime_factors, require_primes
+from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors, require_primes
 from .perm import Group, _memoised, center, conjugacy_classes, subgroup_from_elements
-from .structure import (_ONE, _Member, _class_centralizer, _class_data, _core_climb, _is_normal,
-                        _normal_lattice, _normal_subgroup, _pi_core, _search_subgroup,
+from .structure import (_ONE, ISO_CAP, _Member, _class_centralizer, _class_data, _core_climb,
+                        _is_normal, _normal_lattice, _normal_subgroup, _pi_core, _search_subgroup,
                         coset_classes, hall_subgroup, is_isomorphic, is_soluble, p_complement,
-                        quotient, sylow)
+                        p_core, quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,6 @@ class ComplementCase:
     details: dict
 
 
-_CASE_SHAPES = {"i": {"d", "e"}, "ii": {"a", "b", "c", "e"}, "iii": {"f"}}
-
 _CASE_III_TARGET = "(C5xC5):Q8"
 
 
@@ -201,6 +199,13 @@ def intersection_subgroup(A: Group, B: Group, name: str) -> Group:
 def _central_meet(G: Group, H: Group) -> Group:
     """H n Z(G) for H = ``p_complement(G, p)``: once per (G, p)."""
     return intersection_subgroup(H, center(G), "HnZ(G)")
+
+
+def _abelian_quasi_frobenius(G: Group, H: Group, qf: Optional[QuasiFrobeniusWitness]) -> bool:
+    """Case ii's structure of a p-complement H of G, qf = ``is_quasi_frobenius(H)``:
+    quasi-Frobenius with abelian kernel and complement, and Z(H) = H n Z(G)."""
+    return (qf is not None and qf.kernel_abelian and qf.complement_abelian
+            and center(H).element_set() == _central_meet(G, H).element_set())
 
 
 @_memoised
@@ -233,22 +238,16 @@ def complement_case(G: Group, p: int) -> ComplementCase:
         if is_isomorphic(H, target):
             matches.append(ComplementCase("iii", graph.shape, {"target": target.name}))
 
-    if is_prime_power(H.order):
-        q = prime_factors(H.order)[0]
-        matches.append(ComplementCase("i", graph.shape, {"q": q}))
+    h_primes = prime_factors(H.order)
+    if len(h_primes) == 1:
+        matches.append(ComplementCase("i", graph.shape, {"q": h_primes[0]}))
 
     qf = is_quasi_frobenius(H)
-    if qf is not None and qf.kernel_abelian and qf.complement_abelian:
-        h_primes = prime_factors(H.order)
-        zh = center(H)
-        if (len(h_primes) == 2
-                and zh.element_set() == _central_meet(G, H).element_set()
-                and zh.order <= 2):
-            q, r = h_primes
-            matches.append(ComplementCase("ii", graph.shape, {
-                "q": q, "r": r, "center_order": zh.order,
-                "kernel_order": qf.kernel.order,
-                "complement_order": qf.complement.order}))
+    if len(h_primes) == 2 and _abelian_quasi_frobenius(G, H, qf) and center(H).order <= 2:
+        q, r = h_primes
+        matches.append(ComplementCase("ii", graph.shape, {
+            "q": q, "r": r, "center_order": center(H).order,
+            "kernel_order": qf.kernel.order, "complement_order": qf.complement.order}))
 
     if not matches:
         raise NoCaseMatches(
@@ -258,7 +257,7 @@ def complement_case(G: Group, p: int) -> ComplementCase:
             f"({G.name}, p={p}): ambiguous case match "
             f"{[m.case for m in matches]}")
     result = matches[0]
-    if result.shape not in _CASE_SHAPES[result.case]:
+    if (result.case, result.shape) not in _CELLS:
         raise NoCaseMatches(
             f"({G.name}, p={p}): case {result.case} paired with shape "
             f"{result.shape!r}")
@@ -287,3 +286,159 @@ def _elementary_abelian_over(G: Group, N: Group) -> bool:
     return (len(primes) <= 1
             and all(mul(mul(~a, ~b), mul(a, b)) in N for a in gens for b in gens)
             and all(g ** q in N for q in primes for g in gens))
+
+
+@_memoised
+def _mod_p_core(G: Group, p: int) -> Group:
+    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group."""
+    core = p_core(G, p)
+    return G if core.order == 1 else quotient(G, core).group
+
+
+def _primitive_root(r: int) -> int:
+    for g in range(2, r):
+        n, x = 1, g
+        while x != 1:
+            x = (x * g) % r
+            n += 1
+        if n == r - 1:
+            return g
+    raise ValueError(f"no primitive root mod {r}")
+
+
+def _quotient_candidates(shape: str, p: int, n: int) -> list[Group]:
+    """Constructible named quotients for the disconnected shapes (informational)."""
+    out = []
+    if shape == "a":
+        if n == 6 and p not in (2, 3):
+            out.append(construct.symmetric(3))
+        s = 1
+        while True:
+            r = 2 * p ** s + 1
+            if r * (r - 1) > max(n, 1024):
+                break
+            if is_prime(r) and n == r * (r - 1):
+                out.append(construct.affine_prime_group(r, _primitive_root(r),
+                                                        f"C{r}:C{r - 1}"))
+            s += 1
+        for l in (2, 3):
+            q = 3 ** l
+            half = (q - 1) // 2
+            if n == q * (q - 1) and half > 1 and is_prime_power(half) \
+                    and prime_factors(half)[0] == p:
+                out.append(construct.one_dim_affine_group(
+                    3, l, name=f"E{q}:C{q - 1}"))
+    elif shape == "b":
+        if n == 12 and p not in (2, 3):
+            out.append(construct.alternating(4))
+        if n == 10 and p not in (2, 5):
+            out.append(construct.dihedral(10))
+        if n == 240 and p == 5:
+            out.append(construct.one_dim_affine_group(2, 4, name="E16:C15"))
+        s = 1
+        while True:
+            r = 4 * p ** s + 1
+            if r * (r - 1) // 2 > max(n, 1024):
+                break
+            if is_prime(r) and n == r * (r - 1) // 2:
+                g = _primitive_root(r)
+                out.append(construct.affine_prime_group(
+                    r, (g * g) % r, f"C{r}:C{(r - 1) // 2}"))
+            s += 1
+    return out
+
+
+# --- the paper's (case, shape) cells ------------------------------------------
+# A cell's refinement takes (G, p, case, H, k), for H the p-complement and k the
+# number of p-regular classes, and returns (ok, detail).  complement_case refuses
+# a pair whose cell is not in _CELLS, and verify's shape-refinement check runs
+# the refinement of the pair's cell.
+
+def _refine_i_d(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    meet = _central_meet(G, H)
+    if not _elementary_abelian_over(H, meet):
+        return False, "H modulo its central intersection is not elementary abelian"
+    if len(prime_factors(G.order)) != 2:
+        return False, f"|pi(G)| = {len(prime_factors(G.order))}, expected 2"
+    return True, f"H/(HnZ) elementary abelian of order {H.order // meet.order}"
+
+
+def _quotient_note(G: Group, p: int, shape: str) -> str:
+    """The informational comparison of G/O_p(G) with the named candidates."""
+    q_order = G.order // p_core(G, p).order
+    if q_order > ISO_CAP:
+        return (f"quotient order {q_order} exceeds the isomorphism cap "
+                f"{ISO_CAP}; comparison skipped")
+    Q = _mod_p_core(G, p)
+    matched = [c.name for c in _quotient_candidates(shape, p, Q.order) if is_isomorphic(Q, c)]
+    if matched:
+        return f"quotient matches {matched[0]}"
+    return (f"no constructible quotient candidate at order {Q.order}; "
+            "comparison recorded as informational")
+
+
+def _refine_ii_a(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    w = is_frobenius(H)
+    if w is None:
+        return False, "p-complement is not Frobenius"
+    if not (is_elementary_abelian(w.kernel) and is_prime_power(w.kernel.order)
+            and w.complement.order == 2):
+        return False, ("kernel/complement shape is wrong: kernel order "
+                       f"{w.kernel.order}, complement order {w.complement.order}")
+    if k != 3:
+        return False, f"expected 3 p-regular classes, found {k}"
+    return True, _quotient_note(G, p, "a")
+
+
+def _refine_ii_b(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    w = is_frobenius(H)
+    if w is None:
+        return False, "p-complement is not Frobenius"
+    if not (w.kernel_abelian and w.complement_abelian and len(prime_factors(H.order)) == 2):
+        return False, "not a two-prime Frobenius group with abelian parts"
+    if k != 4:
+        return False, f"expected 4 p-regular classes, found {k}"
+    return True, _quotient_note(G, p, "b")
+
+
+def _refine_ii_c(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    if k not in (5, 6):
+        return False, f"expected 5 or 6 p-regular classes, found {k}"
+    return True, f"case ii with center order {case.details['center_order']}"
+
+
+def _refine_ii_e(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    w = is_frobenius(H)
+    if w is None:
+        return False, "case ii at shape e but H is not Frobenius"
+    if not (is_elementary_abelian(w.kernel) and is_prime(w.complement.order)):
+        return False, "kernel not elementary abelian or complement not prime"
+    return True, "Frobenius with elementary abelian kernel, prime complement"
+
+
+def _refine_iii_f(G: Group, p: int, case: ComplementCase, H: Group, k: int):
+    if p != 3:
+        return False, f"shape f at p={p}, expected p=3"
+    if _central_meet(G, H).order != 1:
+        return False, "H meets the center nontrivially"
+    if k != 4:
+        return False, f"expected 4 p-regular classes, found {k}"
+    Q = _mod_p_core(G, p)
+    target_order = construct.atlas_order("(C5xC5):SL(2,3)")
+    if Q.order != target_order:
+        return False, f"quotient order {Q.order}, expected {target_order}"
+    if not is_isomorphic(Q, construct.atlas_group("(C5xC5):SL(2,3)")):
+        return False, "quotient is not isomorphic to the order-600 target"
+    return True, "quotient isomorphic to (C5xC5):SL(2,3)"
+
+
+_CELLS = {  # the seven cells the paper allows
+    ("i", "d"): _refine_i_d,
+    ("i", "e"): lambda G, p, case, H, k: (True,
+                                          f"prime-power p-complement, q={case.details['q']}"),
+    ("ii", "a"): _refine_ii_a,
+    ("ii", "b"): _refine_ii_b,
+    ("ii", "c"): _refine_ii_c,
+    ("ii", "e"): _refine_ii_e,
+    ("iii", "f"): _refine_iii_f,
+}

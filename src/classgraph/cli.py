@@ -189,7 +189,8 @@ def cmd_graph(args) -> int:
     G = _resolve_group(args.group, cap)
     graph = build_graph(G, args.prime)
     Path(args.dot).write_text(to_dot(graph), encoding="utf-8")
-    print(f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
+    edges = sum(mask.bit_count() for mask in graph.neighbours) // 2
+    print(f"{len(graph.vertices)} vertices, {edges} edges, "
           f"shape {graph.shape} -> {args.dot}")
     return 0
 

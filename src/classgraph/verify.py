@@ -8,19 +8,17 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import construct
-from .classify import (_central_meet, _elementary_abelian_over,
-                       _p_regular_coset_classes, count_p_regular_classes,
-                       is_elementary_abelian, is_frobenius, is_quasi_frobenius,
+from .classify import (_CELLS, _abelian_quasi_frobenius, _central_meet,
+                       _p_regular_coset_classes, count_p_regular_classes, is_quasi_frobenius,
                        pi_class_size_criterion, complement_case)
 from .errors import InvalidParameter
 from .graph import (ClassGraph, _higher, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors, require_primes
-from .perm import Group, _class_orbits, _memoised, center, class_index, conjugacy_classes
-from .structure import (_ONE, ISO_CAP, _Member, _class_centralizer, _class_data, _core_climb,
+from .perm import Group, _class_orbits, _memoised, class_index, conjugacy_classes
+from .structure import (_ONE, _Member, _class_centralizer, _class_data, _core_climb,
                         _coset_classes, _is_normal, _normal_lattice, _pi_core, hall_subgroup,
-                        is_isomorphic, is_soluble, p_complement, p_core, quotient)
+                        is_soluble, p_complement)
 
 REPORT_SCHEMA = "classgraph-report-v1"
 
@@ -74,13 +72,6 @@ def _stride_sample(items: tuple, limit: int = _SAMPLE_LIMIT) -> list:
         return list(items)
     idx = sorted({i * len(items) // limit for i in range(limit)})
     return [items[i] for i in idx]
-
-
-@_memoised
-def _mod_p_core(G: Group, p: int) -> Group:
-    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group."""
-    core = p_core(G, p)
-    return G if core.order == 1 else quotient(G, core).group
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +237,12 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
     pi0, _ = _pi0(graph)
     H = p_complement(G, p)
     qf = is_quasi_frobenius(H)
-    zh = center(H)
-    meet = _central_meet(G, H)
-
-    def qf_ok():
-        return (qf is not None and qf.kernel_abelian and qf.complement_abelian
-                and zh.element_set() == meet.element_set())
-
+    abelian_qf = _abelian_quasi_frobenius(G, H, qf)
     if p not in pi0:
         p_prime = frozenset(prime_factors(G.order)) - {p}
         if _pi_core(G, p_prime, _ONE.classes).order != G.order // p_part(G.order, p):
             return False, "group is not p-nilpotent"
-        if not qf_ok():
+        if not abelian_qf:
             return False, "p-complement is not quasi-Frobenius with abelian parts"
         # the complement K found must be centralized by some Sylow p-subgroup,
         # which holds exactly when |C_G(K)| has the full p-part of |G|
@@ -273,12 +258,12 @@ def _check_disconnected_structure(G: Group, p: int, graph: ClassGraph):
 
     others = frozenset(q for q in pi0 if q != p)
     if len(pi0) >= 3:
-        return (qf_ok(), "p in pi0, |pi0| >= 3: quasi-Frobenius structure "
-                + ("holds" if qf_ok() else "fails"))
+        return (abelian_qf, "p in pi0, |pi0| >= 3: quasi-Frobenius structure "
+                + ("holds" if abelian_qf else "fails"))
     # at most one prime: a Sylow subgroup or the trivial group
     if hall_subgroup(G, others).is_abelian():
-        return (qf_ok(), "p in pi0 with abelian Hall subgroup: structure "
-                + ("holds" if qf_ok() else "fails"))
+        return (abelian_qf, "p in pi0 with abelian Hall subgroup: structure "
+                + ("holds" if abelian_qf else "fails"))
     return True, ("unresolved configuration (p in pi0, two primes, "
                   "non-abelian Hall subgroup); reported without classification")
 
@@ -320,144 +305,15 @@ def _check_soluble(G: Group):
     return ok, f"derived series lengths {[t.order for t in cert.terms]}"
 
 
-# --- shape refinements ------------------------------------------------------
-
-def _primitive_root(r: int) -> int:
-    for g in range(2, r):
-        n, x = 1, g
-        while x != 1:
-            x = (x * g) % r
-            n += 1
-        if n == r - 1:
-            return g
-    raise ValueError(f"no primitive root mod {r}")
-
-
-def _quotient_candidates(shape: str, p: int, n: int) -> list[Group]:
-    """Constructible named quotients for the disconnected shapes (informational)."""
-    out = []
-    if shape == "a":
-        if n == 6 and p not in (2, 3):
-            out.append(construct.symmetric(3))
-        s = 1
-        while True:
-            r = 2 * p ** s + 1
-            if r * (r - 1) > max(n, 1024):
-                break
-            if is_prime(r) and n == r * (r - 1):
-                out.append(construct.affine_prime_group(r, _primitive_root(r),
-                                                        f"C{r}:C{r - 1}"))
-            s += 1
-        for l in (2, 3):
-            q = 3 ** l
-            half = (q - 1) // 2
-            if n == q * (q - 1) and half > 1 and is_prime_power(half) \
-                    and prime_factors(half)[0] == p:
-                out.append(construct.one_dim_affine_group(
-                    3, l, name=f"E{q}:C{q - 1}"))
-    elif shape == "b":
-        if n == 12 and p not in (2, 3):
-            out.append(construct.alternating(4))
-        if n == 10 and p not in (2, 5):
-            out.append(construct.dihedral(10))
-        if n == 240 and p == 5:
-            out.append(construct.one_dim_affine_group(2, 4, name="E16:C15"))
-        s = 1
-        while True:
-            r = 4 * p ** s + 1
-            if r * (r - 1) // 2 > max(n, 1024):
-                break
-            if is_prime(r) and n == r * (r - 1) // 2:
-                g = _primitive_root(r)
-                out.append(construct.affine_prime_group(
-                    r, (g * g) % r, f"C{r}:C{(r - 1) // 2}"))
-            s += 1
-    return out
-
-
 def _check_case(G: Group, p: int):
     case = complement_case(G, p)
     return True, f"case {case.case}, shape {case.shape}, {case.details}"
 
 
-def _check_shape_refinement(G: Group, p: int, graph: ClassGraph):
+def _check_shape_refinement(G: Group, p: int):
     case = complement_case(G, p)  # memoised: the one case-classification made
-    H = p_complement(G, p)
-    shape = graph.shape
-    k = count_p_regular_classes(G, p)
-    notes = []
-
-    if shape in ("a", "b"):
-        w = is_frobenius(H)
-        if w is None:
-            return False, "p-complement is not Frobenius"
-        if shape == "a":
-            if not (is_elementary_abelian(w.kernel) and is_prime_power(w.kernel.order)
-                    and w.complement.order == 2):
-                return False, ("kernel/complement shape is wrong: kernel order "
-                               f"{w.kernel.order}, complement order {w.complement.order}")
-            if k != 3:
-                return False, f"expected 3 p-regular classes, found {k}"
-        else:
-            if not (w.kernel_abelian and w.complement_abelian
-                    and len(prime_factors(H.order)) == 2):
-                return False, "not a two-prime Frobenius group with abelian parts"
-            if k != 4:
-                return False, f"expected 4 p-regular classes, found {k}"
-        q_order = G.order // p_core(G, p).order
-        if q_order > ISO_CAP:
-            notes.append(f"quotient order {q_order} exceeds the isomorphism cap "
-                         f"{ISO_CAP}; comparison skipped")
-        else:
-            Q = _mod_p_core(G, p)
-            cands = _quotient_candidates(shape, p, Q.order)
-            matched = [c.name for c in cands if is_isomorphic(Q, c)]
-            if matched:
-                notes.append(f"quotient matches {matched[0]}")
-            else:
-                notes.append("no constructible quotient candidate at order "
-                             f"{Q.order}; comparison recorded as informational")
-    elif shape == "c":
-        if case.case != "ii":
-            return False, f"case {case.case} with shape c"
-        if k not in (5, 6):
-            return False, f"expected 5 or 6 p-regular classes, found {k}"
-        notes.append(f"case ii with center order {case.details['center_order']}")
-    elif shape == "d":
-        meet = _central_meet(G, H)
-        if not _elementary_abelian_over(H, meet):
-            return False, "H modulo its central intersection is not elementary abelian"
-        if len(prime_factors(G.order)) != 2:
-            return False, f"|pi(G)| = {len(prime_factors(G.order))}, expected 2"
-        notes.append(f"H/(HnZ) elementary abelian of order {H.order // meet.order}")
-    elif shape == "e":
-        if case.case == "i":
-            notes.append(f"prime-power p-complement, q={case.details['q']}")
-        else:
-            w = is_frobenius(H)
-            if w is None:
-                return False, "case ii at shape e but H is not Frobenius"
-            if not (is_elementary_abelian(w.kernel)
-                    and is_prime(w.complement.order)):
-                return False, "kernel not elementary abelian or complement not prime"
-            notes.append("Frobenius with elementary abelian kernel, prime complement")
-    elif shape == "f":
-        if p != 3:
-            return False, f"shape f at p={p}, expected p=3"
-        if _central_meet(G, H).order != 1:
-            return False, "H meets the center nontrivially"
-        if k != 4:
-            return False, f"expected 4 p-regular classes, found {k}"
-        Q = _mod_p_core(G, p)
-        target_order = construct.atlas_order("(C5xC5):SL(2,3)")
-        if Q.order != target_order:
-            return False, f"quotient order {Q.order}, expected {target_order}"
-        if not is_isomorphic(Q, construct.atlas_group("(C5xC5):SL(2,3)")):
-            return False, "quotient is not isomorphic to the order-600 target"
-        notes.append("quotient isomorphic to (C5xC5):SL(2,3)")
-    else:
-        return False, f"unclassifiable shape {shape!r}"
-    return True, "; ".join(notes) if notes else "refinement holds"
+    return _CELLS[case.case, case.shape](G, p, case, p_complement(G, p),
+                                         count_p_regular_classes(G, p))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +352,7 @@ _CHECKS = (
      lambda G, p, graph: _check_soluble(G), True),
     ("case-classification", _CLASSIFIED, lambda G, p, graph: _check_case(G, p), True),
     ("shape-refinement", _CLASSIFIED + ("case-classification-failed",),
-     lambda G, p, graph: _check_shape_refinement(G, p, graph), True),
+     lambda G, p, graph: _check_shape_refinement(G, p), True),
 )
 
 ALL_CHECK_IDS = tuple(row[0] for row in _CHECKS)

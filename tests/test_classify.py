@@ -227,7 +227,7 @@ def test_complement_case_builds_the_case_iii_target_only_for_its_order(monkeypat
 
 
 def test_complement_case_shape_pairing(atlas):
-    from classgraph.classify import _CASE_SHAPES
+    from classgraph.classify import _CELLS
     from classgraph.graph import build_graph, is_triangle_free
     from classgraph.structure import is_p_separable
     for entry in atlas.values():
@@ -239,7 +239,7 @@ def test_complement_case_shape_pairing(atlas):
             if not g.vertices or not is_triangle_free(g):
                 continue
             case = complement_case(G, p)
-            assert case.shape in _CASE_SHAPES[case.case], (G.name, p)
+            assert (case.case, case.shape) in _CELLS, (G.name, p)
 
 
 @pytest.mark.parametrize("mode", ["pi_number", "pi_prime_number"])

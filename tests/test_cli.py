@@ -8,6 +8,8 @@ import pytest
 
 from classgraph import cli
 from classgraph.cli import main
+from classgraph.construct import atlas_group
+from classgraph.graph import build_graph
 
 
 def test_atlas_list(capsys):
@@ -78,6 +80,17 @@ def test_graph_subcommand(tmp_path, capsys):
                  "--dot", str(dot)])
     assert code == 0
     assert "v2_0" in dot.read_text()
+
+
+def test_graph_subcommand_counts_the_edges(tmp_path, capsys):
+    # the count is read off the adjacency masks, not the edge set
+    graph = build_graph(atlas_group("ES27:Q8"), 5)
+    assert (len(graph.vertices), len(graph.edges)) == (13, 78)
+    dot = tmp_path / "out.dot"
+    assert main(["graph", "--group", "atlas:ES27:Q8", "--prime", "5", "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == (
+        f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
+        f"shape {graph.shape} -> {dot}\n")
 
 
 def test_verify_report_written(tmp_path, capsys):

@@ -394,7 +394,7 @@ def test_a_failure_in_the_hypotheses_fails_only_its_pair(atlas_groups, monkeypat
 def test_class_checks_read_quotients_inside_the_group(atlas, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a class check built a quotient group")
-    for module in (structure, verify, classify):
+    for module in (structure, classify):
         monkeypatch.setattr(module, "quotient", refuse)
     for entry in atlas.values():
         G = entry.group
@@ -436,7 +436,7 @@ def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, m
     # shapes a, b and f with O_p(G) = 1, each with a centreless p-complement
     def refuse(*args, **kwargs):
         raise AssertionError("quotient by a trivial subgroup")
-    for module in (structure, verify, classify):
+    for module in (structure, classify):
         monkeypatch.setattr(module, "quotient", refuse)
     G = atlas_groups[name]
     fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
@@ -448,15 +448,12 @@ def test_shape_refinements_over_a_trivial_core_build_no_quotient(atlas_groups, m
 def test_shape_d_is_decided_inside_the_complement(atlas_groups, monkeypatch):
     # ES27:Q8 at p = 2 has shape d and |H n Z(G)| = 3; the only quotient its
     # pair builds is H/Z(H), inside is_quasi_frobenius
-    def refuse(*args, **kwargs):
-        raise AssertionError("shape d built a quotient")
     made = []
     real_quotient = classify.quotient
 
     def recording(G, N):
         made.append((G.order, N.order))
         return real_quotient(G, N)
-    monkeypatch.setattr(verify, "quotient", refuse)
     monkeypatch.setattr(classify, "quotient", recording)
     G = atlas_groups["ES27:Q8"]
     fresh = Group(G.name, G.degree, G.generators, G.elements)  # no caches
@@ -467,6 +464,62 @@ def test_shape_d_is_decided_inside_the_complement(atlas_groups, monkeypatch):
     assert checks["shape-refinement"].status == "pass"
     assert "H/(HnZ) elementary abelian of order 9" in checks["shape-refinement"].detail
     assert made == [(H.order, center(H).order)]
+
+
+# one named atlas pair per cell of classify._CELLS, with its refinement's pass detail
+_CELL_PAIRS = [
+    (("i", "d"), "Sigma3", 2, "H/(HnZ) elementary abelian of order 3"),
+    (("i", "e"), "A4", 2, "prime-power p-complement, q=3"),
+    (("ii", "a"), "Sigma3", 5, "quotient matches Sigma3"),
+    (("ii", "b"), "A4", 5, "quotient matches A4"),
+    (("ii", "c"), "D12", 5, "case ii with center order 2"),
+    (("ii", "e"), "E25:Sigma3", 5, "Frobenius with elementary abelian kernel, prime complement"),
+    (("iii", "f"), "(C5xC5):SL(2,3)", 3, "quotient isomorphic to (C5xC5):SL(2,3)"),
+]
+
+
+def _fresh(G):
+    return Group(G.name, G.degree, G.generators, G.elements)  # no caches
+
+
+@pytest.mark.parametrize("cell, name, p, detail", _CELL_PAIRS)
+def test_each_cell_is_reached_by_a_named_pair(atlas_groups, cell, name, p, detail):
+    assert set(classify._CELLS) == {("i", "d"), ("i", "e"), ("ii", "a"), ("ii", "b"),
+                                    ("ii", "c"), ("ii", "e"), ("iii", "f")}
+    G = _fresh(atlas_groups[name])
+    case = verify.complement_case(G, p)
+    assert (case.case, case.shape) == cell
+    refinement = _by_id(verify_pair(G, p))["shape-refinement"]
+    assert (refinement.status, refinement.detail) == ("pass", detail)
+
+
+def test_a_pair_outside_the_cells_is_refused(atlas_groups, monkeypatch):
+    # without the (i, d) cell, Sigma3 at p = 2 (case i, shape d) pairs with no cell
+    monkeypatch.delitem(classify._CELLS, ("i", "d"))
+    G = _fresh(atlas_groups["Sigma3"])
+    message = "(Sigma3, p=2): case i paired with shape 'd'"
+    with pytest.raises(NoCaseMatches, match=re.escape(message)):
+        classify.complement_case(G, 2)
+    report = verify_pair(G, 2)
+    checks = _by_id(report)
+    assert (checks["case-classification"].status, checks["case-classification"].detail) == (
+        "fail", f"NoCaseMatches: {message}")
+    assert (checks["shape-refinement"].status, checks["shape-refinement"].detail) == (
+        "skipped", "hypothesis failed: case-classification-failed")
+    assert report.counterexample
+
+
+@pytest.mark.parametrize("cell, expected", [(("ii", "a"), "3"), (("ii", "b"), "4"),
+                                            (("ii", "c"), "5 or 6"), (("iii", "f"), "4")])
+def test_a_cell_refuses_a_wrong_class_count(atlas_groups, monkeypatch, cell, expected):
+    _, name, p, _ = next(row for row in _CELL_PAIRS if row[0] == cell)
+    monkeypatch.setattr(verify, "count_p_regular_classes", lambda G, p: 7)
+    G = _fresh(atlas_groups[name])
+    report = verify_pair(G, p)
+    refinement = _by_id(report)["shape-refinement"]
+    assert (refinement.status, refinement.detail) == (
+        "fail", f"expected {expected} p-regular classes, found 7")
+    assert report.counterexample
 
 
 def test_coprime_span_is_built_once_per_check(atlas, monkeypatch):
@@ -502,7 +555,7 @@ def test_shape_refinement_skips_a_comparison_above_the_cap(monkeypatch, r, multi
                                                            name, p):
     def refuse(*args, **kwargs):
         raise AssertionError("isomorphism test above the cap")
-    monkeypatch.setattr(verify, "is_isomorphic", refuse)
+    monkeypatch.setattr(classify, "is_isomorphic", refuse)
     G = affine_prime_group(r, multiplier, name)
     assert G.order > structure.ISO_CAP
     checks = _by_id(verify_pair(G, p))
