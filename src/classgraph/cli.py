@@ -8,7 +8,6 @@ default order cap; the --max-order flag overrides both.  Either must be >= 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -131,7 +130,7 @@ def cmd_analyze(args) -> int:
         Path(args.dot).write_text(to_dot(build_graph(G, args.prime)),
                                   encoding="utf-8")
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(report.to_json(), end="")
     else:
         _print_report(report)
     return 1 if report.counts()["fail"] else 0

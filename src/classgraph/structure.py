@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -60,23 +61,19 @@ class _ClassData(NamedTuple):
     images: list[list]    # per position, the image tuples of the class's elements
     sizes: list[int]
     steps: list[Callable]  # per position, y's images -> base images of rep * y
+    product: Callable      # (i, k) -> ``_class_product(G, i, k)``
 
     def position(self, x: Permutation) -> int:
         return self.key[self.at_base(x.images)]
 
     def support(self, positions: Iterable[int], k: int) -> set[int]:
         """The positions of the classes that C*C_k meets, C the union of
-        the classes at ``positions``.
-
-        C_i*C_k = C_k*C_i is a union of classes, and conjugating the first
-        factor to the representative x_k shows that it is (x_k*C_i)^G, so
-        the classes met are those of x_k*y for y in C_i: |C_i| products,
-        made only when asked for.  A table of every class times every
-        element, made up front, costs far more than the questions it
-        answers.
+        the classes at ``positions``: the union of the class products
+        C_i*C_k, each made once, when first asked for.  A table of every
+        class times every element, made up front, costs far more than the
+        questions it answers.
         """
-        return set(map(self.key.__getitem__, map(
-            self.steps[k], chain.from_iterable(map(self.images.__getitem__, positions)))))
+        return set().union(*map(self.product, positions, repeat(k)))
 
 
 @_memoised
@@ -98,7 +95,20 @@ def _class_data(G: Group) -> _ClassData:
         images.append(imgs)
     steps = [itemgetter(b) if len(base) == 1 else itemgetter(*b)
              for b in (at_base(c.representative.images) for c in classes)]
-    return _ClassData(at_base, key, images, [c.size for c in classes], steps)
+    return _ClassData(at_base, key, images, [c.size for c in classes], steps,
+                      partial(_class_product, G))
+
+
+@_memoised
+def _class_product(G: Group, i: int, k: int) -> frozenset[int]:
+    """The positions of the classes that C_i*C_k meets.
+
+    C_i*C_k = C_k*C_i is a union of classes, and conjugating the first
+    factor to the representative x_k shows that it is (x_k*C_i)^G, so the
+    classes met are those of x_k*y for y in C_i: |C_i| products.
+    """
+    data = _class_data(G)
+    return frozenset(map(data.key.__getitem__, map(data.steps[k], data.images[i])))
 
 
 @_memoised
@@ -298,9 +308,20 @@ def coset_classes(G: Group, N: Group) -> tuple[frozenset[int], ...]:
 
 @_memoised
 def _coset_classes(G: Group, inside: frozenset[int]) -> tuple[frozenset[int], ...]:
-    """``coset_classes`` for the union of the classes at ``inside``."""
+    """``coset_classes`` for N the union of the classes at ``inside``.
+
+    C_k*N is the union of the class products C_i*C_k over N's classes i,
+    and every class of C_k*N lies over the same class of G/N: each entry
+    is made once, for the first class it holds, and handed to the rest.
+    """
     support = _class_data(G).support
-    return tuple(frozenset(support(inside, k)) for k in range(len(conjugacy_classes(G))))
+    out: list = [None] * len(conjugacy_classes(G))
+    for k in range(len(out)):
+        if out[k] is None:
+            entry = frozenset(support(inside, k))
+            for j in entry:
+                out[j] = entry
+    return tuple(out)
 
 
 def quotient(G: Group, N: Group) -> Quotient:

@@ -3,10 +3,10 @@ pairs and aggregate machine-readable reports."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
 
 from .classify import (_CELLS, _abelian_quasi_frobenius, _central_meet,
                        _p_regular_coset_classes, count_p_regular_classes, is_quasi_frobenius,
@@ -65,6 +65,11 @@ class VerificationReport:
             "checks": checks,
             "counterexample": self.counterexample,
         }
+
+    def to_json(self, include_timings: bool = False) -> str:
+        """``json.dumps(self.to_json_dict(include_timings), indent=2) + "\\n"``,
+        written in one pass (see ``_report_json``)."""
+        return _report_json(self, include_timings, 0) + "\n"
 
 
 def _stride_sample(items: tuple, limit: int = _SAMPLE_LIMIT) -> list:
@@ -183,16 +188,24 @@ def _check_count_stable(G: Group, p: int):
 
 def _check_graph_consistency(G: Group, graph: ClassGraph):
     nb, verts = graph.neighbours, graph.vertices
-    edges = 0
-    for i in range(len(verts)):
-        if nb[i] >> i & 1:
-            return False, "loop edge"
-        for j in range(i + 1, len(verts)):
-            share = bool(verts[i].prime_support & verts[j].prime_support)
-            if nb[i] >> j & 1 != share or nb[j] >> i & 1 != share:
-                return False, (f"missing edge ({i},{j})" if share
+    # i and j share a prime when their prime supports meet: one test per
+    # pair of distinct supports gives each vertex's expected neighbour mask
+    alike: dict[frozenset, int] = {}
+    for v, c in enumerate(verts):
+        alike[c.prime_support] = alike.get(c.prime_support, 0) | 1 << v
+    meets = {a: sum(mask for b, mask in alike.items() if a & b) for a in alike}
+    expected = [meets[c.prime_support] & ~(1 << v) for v, c in enumerate(verts)]
+    inside = (1 << len(verts)) - 1  # a bit past the vertices fails the component test
+    wrong = [(m ^ e) & inside for m, e in zip(nb, expected)]
+    if any(wrong):  # name the first fault of a walk over the pairs i < j in order
+        for i, w in enumerate(wrong):
+            if w >> i & 1:
+                return False, "loop edge"
+            j = next((j for j in range(i + 1, len(verts)) if (w >> j | wrong[j] >> i) & 1), None)
+            if j is not None:
+                return False, (f"missing edge ({i},{j})" if expected[i] >> j & 1
                                else f"edge ({i},{j}) without a shared prime")
-            edges += share
+    edges = sum(map(int.bit_count, expected)) // 2
     comps = graph.components
     wholes = [sum(1 << v for v in comp) for comp in comps]
     if (sorted(v for comp in comps for v in comp) != list(range(len(verts)))
@@ -485,7 +498,81 @@ class RunSummary:
         }
 
     def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timings), indent=2) + "\n"
+        """The report bytes: ``json.dumps(self.to_json_dict(include_timings),
+        indent=2) + "\\n"``, written in one pass (see ``_summary_json``)."""
+        return _summary_json(self, include_timings) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+#
+# json.dumps with an indent runs the pure-Python encoder, one generator frame
+# per value.  These writers know the report's shape, so each value is one
+# C-level encode (strings by json's own ASCII escaper, ints and floats by
+# their repr, as json.dumps writes them) and each container one str.join.
+
+_NL = tuple("\n" + "  " * depth for depth in range(8))  # newline and indent, per depth
+
+
+def _ints(xs: list[int], depth: int) -> str:
+    """An int list whose brackets sit at ``depth``."""
+    if not xs:
+        return "[]"
+    inner = _NL[depth + 1]
+    return "[" + inner + ("," + inner).join(map(int.__repr__, xs)) + _NL[depth] + "]"
+
+
+def _report_json(r: VerificationReport, timings: bool, depth: int) -> str:
+    """``r.to_json_dict(timings)`` as ``json.dumps(..., indent=2)`` writes it
+    with the report's braces at ``depth``."""
+    n1, n2, n3 = _NL[depth + 1], _NL[depth + 2], _NL[depth + 3]
+    hyp = "{}"
+    if r.hypotheses:
+        hyp = ("{" + n2 + ("," + n2).join([encode_basestring_ascii(k)
+                                           + (": true" if v else ": false")
+                                           for k, v in r.hypotheses.items()]) + n1 + "}")
+    graph = "{}"
+    if r.graph_summary:
+        g = r.graph_summary
+        edge = "[" + _NL[depth + 4] + "%d," + _NL[depth + 4] + "%d" + n3 + "]"
+        edges = ("[" + n3 + ("," + n3).join([edge % (i, j) for i, j in g["edges"]]) + n2 + "]"
+                 if g["edges"] else "[]")
+        graph = (f'{{{n2}"vertex_sizes": {_ints(g["vertex_sizes"], depth + 2)},'
+                 f'{n2}"vertex_orders": {_ints(g["vertex_orders"], depth + 2)},'
+                 f'{n2}"edges": {edges},{n2}"shape": {encode_basestring_ascii(g["shape"])}{n1}}}')
+    checks = "[]"
+    if r.checks:
+        entries = []
+        for c in r.checks:
+            entry = (f'{{{n3}"id": {encode_basestring_ascii(c.check_id)},'
+                     f'{n3}"status": {encode_basestring_ascii(c.status)},'
+                     f'{n3}"detail": {encode_basestring_ascii(c.detail)}')
+            if timings:
+                entry += f',{n3}"millis": {round(c.millis, 3)!r}'
+            entries.append(entry + n2 + "}")
+        checks = "[" + n2 + ("," + n2).join(entries) + n1 + "]"
+    return (f'{{{n1}"group": {encode_basestring_ascii(r.group_name)},'
+            f'{n1}"order": {r.group_order!r},{n1}"prime": {r.prime!r},'
+            f'{n1}"hypotheses": {hyp},{n1}"graph": {graph},{n1}"checks": {checks},'
+            f'{n1}"counterexample": {"true" if r.counterexample else "false"}{_NL[depth]}}}')
+
+
+def _summary_json(s: RunSummary, timings: bool) -> str:
+    """``s.to_json_dict(timings)`` as ``json.dumps(..., indent=2)`` writes it:
+    counterexamples first, each report at depth 2."""
+    counts, first = s.counts(), s.counterexamples()
+    listed = "[]"
+    if first:
+        listed = ("[\n      " + ",\n      ".join([
+            f'{{\n        "group": {encode_basestring_ascii(r.group_name)},'
+            f'\n        "prime": {r.prime!r}\n      }}' for r in first]) + "\n    ]")
+    ordered = first + [r for r in s.reports if not r.counterexample]
+    reports = ("[\n    " + ",\n    ".join([_report_json(r, timings, 2) for r in ordered])
+               + "\n  ]" if ordered else "[]")
+    return (f'{{\n  "schema": {encode_basestring_ascii(REPORT_SCHEMA)},\n  "summary": {{'
+            f'\n    "pairs": {len(s.reports)!r},\n    "pass": {counts["pass"]!r},'
+            f'\n    "fail": {counts["fail"]!r},\n    "skipped": {counts["skipped"]!r},'
+            f'\n    "counterexamples": {listed}\n  }},\n  "reports": {reports}\n}}')
 
 
 def default_primes(G: Group) -> tuple[int, ...]:

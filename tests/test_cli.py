@@ -10,6 +10,7 @@ from classgraph import cli
 from classgraph.cli import main
 from classgraph.construct import atlas_group
 from classgraph.graph import build_graph
+from classgraph.verify import verify_pair
 
 
 def test_atlas_list(capsys):
@@ -45,6 +46,12 @@ def test_analyze_json(capsys, tmp_path):
     text = dot.read_text()
     assert text.startswith("graph gamma {")
     assert '"v7_1" -- "v7_2";' in text
+
+
+def test_analyze_json_bytes_equal_the_standard_writer(capsys):
+    assert main(["analyze", "--group", "atlas:E25:Sigma3", "--prime", "5", "--json"]) == 0
+    report = verify_pair(atlas_group("E25:Sigma3"), 5)
+    assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
 def test_analyze_group_from_file(tmp_path, capsys):

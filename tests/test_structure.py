@@ -689,6 +689,38 @@ def test_no_class_set_is_grown_twice(atlas_groups, monkeypatch):
             assert len(set(grown)) == len(grown)
 
 
+def test_class_products_and_coset_classes_are_each_made_once(atlas_groups, monkeypatch):
+    # a class product is made on its first support() and read after that
+    G = make_group(atlas_groups["Sigma4"].generators, "Sigma4")  # nothing memoised
+    data = structure._class_data(G)
+    made = []
+
+    def counted(step):
+        return lambda images: made.append(None) or step(images)
+    data.steps[:] = map(counted, data.steps)
+    pairs = [(i, k) for i in range(len(data.sizes)) for k in range(len(data.sizes))]
+    first = [data.support([i], k) for i, k in pairs]
+    assert len(made) == len(data.sizes) * G.order  # |C_i| products per (i, k)
+    assert [data.support([i], k) for i, k in pairs] == first
+    assert len(made) == len(data.sizes) * G.order
+
+    # C_k*N is read off the class products once per class of G/N, for the
+    # first class it holds, not once per class of G
+    real_support = structure._ClassData.support
+    asked = []
+
+    def support(self, positions, k):
+        asked.append(k)
+        return real_support(self, positions, k)
+    monkeypatch.setattr(structure._ClassData, "support", support)
+    for name in ["Sigma4", "D12", "C2x(Q8:C9)", "E25:Sigma3"]:
+        H = atlas_groups[name]
+        for N in structure._normal_lattice(H):
+            asked.clear()
+            entries = structure._coset_classes.__wrapped__(H, N.classes)
+            assert len(asked) == len(set(entries)), (name, N.name)
+
+
 def test_normal_subgroups_of_a_cyclic_group():
     # one subgroup per divisor of 840 = 2^3 * 3 * 5 * 7
     normals = normal_subgroups(cyclic(840))

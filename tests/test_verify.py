@@ -9,11 +9,11 @@ import os
 import re
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 import classgraph
 from classgraph import classify, perm, structure, verify
@@ -26,8 +26,8 @@ from classgraph.graph import build_graph
 from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, class_index, conjugacy_classes,
                              make_group)
-from classgraph.verify import (ALL_CHECK_IDS, default_primes, primes_for,
-                               run_corpus, verify_pair)
+from classgraph.verify import (ALL_CHECK_IDS, CheckResult, RunSummary, VerificationReport,
+                               default_primes, primes_for, run_corpus, verify_pair)
 from oracles import naive_coprime_commuting_counts, naive_normal_class_sizes
 from strategies import generating_sets
 
@@ -170,6 +170,85 @@ def test_report_timings_optional(atlas_groups):
     assert all("millis" in c for c in doc["reports"][0]["checks"])
 
 
+def _dumped(doc: dict) -> str:
+    """The report bytes as the standard library writes them."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_report_bytes_equal_the_standard_writer_on_the_atlas(atlas, timings):
+    summary = run_corpus([entry.group for entry in atlas.values()])
+    assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+    for r in summary.reports:
+        assert r.to_json(timings) == _dumped(r.to_json_dict(timings))
+
+
+def test_report_bytes_of_an_unverified_pair(atlas_groups, monkeypatch):
+    def refuse(G, p):
+        raise LatticeCapExceeded("lattice too large")
+
+    monkeypatch.setattr(verify, "_core_climb", refuse)
+    summary = run_corpus([atlas_groups["Sigma3"]], ("list", [2, 3]))
+    assert summary.reports[0].hypotheses == {} and summary.reports[0].graph_summary == {}
+    assert '"hypotheses": {},' in summary.to_json() and '"graph": {},' in summary.to_json()
+    assert summary.to_json() == _dumped(summary.to_json_dict())
+    assert summary.reports[0].to_json(True) == _dumped(summary.reports[0].to_json_dict(True))
+
+
+def _synthetic_report(name, cx, detail="synthetic"):
+    return VerificationReport(
+        group_name=name, group_order=6, prime=2,
+        hypotheses={"p_separable": True, "triangle_free": False, "H_noncentral": True},
+        checks=[CheckResult("class-equation", "fail" if cx else "pass", detail, 0.25),
+                CheckResult("shape-refinement", "skipped", "hypothesis failed", 0.0)],
+        graph_summary={"vertex_sizes": [2, 3, 3], "vertex_orders": [3, 2, 2],
+                       "edges": [[1, 2], [0, 2]], "shape": "other"},
+        counterexample=cx)
+
+
+def test_report_bytes_list_a_counterexample_first():
+    summary = RunSummary([_synthetic_report("A", False), _synthetic_report("B", True)])
+    text = summary.to_json()
+    assert text.index('"group": "B"') < text.index('"group": "A"')
+    for timings in (False, True):
+        assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+
+
+def test_report_bytes_of_an_empty_run():
+    assert RunSummary().to_json() == _dumped(RunSummary().to_json_dict())
+    assert '"counterexamples": []\n' in RunSummary().to_json()
+
+
+_TEXT = st.text(max_size=8)
+_INTS = st.lists(st.integers(0, 10**9), max_size=3)
+_CHECK = st.builds(CheckResult, _TEXT, st.sampled_from(["pass", "fail", "skipped"]), _TEXT,
+                   st.floats(0, 1e7))
+_VERIFIED = st.builds(
+    VerificationReport, _TEXT, st.integers(1, 10**9), st.integers(2, 10**4),
+    st.fixed_dictionaries({"p_separable": st.booleans(), "triangle_free": st.booleans(),
+                           "H_noncentral": st.booleans()}),
+    st.lists(_CHECK, max_size=3),
+    st.tuples(_INTS, _INTS, st.lists(st.lists(st.integers(0, 999), min_size=2, max_size=2),
+                                     max_size=3), _TEXT).map(
+        lambda t: dict(zip(["vertex_sizes", "vertex_orders", "edges", "shape"], t))),
+    st.booleans())
+_UNVERIFIED = st.builds(VerificationReport, _TEXT, st.integers(1, 10**9),
+                        st.integers(2, 10**4), st.just({}), st.lists(_CHECK, max_size=2),
+                        st.just({}))
+
+
+@given(st.lists(_VERIFIED | _UNVERIFIED, max_size=3), st.booleans())
+@example([_synthetic_report('Q"uote\\back\x00\x1f\x7f caf\u00e9 \u20ac \U0001f600 \ud800', True,
+                            'tab\t nl\n \u2028 "\\" \U00010348')], True)
+def test_report_bytes_escape_every_string(reports, timings):
+    # names and details with quotes, backslashes, control characters,
+    # non-ASCII and astral code points are escaped as json.dumps escapes them
+    summary = RunSummary(reports)
+    assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+    for r in reports:
+        assert r.to_json(timings) == _dumped(r.to_json_dict(timings))
+
+
 def test_check_ids_unique_per_report(atlas_groups):
     r = verify_pair(atlas_groups["D12"], 5)
     ids = [c.check_id for c in r.checks]
@@ -245,6 +324,30 @@ def test_graph_consistency_fails_on_a_dropped_bit(atlas_groups):
     assert check_with(i, 1 << j) == (False, f"missing edge ({i},{j})")  # lost at one end
     assert check_with(j, 1 << i) == (False, f"missing edge ({i},{j})")  # or the other
     assert check_with(i, 1 << i) == (False, "loop edge")
+
+
+def test_graph_consistency_names_the_first_edge_without_a_shared_prime(atlas_groups):
+    g = build_graph(atlas_groups["C7:C6"])
+    apart = [pair for pair in combinations(range(len(g.vertices)), 2) if pair not in g.edges]
+    assert len(apart) == 5  # 6 vertices, 10 edges
+
+    def check_with(*flips):
+        nb = list(g.neighbours)
+        for vertex, bit in flips:
+            nb[vertex] ^= 1 << bit
+        return verify._check_graph_consistency(None, dataclasses.replace(g, neighbours=tuple(nb)))
+
+    (i, j), (k, m) = apart[0], apart[-1]
+    assert check_with((i, j)) == (False, f"edge ({i},{j}) without a shared prime")  # at one end
+    assert check_with((j, i)) == (False, f"edge ({i},{j}) without a shared prime")  # or the other
+    # a walk over the pairs in order meets (i, j) before (k, m), and a loop
+    # at a vertex before that vertex's pairs
+    assert check_with((m, k), (i, j)) == (False, f"edge ({i},{j}) without a shared prime")
+    assert check_with((k, m), (k, k)) == (False, "loop edge")
+    e, f = min(g.edges)
+    assert (k, m) < (e, f)
+    assert check_with((e, f), (m, k)) == (False, f"edge ({k},{m}) without a shared prime")
+    assert check_with((f, e)) == (False, f"missing edge ({e},{f})")
 
 
 def test_unexpected_exception_fails_only_its_check(atlas_groups, monkeypatch):
