@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 from . import construct
@@ -13,7 +12,7 @@ from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
 from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors, require_primes
 from .perm import Group, _memoised, center, conjugacy_classes, subgroup_from_elements
-from .structure import (_ONE, ISO_CAP, _Member, _class_centralizer, _class_data, _core_climb,
+from .structure import (_ONE, ISO_CAP, _Member, _centralizer_meet, _class_data, _core_climb,
                         _is_normal, _normal_lattice, _normal_subgroup, _pi_core, _search_subgroup,
                         coset_classes, hall_subgroup, is_isomorphic, is_soluble, p_complement,
                         p_core, quotient, sylow)
@@ -53,12 +52,14 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
             "kernel and complement meet nontrivially")
     require(_is_normal(G, kernel), "kernel is not normal")
     require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
-    # C_G(k^x) = C_G(k)^x and the kernel is normal, so one k per class of G
-    members = kernel.element_set()
-    for k, c in enumerate(conjugacy_classes(G)):
-        if c.element_order > 1 and c.representative in members:
-            require(members.issuperset(compress(G.elements, _class_centralizer(G, k))),
-                    "centralizer escapes the kernel")
+    # the kernel is normal, so it is the union of the classes of G it meets;
+    # C_G(x) <= kernel for x in C_k exactly when all |G| / |C_k| elements of
+    # C_G(x) lie in the kernel's classes, the same for every x in C_k
+    members, classes = kernel.element_set(), conjugacy_classes(G)
+    inside = frozenset(k for k, c in enumerate(classes) if c.representative in members)
+    meet = _centralizer_meet(G, inside)
+    for k in inside - {0}:  # the identity's class is at 0
+        require(meet[k] == G.order // classes[k].size, "centralizer escapes the kernel")
 
 
 def _is_kernel(G: Group, N: _Member) -> bool:
@@ -289,10 +290,11 @@ def _elementary_abelian_over(G: Group, N: Group) -> bool:
 
 
 @_memoised
-def _mod_p_core(G: Group, p: int) -> Group:
-    """G/O_p(G): G itself when O_p(G) = 1, else the quotient group."""
+def _mod_p_core(G: Group, p: int) -> Group | None:
+    """G/O_p(G) as a quotient group, or None when O_p(G) = 1 and it is G
+    itself, which G's cache does not hold (see ``structure.is_soluble``)."""
     core = p_core(G, p)
-    return G if core.order == 1 else quotient(G, core).group
+    return None if core.order == 1 else quotient(G, core).group
 
 
 def _primitive_root(r: int) -> int:
@@ -369,7 +371,7 @@ def _quotient_note(G: Group, p: int, shape: str) -> str:
     if q_order > ISO_CAP:
         return (f"quotient order {q_order} exceeds the isomorphism cap "
                 f"{ISO_CAP}; comparison skipped")
-    Q = _mod_p_core(G, p)
+    Q = _mod_p_core(G, p) or G
     matched = [c.name for c in _quotient_candidates(shape, p, Q.order) if is_isomorphic(Q, c)]
     if matched:
         return f"quotient matches {matched[0]}"
@@ -423,7 +425,7 @@ def _refine_iii_f(G: Group, p: int, case: ComplementCase, H: Group, k: int):
         return False, "H meets the center nontrivially"
     if k != 4:
         return False, f"expected 4 p-regular classes, found {k}"
-    Q = _mod_p_core(G, p)
+    Q = _mod_p_core(G, p) or G
     target_order = construct.atlas_order("(C5xC5):SL(2,3)")
     if Q.order != target_order:
         return False, f"quotient order {Q.order}, expected {target_order}"

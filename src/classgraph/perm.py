@@ -617,11 +617,12 @@ def center(G: Group) -> Group:
 def _right_table(G: Group) -> list[array]:
     """``right[k][i]``: the position of ``elements[i] * generators[k]``.
 
-    Taken from the cache where ``make_group`` left it (the class build is its
-    only reader, and removes it): every element there was reached as a
-    product, so the generators generate G.  Else it is built through the
-    group's product, and unless ``closed_subgroup`` made G, whose generators
-    generate it by contract, ``_require_generated`` checks them.
+    Taken from the cache where ``make_group`` left it (the class build,
+    ``_class_build``, is its only reader, and keeps it in its own entry):
+    every element there was reached as a product, so the generators
+    generate G.  Else it is built through the group's product, and unless
+    ``closed_subgroup`` made G, whose generators generate it by contract,
+    ``_require_generated`` checks them.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
@@ -644,10 +645,10 @@ def _require_generated(G: Group, right: list[array]) -> None:
     require(len(reached) == G.order, f"generators of {G.name!r} do not generate it")
 
 
-def _conjugation_tables(G: Group) -> list[list[int]]:
+def _conjugation_tables(G: Group, right: list[array]) -> list[list[int]]:
     """``conj[k][i]``: the position of g^-1 * elements[i] * g for g =
-    ``generators[k]``, read off g's right table in C; no ``Permutation`` is
-    conjugated.
+    ``generators[k]``, read off g's right table ``right[k]`` in C; no
+    ``Permutation`` is conjugated.
 
     Byte-string images (``make_group`` up to degree 256) are looked up by
     their images.  ``bytes.maketrans`` sends an image back to its points,
@@ -661,7 +662,7 @@ def _conjugation_tables(G: Group) -> list[list[int]]:
     ``make_group`` groups do not otherwise build.)
     """
     images = G._images or list(map(_images, G.elements))  # ordered as the elements
-    right = list(map(array.tolist, _right_table(G)))
+    right = list(map(array.tolist, right))
     if isinstance(images[0], bytes):
         pos = dict(zip(images, count()))
         inverted = map(bytes.maketrans, images, repeat(images[0]))  # the identity's images
@@ -676,18 +677,22 @@ def _conjugation_tables(G: Group) -> list[list[int]]:
 
 
 @_memoised
-def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
-    """Conjugacy classes as lists of element positions, keyed by their least
-    element and in order of their first element.
+def _class_build(G: Group) -> tuple[dict[Permutation, list[int]], list[array], list[array]]:
+    """The class orbits (see ``_class_orbits``), and the right and
+    conjugation tables they were walked on, one ``array`` per generator,
+    kept for the walk that counts class centralizers
+    (``structure._class_fixers``).
 
     Works on positions 0..n-1, the identity at 0, with conjugation by each
-    generator as a table of positions (``_conjugation_tables``).  Each orbit
-    is walked breadth first from its first position, conjugating by the
-    generators in order.  The least element is read off the encoded
+    generator as a table of positions (``_conjugation_tables``), walked as
+    lists, which hand back their ints where an array makes one per read.
+    Each orbit is walked breadth first from its first position, conjugating
+    by the generators in order.  The least element is read off the encoded
     images, so only the representatives become ``Permutation``s.
     """
     n = G.order
-    conj = _conjugation_tables(G)
+    right = _right_table(G)
+    conj = _conjugation_tables(G, right)
     keys = G._images or list(map(_images, G.elements))  # ordered as the elements
     seen = bytearray(n)
     orbits = {}
@@ -703,7 +708,13 @@ def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
                     seen[z] = 1
                     orbit.append(z)
         orbits[G._at(min(orbit, key=keys.__getitem__))] = orbit
-    return orbits
+    return orbits, right, [array("I", c) for c in conj]
+
+
+def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
+    """Conjugacy classes as lists of element positions, keyed by their least
+    element and in order of their first element (``_class_build``)."""
+    return _class_build(G)[0]
 
 
 @_memoised

@@ -4,18 +4,19 @@ separability, quotients, normal subgroups, and isomorphism testing."""
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotASubgroup, NotNormal)
 from .numtheory import is_pi_number, pi_part, prime_factors, require_primes
-from .perm import (Group, Permutation, _class_orbits, _images, _memoised, bulk_conjugate,
-                   center, class_elements, class_index, closed_subgroup, conjugacy_classes,
-                   conjugation_maps, extend_hom, generating_set, make_group,
+from .perm import (Group, Permutation, _class_build, _class_orbits, _images, _memoised,
+                   bulk_conjugate, center, class_elements, class_index, closed_subgroup,
+                   conjugacy_classes, conjugation_maps, extend_hom, generating_set, make_group,
                    require_members)
 
 ISO_CAP = 1024
@@ -61,19 +62,9 @@ class _ClassData(NamedTuple):
     images: list[list]    # per position, the image tuples of the class's elements
     sizes: list[int]
     steps: list[Callable]  # per position, y's images -> base images of rep * y
-    product: Callable      # (i, k) -> ``_class_product(G, i, k)``
 
     def position(self, x: Permutation) -> int:
         return self.key[self.at_base(x.images)]
-
-    def support(self, positions: Iterable[int], k: int) -> set[int]:
-        """The positions of the classes that C*C_k meets, C the union of
-        the classes at ``positions``: the union of the class products
-        C_i*C_k, each made once, when first asked for.  A table of every
-        class times every element, made up front, costs far more than the
-        questions it answers.
-        """
-        return set().union(*map(self.product, positions, repeat(k)))
 
 
 @_memoised
@@ -95,8 +86,7 @@ def _class_data(G: Group) -> _ClassData:
         images.append(imgs)
     steps = [itemgetter(b) if len(base) == 1 else itemgetter(*b)
              for b in (at_base(c.representative.images) for c in classes)]
-    return _ClassData(at_base, key, images, [c.size for c in classes], steps,
-                      partial(_class_product, G))
+    return _ClassData(at_base, key, images, [c.size for c in classes], steps)
 
 
 @_memoised
@@ -111,23 +101,76 @@ def _class_product(G: Group, i: int, k: int) -> frozenset[int]:
     return frozenset(map(data.key.__getitem__, map(data.steps[k], data.images[i])))
 
 
-@_memoised
-def _base_images(G: Group) -> list:
-    """Each element's base images, read by ``_ClassData.at_base``."""
-    return list(map(_class_data(G).at_base, map(_images, G.elements)))
+def _support(G: Group, positions: Iterable[int], k: int) -> set[int]:
+    """The positions of the classes that C*C_k meets, C the union of the
+    classes at ``positions``: the union of the class products C_i*C_k, each
+    made once, when first asked for.  A table of every class times every
+    element, made up front, costs far more than the questions it answers.
+    """
+    return set().union(*map(_class_product, repeat(G), positions, repeat(k)))
+
+
+_LANE = array("I").itemsize  # bytes per class in a packed count of ``_class_fixers``
+_TOP = 8 * _LANE - 1  # the top bit of a lane; positions and counts lie below it
 
 
 @_memoised
-def _class_centralizer(G: Group, k: int) -> list[bool]:
-    """C_G(x) for the representative x of the k-th class, as a mask over
-    G's elements.  One scan of G compares the base images of x*g and g*x:
-    g's images read at x's base images, and x's images read at g's base
-    images, both made in C."""
-    bases = _base_images(G)
-    read = conjugacy_classes(G)[k].representative.images.__getitem__
-    right = (map(read, bases) if not isinstance(bases[0], tuple)
-             else map(tuple, map(map, repeat(read), bases)))
-    return list(map(eq, map(_class_data(G).steps[k], map(_images, G.elements)), right))
+def _class_fixers(G: Group) -> tuple[int, ...]:
+    """Entry j packs |C_G(x_k) n C_j| for every class k, in one ``_LANE``-byte
+    lane per k in the machine's byte order, x_k the first element of the
+    k-th class orbit (any element of the class gives the same counts).
+
+    One breadth-first walk of G over its right tables carries, for each
+    element g, the positions of every x_k^g: a child g*s takes its
+    parent's, read through s's conjugation table in C.  g centralizes x_k
+    exactly when x_k^g is x_k, that is when lane k of those positions,
+    packed as one int and xored with the identity's, is 0.  With each
+    lane's top bit set, subtracting 1 from every lane borrows only inside
+    the lane and leaves the top bit set exactly in the nonzero lanes; 1
+    less that bit, shifted down, is 1 in lane k exactly when g fixes x_k,
+    and that int is added to the entry of g's class.  A count is at most
+    |G|, below a lane's top bit, so no carry crosses a lane.
+    """
+    orbits, right, conj = _class_build(G)
+    classes = conjugacy_classes(G)
+    where = [0] * G.order  # the class position of each element
+    for j, c in enumerate(classes):
+        for i in orbits[c.representative]:
+            where[i] = j
+    order = sys.byteorder
+    first = [orbits[c.representative][0] for c in classes]
+    start = int.from_bytes(array("I", first), order)
+    ones = int.from_bytes(array("I", repeat(1, len(classes))), order)
+    top = ones << _TOP
+    packed = [0] * len(classes)
+    steps = list(zip(right, map(array.tolist, conj)))
+    seen = bytearray(G.order)
+    seen[0] = 1
+    frontier, images = [0], [first]  # elements, and the positions of their x_k^g
+    while frontier:
+        reached, carried = [], []
+        for i, moved in zip(frontier, images):
+            moves = int.from_bytes(array("I", moved), order) ^ start
+            packed[where[i]] += ones - ((((moves | top) - ones) & top) >> _TOP)
+            for r, c in steps:
+                y = r[i]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+                    carried.append(list(map(c.__getitem__, moved)))
+        frontier, images = reached, carried
+    return tuple(packed)
+
+
+@_memoised
+def _centralizer_meet(G: Group, classes: frozenset[int]) -> array:
+    """|C_G(x_k) n N| for every class k of G, N the union of the classes at
+    ``classes``: the ``_class_fixers`` entries of N's classes, summed lane
+    by lane as one int.  Entry k is |C_G(x)| = |G| / |C_k| for every x in
+    C_k exactly when C_G(x) lies in N."""
+    fixers = _class_fixers(G)
+    return array("I", sum(map(fixers.__getitem__, classes)).to_bytes(
+        _LANE * len(fixers), sys.byteorder))
 
 
 def _class_positions(G: Group, N: Group) -> frozenset[int]:
@@ -143,13 +186,12 @@ def _grow(G: Group, classes: frozenset[int], k: int,
     The join is the union of the N*C_k^m, so each round multiplies by x_k
     only the classes that the round before reached for the first time.
     """
-    data = _class_data(G)
-    support, size = data.support, data.sizes.__getitem__
+    size = _class_data(G).sizes.__getitem__
     reached = set(classes)
     frontier = classes
     order = sum(map(size, classes))
     while frontier:
-        frontier = support(frontier, k) - reached
+        frontier = _support(G, frontier, k) - reached
         reached |= frontier
         order += sum(map(size, frontier))
         if cap is not None and order > cap:
@@ -203,9 +245,10 @@ def derived_subgroup(G: Group) -> Group:
     return normal_closure(G, comms, f"[{G.name},{G.name}]")
 
 
-@_memoised
 def is_soluble(G: Group) -> tuple[bool, SeriesCertificate]:
-    """Derived-series test; the certificate carries the (possibly stalled) series."""
+    """Derived-series test; the certificate carries the (possibly stalled)
+    series.  Each term is memoised (``derived_subgroup``), the certificate
+    is not: it holds G, and G's cache holds nothing that leads back to G."""
     terms = [G]
     while terms[-1].order > 1:
         nxt = derived_subgroup(terms[-1])
@@ -314,11 +357,10 @@ def _coset_classes(G: Group, inside: frozenset[int]) -> tuple[frozenset[int], ..
     and every class of C_k*N lies over the same class of G/N: each entry
     is made once, for the first class it holds, and handed to the rest.
     """
-    support = _class_data(G).support
     out: list = [None] * len(conjugacy_classes(G))
     for k in range(len(out)):
         if out[k] is None:
-            entry = frozenset(support(inside, k))
+            entry = frozenset(_support(G, inside, k))
             for j in entry:
                 out[j] = entry
     return tuple(out)
@@ -384,11 +426,12 @@ def _core_climb(G: Group, p: int) -> tuple[bool, tuple[_Member, ...], tuple[str,
     return ascending[-1].order == G.order, tuple(ascending), tuple(labels)
 
 
-@_memoised
 def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
     """Alternating-core series: ``_core_climb``, by O_p / O_{p'} until stuck
     or at G, with the certificate's terms built as groups: the series
-    descending in G, each factor tagged, and G in front of a stalled one."""
+    descending in G, each factor tagged, and G in front of a stalled one.
+    The climb and each term are memoised, the certificate is not (see
+    ``is_soluble``)."""
     ok, ascending, labels = _core_climb(G, p)
     terms = ([] if ok else [G]) + [_normal_subgroup(G, m) for m in reversed(ascending)]
     return ok, SeriesCertificate("core_series", tuple(terms), labels[::-1])
@@ -573,4 +616,7 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
             assignment.pop()
         return False
 
-    return backtrack(0)
+    try:
+        return backtrack(0)
+    finally:
+        del backtrack  # it calls itself through its closure: a cycle that holds A and B

@@ -15,8 +15,8 @@ from .errors import InvalidParameter
 from .graph import (ClassGraph, _higher, build_graph, central_p_prime_part,
                     coprime_class_span, diameter, is_triangle_free)
 from .numtheory import is_prime, is_prime_power, p_part, prime_factors, require_primes
-from .perm import Group, _class_orbits, _memoised, class_index, conjugacy_classes
-from .structure import (_ONE, _Member, _class_centralizer, _class_data, _core_climb,
+from .perm import Group, _memoised, class_index, conjugacy_classes
+from .structure import (_ONE, _Member, _centralizer_meet, _class_data, _core_climb,
                         _coset_classes, _is_normal, _normal_lattice, _pi_core, hall_subgroup,
                         is_soluble, p_complement)
 
@@ -89,28 +89,21 @@ def _check_class_equation(G: Group):
             f"sum of class sizes {total} vs order {G.order}")
 
 
-@_memoised
-def _centralizer_count(G: Group, k: int) -> list[int]:
-    """|C_G(x_k) n C_j| for x_k the k-th class's representative, per class
-    position j: C_G(x_k)'s mask read at each class orbit's positions."""
-    mask, orbits = _class_centralizer(G, k), _class_orbits(G)
-    return [sum(map(mask.__getitem__, orbits[c.representative])) for c in conjugacy_classes(G)]
-
-
 def _inner_class_size(G: Group, N: _Member, k: int) -> int:
     """|cl_N(x)| for x in the k-th class of G and N a lattice member holding
     it: |N| / |C_G(x) n N|, the same for every x in the class since
-    C_G(x^g) = C_G(x)^g and N^g = N.  The elements of C_G(x_k) are counted
-    by class of G once per k, and the counts summed over N's."""
-    return N.order // sum(map(_centralizer_count(G, k).__getitem__, N.classes))
+    C_G(x^g) = C_G(x)^g and N^g = N.  |C_G(x_k) n N| is read, for every k
+    at once, off the class centralizer counts of N's classes
+    (``structure._centralizer_meet``)."""
+    return N.order // _centralizer_meet(G, N.classes)[k]
 
 
 @_memoised
 def _check_normal_class_divisibility(G: Group):
     # a failure counts every element of its class, as a scan over N would;
-    # N = G has none, since |cl_G(x)| divides itself
+    # N = 1 and N = G have none, since |cl_N(x)| is 1 or |cl_G(x)| itself
     lattice, size = _normal_lattice(G), _class_data(G).sizes
-    bad = sum(size[k] for N in lattice if N.order < G.order for k in N.classes
+    bad = sum(size[k] for N in lattice if 1 < N.order < G.order for k in N.classes
               if size[k] % _inner_class_size(G, N, k))
     return (bad == 0,
             f"{len(lattice)} normal subgroups sampled, {bad} divisibility failures")

@@ -11,7 +11,7 @@ from classgraph.classify import (count_p_regular_classes, is_elementary_abelian,
                                  pi_class_size_criterion, complement_case)
 from classgraph.construct import (affine_prime_group, cyclic, direct_product,
                                   elementary_abelian, symmetric)
-from classgraph.errors import PreconditionViolated
+from classgraph.errors import InvariantViolated, PreconditionViolated
 from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, conjugacy_classes, make_group,
                              parse_cycle_string, subgroup_from_elements)
@@ -66,6 +66,27 @@ def test_frobenius_witness_invariants(atlas_groups):
         for k in w.kernel.elements:
             if not k.is_identity():
                 assert naive_centralizer(G.elements, k) <= w.kernel.element_set()
+
+
+def test_frobenius_recheck_refuses_a_centralizer_outside_the_kernel(monkeypatch):
+    # C6 with kernel C3 and complement C2 passes every earlier check (orders,
+    # trivial meet, a normal kernel inside G), but it is abelian, so C_G(x)
+    # = G for x in the kernel: the class counts over the kernel's classes
+    # give |C_G(x) n C3| = 3, not |G| / |cl(x)| = 6
+    read = []
+    meet = classify._centralizer_meet
+
+    def recording(G, classes):
+        read.append(classes)
+        return meet(G, classes)
+    monkeypatch.setattr(classify, "_centralizer_meet", recording)
+    G = cyclic(6)
+    x = G.generators[0]
+    kernel = subgroup_from_elements(G, [x ** 0, x ** 2, x ** 4], "C3")
+    complement = subgroup_from_elements(G, [x ** 0, x ** 3], "C2")
+    with pytest.raises(InvariantViolated, match="centralizer escapes the kernel"):
+        classify._verify_frobenius(G, kernel, complement)
+    assert read == [structure._class_positions(G, kernel)]
 
 
 @given(generating_sets())

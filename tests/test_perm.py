@@ -354,9 +354,9 @@ def test_conjugation_tables_match_naive(gens, data):
     ident = twin.identity
     sorted_trivial = Group("1'", ident.degree, (ident,), (ident,))  # empty base
     for H in (G, S, trivial, sorted_trivial):
-        conj = perm_module._conjugation_tables(H)
+        conj = perm_module._class_build(H)[2]
         assert H in (S, sorted_trivial) or H._elements is None  # read off the images
-        assert conj == _naive_conjugation_tables(H)
+        assert list(map(list, conj)) == _naive_conjugation_tables(H)
 
 
 def test_conjugation_tables_above_degree_256(atlas_groups):
@@ -364,9 +364,9 @@ def test_conjugation_tables_above_degree_256(atlas_groups):
     G = make_group(big.generators, "G")
     S = subgroup_from_elements(big, big.elements, "S")  # sorted
     for H in (G, S):
-        conj = perm_module._conjugation_tables(H)
+        conj = perm_module._class_build(H)[2]
         assert H is S or H._elements is None
-        assert conj == _naive_conjugation_tables(H)
+        assert list(map(list, conj)) == _naive_conjugation_tables(H)
 
 
 def test_generators_of_a_proper_subgroup_fail_the_class_build():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from classgraph import perm, structure
-from classgraph.construct import (alternating, cyclic, dihedral, direct_product,
+from classgraph.construct import (ActionSpec, alternating, cyclic, dihedral, direct_product,
                                   elementary_abelian, generalized_quaternion,
-                                  symmetric)
+                                  semidirect_product, symmetric)
 from classgraph.classify import is_frobenius
 from classgraph.errors import (HallSearchExhausted, IsoCapExceeded, NotAMember, NotASubgroup,
                                NotNormal, PreconditionViolated)
@@ -22,9 +22,10 @@ from classgraph.structure import (coset_classes, derived_subgroup, hall_subgroup
                                   is_isomorphic, is_p_separable, is_soluble,
                                   normal_closure, normal_subgroups, p_complement, p_core,
                                   p_prime_core, pi_core, quotient, sylow)
-from oracles import (naive_class_product, naive_closure, naive_derived_subgroup,
-                     naive_is_normal, naive_is_p_separable, naive_normal_closure,
-                     naive_normal_subgroups, naive_pi_core_over, naive_sylow_conjugates)
+from oracles import (naive_centralizer, naive_class_product, naive_closure,
+                     naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
+                     naive_normal_closure, naive_normal_subgroups, naive_pi_core_over,
+                     naive_sylow_conjugates)
 from strategies import generating_sets, permutations
 
 
@@ -586,11 +587,49 @@ def test_normal_subgroups_match_naive(gens):
 def test_class_supports_match_naive(gens):
     G = make_group(gens, "G")
     members = [class_elements(G, c) for c in conjugacy_classes(G)]
-    support = structure._class_data(G).support
     for i, A in enumerate(members):
         for k, B in enumerate(members):
-            assert {members[j] for j in support([i], k)} == \
+            assert {members[j] for j in structure._support(G, [i], k)} == \
                 naive_class_product(G.elements, A, B)
+
+
+def _assert_centralizer_counts_match_naive(G):
+    # M[k][j] = |C_G(x_k) n C_j| from the one walk of G, against the
+    # elements of each class that commute with the representative x_k
+    classes = conjugacy_classes(G)
+    members = [class_elements(G, c) for c in classes]
+    columns = [structure._centralizer_meet(G, frozenset({j})) for j in range(len(classes))]
+    M = [[column[k] for column in columns] for k in range(len(classes))]
+    for k, c in enumerate(classes):
+        centralizer = naive_centralizer(G.elements, c.representative)
+        assert M[k] == [len(centralizer & C) for C in members]
+        assert sum(M[k]) == G.order // c.size
+        # both count the commuting pairs in C_k x C_j
+        assert all(c.size * M[k][j] == d.size * M[j][k] for j, d in enumerate(classes))
+
+
+@given(generating_sets())
+@example(S5_GENS)
+def test_centralizer_counts_match_naive(gens):
+    _assert_centralizer_counts_match_naive(make_group(gens, "G"))
+
+
+def test_centralizer_counts_of_sorted_trivial_and_tuple_image_groups():
+    s5 = symmetric(5)
+    gens = [parse_cycle_string("(1,2,3)", 5), parse_cycle_string("(1,2,3,4,5)", 5)]
+    a5 = subgroup_from_elements(s5, mulclose(gens, group=s5), "A5")  # sorted, base images
+    trivial = make_group([], "1", degree=3)
+    ident = trivial.identity
+    sorted_trivial = Group("1'", 3, (ident,), (ident,))  # empty base
+    c13, c24 = cyclic(13), cyclic(24)
+    x = c13.generators[0]
+    # regular on 312 points, so its images are tuples; x -> x^2 has order 12,
+    # so the center has order 2, and the classes have sizes 1, 12 and 13
+    big = semidirect_product(c13, c24, ActionSpec({c24.generators[0]: {x: x * x}}),
+                             "C13:C24")
+    assert big.degree > 256 and sorted({c.size for c in conjugacy_classes(big)}) == [1, 12, 13]
+    for G in (a5, trivial, sorted_trivial, big):
+        _assert_centralizer_counts_match_naive(G)
 
 
 def _assert_growth_matches_naive(G, N, k):
@@ -690,7 +729,7 @@ def test_no_class_set_is_grown_twice(atlas_groups, monkeypatch):
 
 
 def test_class_products_and_coset_classes_are_each_made_once(atlas_groups, monkeypatch):
-    # a class product is made on its first support() and read after that
+    # a class product is made on its first _support() and read after that
     G = make_group(atlas_groups["Sigma4"].generators, "Sigma4")  # nothing memoised
     data = structure._class_data(G)
     made = []
@@ -699,20 +738,20 @@ def test_class_products_and_coset_classes_are_each_made_once(atlas_groups, monke
         return lambda images: made.append(None) or step(images)
     data.steps[:] = map(counted, data.steps)
     pairs = [(i, k) for i in range(len(data.sizes)) for k in range(len(data.sizes))]
-    first = [data.support([i], k) for i, k in pairs]
+    first = [structure._support(G, [i], k) for i, k in pairs]
     assert len(made) == len(data.sizes) * G.order  # |C_i| products per (i, k)
-    assert [data.support([i], k) for i, k in pairs] == first
+    assert [structure._support(G, [i], k) for i, k in pairs] == first
     assert len(made) == len(data.sizes) * G.order
 
     # C_k*N is read off the class products once per class of G/N, for the
     # first class it holds, not once per class of G
-    real_support = structure._ClassData.support
+    real_support = structure._support
     asked = []
 
-    def support(self, positions, k):
+    def support(G, positions, k):
         asked.append(k)
-        return real_support(self, positions, k)
-    monkeypatch.setattr(structure._ClassData, "support", support)
+        return real_support(G, positions, k)
+    monkeypatch.setattr(structure, "_support", support)
     for name in ["Sigma4", "D12", "C2x(Q8:C9)", "E25:Sigma3"]:
         H = atlas_groups[name]
         for N in structure._normal_lattice(H):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -18,8 +19,8 @@ from hypothesis import example, given, strategies as st
 import classgraph
 from classgraph import classify, perm, structure, verify
 from classgraph.classify import is_frobenius
-from classgraph.construct import (affine_prime_group, alternating, cyclic, direct_product,
-                                  parse_corpus, symmetric)
+from classgraph.construct import (affine_prime_group, alternating, cyclic, dihedral,
+                                  direct_product, parse_corpus, symmetric)
 from classgraph.errors import (HallSearchExhausted, InvalidParameter, LatticeCapExceeded,
                                NoCaseMatches, PreconditionViolated)
 from classgraph.graph import build_graph
@@ -741,6 +742,44 @@ def test_every_cache_entry_is_a_memo_of_its_call(atlas):
     assert {"base", "product", "element_set", "conjugacy_classes", "class_elements",
             "center", "sylow", "p_complement", "is_quasi_frobenius",
             "complement_case"} <= repeated
+
+
+def _unreachable_groups(run) -> list[str]:
+    """The names of the Groups that ``run()`` leaves for the cyclic
+    collector: it runs with the collector off, and one collection that
+    keeps what it finds lists them."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [x.name for x in gc.garbage if isinstance(x, Group)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_a_verified_group_is_freed_when_its_last_reference_goes(atlas):
+    # no cache entry of a group leads back to it, so reference counting
+    # frees the group, its caches and the groups made for it; the atlas
+    # covers certificates, quotients by O_p(G) and Z(G), Frobenius
+    # witnesses and isomorphism tests
+    def one_pair():
+        verify_pair(dihedral(20), 3)
+
+    def atlas_run():
+        run_corpus([make_group(entry.group.generators, name) for name, entry in atlas.items()])
+
+    def certificates():
+        G = symmetric(5)
+        assert not structure.is_soluble(G)[0]  # both certificates hold G
+        assert not structure.is_p_separable(G, 2)[0]
+    for run in (one_pair, atlas_run, certificates):
+        assert _unreachable_groups(run) == [], run.__name__
 
 
 def test_coprime_commuting_check_walks_the_group_once():
