@@ -283,9 +283,11 @@ def _elementary_abelian_over(G: Group, N: Group) -> bool:
     is 1 or a power of one prime q and their commutators and q-th powers
     lie in N."""
     primes = prime_factors(G.order // N.order)
+    if len(primes) > 1:
+        return False
     mul, gens = G.product(), G.generators
-    return (len(primes) <= 1
-            and all(mul(mul(~a, ~b), mul(a, b)) in N for a in gens for b in gens)
+    pairs = [(a, ~a) for a in gens]  # each generator inverted once
+    return (all(mul(mul(ia, ib), mul(a, b)) in N for a, ia in pairs for b, ib in pairs)
             and all(g ** q in N for q in primes for g in gens))
 
 

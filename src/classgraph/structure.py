@@ -240,8 +240,9 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
 
 @_memoised
 def derived_subgroup(G: Group) -> Group:
-    mul = G.product()
-    comms = [mul(mul(~a, ~b), mul(a, b)) for a in G.generators for b in G.generators]
+    mul, gens = G.product(), G.generators
+    pairs = [(a, ~a) for a in gens]  # each generator inverted once
+    comms = [mul(mul(ia, ib), mul(a, b)) for a, ia in pairs for b, ib in pairs]
     return normal_closure(G, comms, f"[{G.name},{G.name}]")
 
 

@@ -145,24 +145,59 @@ def _prime_part_powers(z, n: int, mul) -> list:
     return parts
 
 
+def _pi_parts(z, n: int, mul, ident) -> list:
+    """The pi-parts of z, of order n, indexed by bitmask over the primes of
+    n in increasing order: entry m is the product of the q-parts of z for
+    the primes q in m, so entry 0 is ``ident``."""
+    parts = [ident]
+    for zq in _prime_part_powers(z, n, mul):
+        parts += [zq] + [mul(x, zq) for x in parts[1:]]
+    return parts
+
+
 @_memoised
 def _check_coprime_commuting_divisibility(G: Group):
     # commuting x, y of coprime orders are the pi- and pi'-parts of z = xy,
     # pi the primes of o(x); so each z in G gives one pair per subset pi of
-    # the primes of o(z), and a pair counts when both parts are sampled
+    # the primes of o(z).  Whether a pair fails is a class function of z,
+    # so the representative of each class, weighted by the class size,
+    # stands for all of its elements
+    if G.order > _SAMPLE_LIMIT:
+        return _sampled_coprime_commuting(G, _stride_sample(G.elements))
+    data = _class_data(G)
+    position, size = data.position, data.sizes
+    mul, ident = G.product(), G.identity
+    bad = checked = 0
+    for c in conjugacy_classes(G):
+        parts, sz = _pi_parts(c.representative, c.element_order, mul, ident), c.size
+        full = len(parts) - 1
+        checked += sz * len(parts)
+        bad += sz * sum(1 for m, x in enumerate(parts)
+                        if sz % size[position(x)] or sz % size[position(parts[full ^ m])])
+    return bad == 0, f"{checked} commuting coprime pairs, {bad} failures"
+
+
+def _sampled_coprime_commuting(G: Group, sample) -> tuple[bool, str]:
+    """The coprime-commuting check as a walk over every element z of G, a
+    pair counting when both its parts are in ``sample``.
+
+    It is kept only for groups above ``_SAMPLE_LIMIT``, whose pinned counts
+    depend on where the sampled elements sit in the enumeration, so they
+    cannot be read per class.  Making the check exhaustive for every group
+    (one re-pin of the reports) deletes this walk together with
+    ``_stride_sample``.
+    """
     classes = class_index(G)
     mul, ident = G.product(), G.identity
-    sampled = set(_stride_sample(G.elements))
+    sampled = set(sample)
     bad = checked = 0
     for z in G.elements:
         cz = classes[z]
-        pi_parts = [ident]  # pi_parts[m]: the product of the q-parts in bitmask m
-        for zq in _prime_part_powers(z, cz.element_order, mul):
-            pi_parts += [zq] + [mul(x, zq) for x in pi_parts[1:]]
-        full = len(pi_parts) - 1
+        parts = _pi_parts(z, cz.element_order, mul, ident)
+        full = len(parts) - 1
         sz = cz.size
-        for m, x in enumerate(pi_parts):
-            y = pi_parts[full ^ m]
+        for m, x in enumerate(parts):
+            y = parts[full ^ m]
             if x in sampled and y in sampled:
                 checked += 1
                 if sz % classes[x].size != 0 or sz % classes[y].size != 0:

@@ -782,23 +782,61 @@ def test_a_verified_group_is_freed_when_its_last_reference_goes(atlas):
         assert _unreachable_groups(run) == [], run.__name__
 
 
+def _count_products(G: Group) -> list[int]:
+    """Route G.product() through a counter; the one-item list holds the count."""
+    mul, calls = G.product(), [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+    G._cache[Group.product.__wrapped__] = counted  # product()'s memo key
+    return calls
+
+
 def test_coprime_commuting_check_walks_the_group_once():
     # each z takes its q-parts by repeated squaring, then its pi-parts as
     # products of q-parts: O(|G| log o(z)) products, not |sample|^2
     G = direct_product(symmetric(5), cyclic(6))
     orders = {z: c.element_order for z, c in class_index(G).items()}
-    mul = G.product()
-    calls = 0
-
-    def counted(x, y):
-        nonlocal calls
-        calls += 1
-        return mul(x, y)
-    G._cache[Group.product.__wrapped__] = counted  # product()'s memo key
+    calls = _count_products(G)
     verify._check_coprime_commuting_divisibility(G)
     bound = sum(2 * len(prime_factors(n)) * n.bit_length() + 2 ** len(prime_factors(n))
                 for n in orders.values())
-    assert 0 < calls <= bound < G.order * 50
+    assert 0 < calls[0] <= bound < G.order * 50
+
+
+def test_coprime_commuting_check_multiplies_only_at_representatives(atlas, monkeypatch):
+    # at most _SAMPLE_LIMIT elements, each class is read at its
+    # representative: O(sum over classes of log o(z)) products, fewer here
+    # than the 240 elements, with no sample and no element-to-class map
+    G = make_group(atlas["E16:C15"].group.generators, "E16:C15")
+    assert G.order <= verify._SAMPLE_LIMIT
+    monkeypatch.setattr(verify, "_stride_sample", None)
+    orders = [c.element_order for c in conjugacy_classes(G)]
+    calls = _count_products(G)
+    verify._check_coprime_commuting_divisibility(G)
+    bound = sum(2 * len(prime_factors(n)) * n.bit_length() + 2 ** len(prime_factors(n))
+                for n in orders)
+    assert 0 < calls[0] <= bound < G.order
+    assert class_index.__wrapped__ not in G._cache
+
+
+def _assert_coprime_routes_agree(G: Group):
+    # the sampled walk with the whole group as its sample counts every pair
+    assert G.order <= verify._SAMPLE_LIMIT
+    assert (verify._sampled_coprime_commuting(G, G.elements)
+            == verify._check_coprime_commuting_divisibility(G))
+
+
+def test_coprime_commuting_routes_agree_on_the_atlas(atlas):
+    for name, entry in atlas.items():
+        if entry.group.order <= verify._SAMPLE_LIMIT:
+            _assert_coprime_routes_agree(make_group(entry.group.generators, name))
+
+
+@given(generating_sets())
+def test_coprime_commuting_routes_agree(gens):
+    _assert_coprime_routes_agree(make_group(gens, "G"))
 
 
 def _assert_normal_class_sizes_match_naive(G):
