@@ -1,0 +1,109 @@
+"""The library's design rules, checked on the syntax tree of each module.
+
+``RULES`` has one row per rule: which nodes breach it, and per file the
+top-level functions or classes allowed to contain them.  A node inside a
+nested function or a method counts as being in its top-level def or class.
+Comments and docstrings are not nodes, and a call counts whether it is
+written as a name or as an attribute (``structure.quotient(...)``).
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
+
+import classgraph
+
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+           for path in sorted(Path(classgraph.__file__).parent.glob("*.py"))}
+
+
+class Rule(NamedTuple):
+    matches: Callable[[ast.AST], bool]
+    allowed: dict[str, set[str]]  # file name -> top-level defs that may hold a match
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a Name or Attribute node reads; None for any other node."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _calls(*names: str) -> Callable[[ast.AST], bool]:
+    return lambda node: isinstance(node, ast.Call) and _name(node.func) in names
+
+
+def _imports(node: ast.AST) -> set[str]:
+    """The top-level packages an absolute import reads; empty for any other node."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def _string_cache_key(node):
+    """``x._cache["key"]`` or ``x._cache.method("key", ...)``, f-strings too."""
+    if isinstance(node, ast.Subscript):
+        owner, key = node.value, node.slice
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+        owner, key = node.func.value, node.args[0]
+    else:
+        return False
+    string = isinstance(key, ast.JoinedStr) or (isinstance(key, ast.Constant)
+                                                and isinstance(key.value, str))
+    return _name(owner) == "_cache" and string
+
+
+RULES = {
+    # python -O strips assert statements, so runtime checks must raise instead
+    "assert": Rule(lambda node: isinstance(node, ast.Assert), {}),
+    # the library is dependency-free at runtime and imports nothing from
+    # bench/, whose corpus, run, tracer and worker are not stdlib names
+    "stdlib-imports-only": Rule(lambda node: not _imports(node) <= sys.stdlib_module_names, {}),
+    # every subgroup search is one deterministic pass, so no report depends on a seed
+    "no-random": Rule(lambda node: "random" in _imports(node), {}),
+    # mulclose runs only under the greedy pass that finds the generators of every subgroup
+    "mulclose": Rule(_calls("mulclose"), {"perm.py": {"generating_set"}}),
+    # a closed element set becomes a Group in subgroup_from_elements, a class
+    # set in _normal_subgroup and a Hall search's closure in _search_subgroup
+    "closed_subgroup": Rule(_calls("closed_subgroup"), {
+        "perm.py": {"subgroup_from_elements"},
+        "structure.py": {"_normal_subgroup", "_search_subgroup"}}),
+    # inside the library normal subgroups are class sets; only the entry points that
+    # take N as a Group check it for normality or map it to class positions
+    "class-positions": Rule(_calls("_class_positions", "_require_normal"), {
+        "structure.py": {"coset_classes", "quotient"}}),
+    # class questions about G/N are read off G's class sets; a quotient group
+    # is built only for isomorphism tests and a Frobenius search in G/Z(G)
+    "quotient": Rule(_calls("quotient"), {
+        "classify.py": {"_mod_p_core", "is_quasi_frobenius"}}),
+    # the checks read structure._normal_lattice; normal_subgroups is for callers
+    "normal_subgroups": Rule(_calls("normal_subgroups"), {}),
+    # derived data is cached only through perm._memoised, keyed by function and arguments;
+    # make_group hands its right table to _right_table under the one string key
+    "memo-call": Rule(_calls("_memo"), {}),
+    "string-cache-key": Rule(_string_cache_key, {"perm.py": {"make_group", "_right_table"}}),
+}
+
+
+def _matches(rule: Rule, tree: ast.Module):
+    """(enclosing top-level def or class, or "<module>", line) per match."""
+    for stmt in tree.body:
+        defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt):
+            if rule.matches(node):
+                yield (stmt.name if defines else "<module>"), node.lineno
+
+
+@pytest.mark.parametrize("rule_id", RULES)
+def test_design_rule(rule_id):
+    rule = RULES[rule_id]
+    breaches = [f"{path}:{line} in {owner}"
+                for path, tree in MODULES.items()
+                for owner, line in _matches(rule, tree)
+                if owner not in rule.allowed.get(path, ())]
+    assert not breaches, f"{rule_id} breached at " + ", ".join(breaches)
