@@ -10,7 +10,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import wraps
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, product, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -278,13 +278,16 @@ class Group:
     Immutable after construction; derived data is cached lazily.  Groups
     from ``make_group`` list ``elements`` breadth-first over generator
     products, each layer sorted; ``closed_subgroup`` sorts them.  Either
-    way the identity comes first.  ``make_group`` hands over its elements
-    as encoded images (see ``_from_images``), decoded into ``elements`` on
-    first read.
+    way the identity comes first.  A group from ``make_group`` holds its
+    elements as encoded images (see ``_from_images``), decoded into
+    ``elements`` on first read; a product split into factors on disjoint
+    points (``_factors``) is not even enumerated until something reads its
+    elements or their images (``_keys``), and ``order`` is the product of
+    the factors' orders.
     """
 
     __slots__ = ("name", "degree", "generators", "order", "_elements", "_images", "_made",
-                 "_generated", "_cache")
+                 "_factors", "_generated", "_cache")
 
     def __init__(self, name: str, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...]):
@@ -294,6 +297,8 @@ class Group:
         self.order = len(elements)
         self._elements = elements
         self._images = self._made = None
+        # (points, factor) per block of make_group's split, by least point; empty if unsplit
+        self._factors: tuple[tuple[tuple[int, ...], Group], ...] = ()
         self._generated = False  # whether ``generators`` are known to generate it
         self._cache: dict = {}
 
@@ -307,15 +312,44 @@ class Group:
         very objects at their positions, so the group's own elements are
         the same objects before and after.
         """
-        G = cls(name, degree, generators, ())
-        G.order = len(images)
-        G._elements, G._images, G._made = None, images, {}
+        G = cls._unenumerated(name, degree, generators, len(images), ())
+        G._images, G._made = images, {}
         return G
+
+    @classmethod
+    def _unenumerated(cls, name: str, degree: int, generators: tuple[Permutation, ...],
+                      order: int, factors: tuple) -> "Group":
+        """A group of this order whose elements are not made yet.  Until
+        ``_close`` enumerates it, ``_made`` holds the elements made by
+        ``_held``, by their images."""
+        G = cls(name, degree, generators, ())
+        G.order, G._factors = order, factors
+        G._elements, G._made = None, {}
+        return G
+
+    @property
+    def _enumerated(self) -> bool:
+        return self._elements is not None or self._images is not None
+
+    def _keys(self) -> list:
+        """The elements' images in position order: encoded while the
+        elements are undecoded, enumerated first if need be."""
+        if self._elements is not None:
+            return list(map(_images, self._elements))
+        if self._images is None:
+            _close(self, self.order)
+        return self._images
+
+    def _held(self, images: tuple[int, ...]) -> Permutation:
+        """The element with these images, made before the group is
+        enumerated and seated at its position when it is (``_close``)."""
+        return self._made.setdefault(images, Permutation._raw(images))
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         if self._elements is None:
-            elements = list(map(Permutation._raw, map(tuple, self._images)))  # tuple(t) is t
+            images = self._keys()
+            elements = list(map(Permutation._raw, map(tuple, images)))  # tuple(t) is t
             for i, x in self._made.items():
                 elements[i] = x
             self._elements = tuple(elements)
@@ -326,9 +360,10 @@ class Group:
         """The element at position i, made alone while the rest are undecoded."""
         if self._elements is not None:
             return self._elements[i]
+        images = self._keys()
         x = self._made.get(i)
         if x is None:
-            x = self._made[i] = Permutation._raw(tuple(self._images[i]))
+            x = self._made[i] = Permutation._raw(tuple(images[i]))
         return x
 
     def __contains__(self, g: Permutation) -> bool:
@@ -356,7 +391,7 @@ class Group:
         and the stabilizer keeps the elements fixing it.  The identity group
         has the empty base."""
         base: list[int] = []
-        stab = self._images or list(map(_images, self.elements))
+        stab = self._keys()
         for b in range(self.degree):
             if len(stab) == 1:
                 break
@@ -392,9 +427,18 @@ class Group:
         return f"Group({self.name!r}, order={self.order}, degree={self.degree})"
 
     def __reduce__(self):
-        if self._elements is None:
+        if self._elements is not None:
+            return (Group, (self.name, self.degree, self.generators, self._elements))
+        if self._images is not None:
             return (Group._from_images, (self.name, self.degree, self.generators, self._images))
-        return (Group, (self.name, self.degree, self.generators, self._elements))
+        # a split product not yet enumerated is closed again from its generators
+        return (_unpickle_split, (self.generators, self.name, self.degree, self.order))
+
+
+def _unpickle_split(generators: tuple[Permutation, ...], name: str, degree: int,
+                    order: int) -> Group:
+    # its own order is the cap, so a group built past the default cap is not refused
+    return make_group(generators, name, degree=degree, max_order=order)
 
 
 def make_group(generators: Iterable[Permutation], name: str, *,
@@ -404,11 +448,15 @@ def make_group(generators: Iterable[Permutation], name: str, *,
 
     Enumeration order is breadth-first over right multiplication by the
     generators, sorting each new layer lexicographically, so the element
-    tuple is a pure function of the generating set.  Products are formed on
-    images (bytes up to degree 256, tuples beyond), not on Permutations, and
-    where each lands is kept as the group's right-multiplication table until
-    the class build takes it (see ``_right_table``).  The group keeps the
-    images and decodes them into ``elements`` on first read.
+    tuple is a pure function of the generating set (see ``_close``).
+
+    Generators that split into blocks moving pairwise disjoint points
+    (``_blocks``) generate the direct product of the blocks' groups.  Then
+    each block's group is closed alone on its own points, as a factor, and
+    G is returned with the product of their orders and enumerated only on
+    first read of its elements; ``conjugacy_classes`` reads it off the
+    factors until then.  Either way the order cap is checked before G has
+    any element, and the refusal names G.
     """
     gens = []
     for g in generators:
@@ -431,6 +479,50 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     if deg < 1:
         raise ValueError("degree must be >= 1")
 
+    blocks = _blocks(gens)
+    if len(blocks) < 2:
+        G = Group._unenumerated(name, deg, tuple(gens), 0, ())
+        _close(G, cap)
+        return G
+    factors, order = [], 1
+    for points, members in blocks:
+        local = {p: i for i, p in enumerate(points)}
+        on_points = [Permutation._raw(tuple(local[g.images[p]] for p in points))
+                     for g in members]
+        try:  # the product so far times this factor's order stays within the cap
+            F = make_group(on_points, name, max_order=cap // order)
+        except OrderCapExceeded:
+            raise OrderCapExceeded(name, cap) from None
+        factors.append((points, F))
+        order *= F.order
+    return Group._unenumerated(name, deg, tuple(gens), order, tuple(factors))
+
+
+def _blocks(gens: Sequence[Permutation]) -> list[tuple[tuple[int, ...], list[Permutation]]]:
+    """The least blocks of points, pairwise disjoint, that each generator's
+    moved points lie within (a union-find by merging), by least point,
+    each with its generators in order; the identity belongs to none."""
+    moved = [(g, {i for i, im in enumerate(g.images) if i != im}) for g in gens]
+    blocks: list[set[int]] = []
+    for _, points in moved:
+        if points:
+            joined = [b for b in blocks if not b.isdisjoint(points)]
+            blocks = [b for b in blocks if b.isdisjoint(points)] + [points.union(*joined)]
+    return [(tuple(sorted(b)), [g for g, points in moved if points & b])
+            for b in sorted(blocks, key=min)]
+
+
+def _close(G: Group, cap: int) -> None:
+    """Enumerate G from its generators: its elements' images in position
+    order, and the right-multiplication table that the class build takes
+    (see ``_right_table``).  Elements ``_held`` so far are seated at their
+    positions.  Raises OrderCapExceeded once G outgrows ``cap``.
+
+    Products are formed on images (bytes up to degree 256, tuples beyond),
+    not on Permutations, breadth-first over right multiplication by the
+    generators, each new layer sorted lexicographically.
+    """
+    deg = G.degree
     # Up to degree 256 images are held as bytes: x * g is x.translate of g's
     # images padded to a 256-byte table, and a bytes key caches its hash.
     # Beyond that they stay tuples: x * g is _then(x) called on g's images.
@@ -438,7 +530,7 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         encode, pad, step, lift = bytes, bytes(256 - deg), bytes.translate, None
     else:
         encode, pad, step, lift = tuple, (), itemgetter.__call__, _then
-    tables = [encode(g.images) + pad for g in gens]
+    tables = [encode(g.images) + pad for g in G.generators]
     start = encode(range(deg))
     # Each generator's products are made and looked up in C, each hashed once
     # by pos.setdefault: a product not yet in pos enters it with the next
@@ -447,14 +539,14 @@ def make_group(generators: Iterable[Permutation], name: str, *,
     pos = {start: next(fresh)}  # images -> provisional number
     at = {0: 0}  # provisional number -> position
     images = [start]
-    right = [array("I") for _ in gens]
+    right = [array("I") for _ in tables]
     frontier = [start]
     while frontier:
         base = len(pos)
         xs = frontier if lift is None else list(map(lift, frontier))
         rows = [list(map(pos.setdefault, map(step, xs, repeat(t)), fresh)) for t in tables]
         if len(pos) > cap:
-            raise OrderCapExceeded(name, cap)
+            raise OrderCapExceeded(G.name, cap)
         # the layer's new elements are pos's last keys; sorted by images, the
         # order of Permutation.__lt__ (a byte is a point), they take the next
         # positions
@@ -464,9 +556,9 @@ def make_group(generators: Iterable[Permutation], name: str, *,
         images += frontier
         for r, row in zip(right, rows):
             r.extend(map(at.__getitem__, row))
-    G = Group._from_images(name, deg, tuple(gens), images)
+    G._made = {at[pos[encode(x.images)]]: x for x in G._made.values()}
+    G.order, G._images = len(images), images
     G._cache["right_table"] = right
-    return G
 
 
 def require_members(G: Group, elems: Iterable[Permutation], what: str) -> None:
@@ -617,12 +709,12 @@ def center(G: Group) -> Group:
 def _right_table(G: Group) -> list[array]:
     """``right[k][i]``: the position of ``elements[i] * generators[k]``.
 
-    Taken from the cache where ``make_group`` left it (the class build,
-    ``_class_build``, is its only reader, and keeps it in its own entry):
-    every element there was reached as a product, so the generators
-    generate G.  Else it is built through the group's product, and unless
-    ``closed_subgroup`` made G, whose generators generate it by contract,
-    ``_require_generated`` checks them.
+    Taken from the cache where the enumeration (``_close``) left it (the
+    class build, ``_class_build``, is its only reader, and keeps it in its
+    own entry): every element there was reached as a product, so the
+    generators generate G.  Else it is built through the group's product,
+    and unless ``closed_subgroup`` made G, whose generators generate it by
+    contract, ``_require_generated`` checks them.
     """
     right = G._cache.pop("right_table", None)
     if right is None:
@@ -645,10 +737,10 @@ def _require_generated(G: Group, right: list[array]) -> None:
     require(len(reached) == G.order, f"generators of {G.name!r} do not generate it")
 
 
-def _conjugation_tables(G: Group, right: list[array]) -> list[list[int]]:
+def _conjugation_tables(G: Group, right: list[array], images: list) -> list[list[int]]:
     """``conj[k][i]``: the position of g^-1 * elements[i] * g for g =
-    ``generators[k]``, read off g's right table ``right[k]`` in C; no
-    ``Permutation`` is conjugated.
+    ``generators[k]``, read off g's right table ``right[k]`` in C and the
+    elements' ``images`` (``Group._keys``); no ``Permutation`` is conjugated.
 
     Byte-string images (``make_group`` up to degree 256) are looked up by
     their images.  ``bytes.maketrans`` sends an image back to its points,
@@ -661,7 +753,6 @@ def _conjugation_tables(G: Group, right: list[array]) -> list[list[int]]:
     scans the tuple; base images for byte strings need a ``base()`` that
     ``make_group`` groups do not otherwise build.)
     """
-    images = G._images or list(map(_images, G.elements))  # ordered as the elements
     right = list(map(array.tolist, right))
     if isinstance(images[0], bytes):
         pos = dict(zip(images, count()))
@@ -691,9 +782,9 @@ def _class_build(G: Group) -> tuple[dict[Permutation, list[int]], list[array], l
     images, so only the representatives become ``Permutation``s.
     """
     n = G.order
+    keys = G._keys()  # first: enumerating G leaves its right table
     right = _right_table(G)
-    conj = _conjugation_tables(G, right)
-    keys = G._images or list(map(_images, G.elements))  # ordered as the elements
+    conj = _conjugation_tables(G, right, keys)
     seen = bytearray(n)
     orbits = {}
     for i in range(n):
@@ -717,19 +808,51 @@ def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
     return _class_build(G)[0]
 
 
+def _conj_class(representative: Permutation, size: int, order: int) -> ConjClass:
+    return ConjClass(representative=representative, size=size, element_order=order,
+                     is_central=(size == 1),
+                     prime_support=frozenset(prime_factors(size)) if size > 1 else frozenset())
+
+
+def _factor_classes(G: Group) -> list[ConjClass]:
+    """The classes of a split product G = F_1 x ... x F_k (``make_group``),
+    read off its factors' classes.
+
+    They are the products C_1 x ... x C_k of factor classes, of size
+    |C_1|...|C_k| and element order lcm(o(C_1), ..., o(C_k)).  The least
+    element by images has each C_i's least element written back onto F_i's
+    points: the points are disjoint and each factor's are numbered in
+    increasing order, so images compare point by point on one factor
+    alone.  The representatives are ``_held`` by G until it is enumerated.
+    """
+    # the factors' points, then the points no generator moves, gathered
+    # into G's order of points
+    points = [p for block, _ in G._factors for p in block]
+    fixed = sorted(set(range(G.degree)).difference(points))
+    slot = {p: i for i, p in enumerate(points + fixed)}
+    gather = _then(tuple(map(slot.__getitem__, range(G.degree))))
+    choices = [[(c.size, c.element_order, [block[i] for i in c.representative.images])
+                for c in conjugacy_classes(F)] for block, F in G._factors]
+    classes = []
+    for combo in product(*choices):
+        sizes, orders, written = zip(*combo)
+        images = gather(list(chain(*written, fixed)))
+        classes.append(_conj_class(G._held(images), math.prod(sizes), math.lcm(*orders)))
+    return classes
+
+
 @_memoised
 def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
-    """All conjugacy classes, sorted by (size, element order, representative)."""
-    classes = []
-    for rep, orbit in _class_orbits(G).items():
-        size = len(orbit)
-        classes.append(ConjClass(
-            representative=rep,
-            size=size,
-            element_order=rep.order(),
-            is_central=(size == 1),
-            prime_support=frozenset(prime_factors(size)) if size > 1 else frozenset(),
-        ))
+    """All conjugacy classes, sorted by (size, element order, representative).
+
+    A split product not yet enumerated reads them off its factors
+    (``_factor_classes``), any other group off its class orbits.
+    """
+    if G._factors and not G._enumerated:
+        classes = _factor_classes(G)
+    else:
+        classes = [_conj_class(rep, len(orbit), rep.order())
+                   for rep, orbit in _class_orbits(G).items()]
     classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
     return tuple(classes)
 

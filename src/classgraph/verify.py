@@ -657,8 +657,11 @@ def run_corpus(groups: list[Group], primes_mode: tuple = ("all",),
              for G in sorted(groups, key=lambda g: g.name)]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: slow to import
+        # largest orders first, so the costliest group does not start last;
+        # the reports are sorted below
+        by_cost = sorted(tasks, key=lambda task: -task[0].order)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_verify_group_worker, tasks))
+            chunks = list(pool.map(_verify_group_worker, by_cost))
     else:
         chunks = [_verify_group_worker(t) for t in tasks]
     reports = [r for chunk in chunks for r in chunk]

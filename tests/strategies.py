@@ -19,6 +19,36 @@ def generating_sets(draw, max_degree=5, max_gens=3):
 
 
 @st.composite
+def split_generating_sets(draw):
+    """Generators of a direct product on disjoint points, relabelled so that
+    the factors' points interleave.
+
+    The first two factors come from ``generating_sets`` (so a factor may
+    split again, or be trivial); a third, when drawn, is one permutation or
+    the identity on up to three points.  Orders stay at most 24 * 6 * 3.
+    """
+    factors = [draw(generating_sets(max_degree=4)), draw(generating_sets(max_degree=3))]
+    if draw(st.booleans()):
+        factors.append([draw(permutations(draw(st.integers(1, 3))))])
+    gens = side_by_side(factors)
+    sigma = draw(permutations(gens[0].degree))
+    return [g.conjugate(sigma) for g in gens]
+
+
+def side_by_side(factors):
+    """The generators of each factor, each factor's on its own points after
+    the previous factor's."""
+    degree = sum(f[0].degree for f in factors)
+    gens, offset = [], 0
+    for f in factors:
+        d = f[0].degree
+        gens += [Permutation(list(range(offset)) + [offset + i for i in g.images]
+                             + list(range(offset + d, degree))) for g in f]
+        offset += d
+    return gens
+
+
+@st.composite
 def graphs_with_twins(draw, max_base=5, max_vertices=8):
     """(n, edges) on a random graph with some vertices copied as twins.
 

@@ -58,6 +58,11 @@ def _string_cache_key(node):
     return _name(owner) == "_cache" and string
 
 
+def _slot_access(*slots: str) -> Callable[[ast.AST], bool]:
+    """An attribute access ``x.slot``, read or written."""
+    return lambda node: isinstance(node, ast.Attribute) and node.attr in slots
+
+
 RULES = {
     # python -O strips assert statements, so runtime checks must raise instead
     "assert": Rule(lambda node: isinstance(node, ast.Assert), {}),
@@ -84,9 +89,14 @@ RULES = {
     # the checks read structure._normal_lattice; normal_subgroups is for callers
     "normal_subgroups": Rule(_calls("normal_subgroups"), {}),
     # derived data is cached only through perm._memoised, keyed by function and arguments;
-    # make_group hands its right table to _right_table under the one string key
+    # the enumeration hands its right table to _right_table under the one string key
     "memo-call": Rule(_calls("_memo"), {}),
-    "string-cache-key": Rule(_string_cache_key, {"perm.py": {"make_group", "_right_table"}}),
+    "string-cache-key": Rule(_string_cache_key, {"perm.py": {"_close", "_right_table"}}),
+    # a split product is enumerated on first read, so its encoded-image slots
+    # are read only through Group's own readers (elements, _at, _keys) and
+    # written by the enumeration
+    "lazy-slots": Rule(_slot_access("_images", "_made", "_elements"),
+                       {"perm.py": {"Group", "_close"}}),
 }
 
 

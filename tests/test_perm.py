@@ -10,17 +10,17 @@ from hypothesis import example, given, strategies as st
 from classgraph import perm as perm_module
 from classgraph.errors import (BadCycle, DegreeMismatch, InvariantViolated, NotAMember,
                                NotASubgroup, OrderCapExceeded)
-from classgraph.construct import alternating, cyclic, symmetric
+from classgraph.construct import alternating, cyclic, dihedral, direct_product, symmetric
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
-from classgraph.perm import (Group, Permutation, bulk_conjugate, center, centralizer,
-                             class_elements, class_index, conjugacy_classes, conjugation_maps,
-                             element_order, extend_hom, make_group, mulclose,
-                             parse_cycle_string, subgroup_from_elements)
+from classgraph.perm import (DEFAULT_MAX_ORDER, Group, Permutation, bulk_conjugate, center,
+                             centralizer, class_elements, class_index, conjugacy_classes,
+                             conjugation_maps, element_order, extend_hom, make_group,
+                             mulclose, parse_cycle_string, subgroup_from_elements)
 from oracles import (centralizer_order, naive_center, naive_centralizer,
                      naive_class_sizes, naive_closure, naive_compose, naive_conjugacy_classes,
                      naive_conjugate, naive_element_order, naive_extend_hom,
                      naive_greedy_base, naive_layered_closure, naive_orbit_walk)
-from strategies import generating_sets, permutations
+from strategies import generating_sets, permutations, side_by_side, split_generating_sets
 
 
 def perm(text, degree):
@@ -118,13 +118,19 @@ def test_graph_queries_decode_only_representatives(monkeypatch, n, primes):
         assert mul(rep, rep) is G.elements[at[rep * rep]]
 
 
-@pytest.mark.parametrize("n", [256, 257])
+# byte images, tuple images, and a split product pickled before it is enumerated
+_PICKLED = {256: _dihedral_gens(256), 257: _dihedral_gens(257),
+            "split": side_by_side([_dihedral_gens(5), _dihedral_gens(7)])}
+
+
+@pytest.mark.parametrize("n", _PICKLED)
 def test_undecoded_group_survives_pickling(n):
     # run_corpus --jobs pickles groups that may not be decoded yet
-    lazy, eager = make_group(_dihedral_gens(n), "D"), make_group(_dihedral_gens(n), "D")
+    lazy, eager = make_group(_PICKLED[n], "D"), make_group(_PICKLED[n], "D")
     eager.elements
     clone = pickle.loads(pickle.dumps(lazy))
     assert lazy._elements is None  # pickling decodes nothing
+    assert (clone._images is None) == (n == "split")  # a split product carries no images
 
     def classes(G):
         return [(c.size, c.element_order, c.representative, class_elements(G, c))
@@ -135,6 +141,18 @@ def test_undecoded_group_survives_pickling(n):
     assert all(c.representative is clone.elements[clone.elements.index(c.representative)]
                for c in conjugacy_classes(clone))
     assert pickle.loads(pickle.dumps(eager)).elements == eager.elements
+
+
+def test_a_split_product_above_the_default_cap_survives_pickling():
+    G = make_group(side_by_side([_dihedral_gens(150), _dihedral_gens(151)]), "D300xD302",
+                   max_order=10 ** 5)
+    assert G.order == 300 * 302 > DEFAULT_MAX_ORDER
+    clone = pickle.loads(pickle.dumps(G))  # closed again under its own order as the cap
+    assert clone.order == G.order and clone._images is None
+
+    def keys(H):
+        return [(c.size, c.element_order, c.representative) for c in conjugacy_classes(H)]
+    assert keys(clone) == keys(G)
 
 
 def test_closure_paths_agree_across_degree_256():
@@ -215,6 +233,60 @@ def test_make_group_requires_degree_when_empty():
 def test_make_group_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         make_group([perm("(1,2)", 2), perm("(1,2)", 3)], "bad")
+
+
+@given(split_generating_sets())
+@example([perm("(1,3)", 5), perm("(2,4,5)", 5)])  # interleaved blocks: C2 x C3
+@example([perm("(1,2)", 5), perm("()", 5), perm("(3,4,5)", 5), perm("(3,5,4)", 5)])
+def test_split_products_read_their_classes_off_the_factors(gens):
+    G = make_group(gens, "G")
+    classes = conjugacy_classes(G)
+    if G._factors:
+        assert G._elements is None and G._images is None  # G itself is not enumerated
+    keys = [(c.size, c.element_order, c.representative) for c in classes]
+    naive = naive_conjugacy_classes(G.elements)
+    assert keys == sorted((len(K), min(K).order(), min(K)) for K in naive)
+    # an element of largest support moves a point of every factor, so with
+    # it the same group is made from one connecting block
+    widest = max(G.elements, key=lambda x: sum(i != im for i, im in enumerate(x.images)))
+    joined = make_group(gens + [widest], "G joined")
+    assert not joined._factors and joined.order == G.order
+    assert keys == [(c.size, c.element_order, c.representative)
+                    for c in conjugacy_classes(joined)]
+    # once G is enumerated, each representative is its own element at its
+    # position, also as a key of the class orbits
+    at = {x: i for i, x in enumerate(G.elements)}
+    assert all(c.representative is G.elements[at[c.representative]] for c in classes)
+    by_rep = {c.representative: c for c in classes}
+    assert all(rep is by_rep[rep].representative for rep in perm_module._class_orbits(G))
+
+
+def test_a_product_above_the_cap_is_refused_before_any_element(monkeypatch):
+    gens = side_by_side([_dihedral_gens(30), _dihedral_gens(31)])  # D60 x D62, order 3720
+    closed = []
+    close = perm_module._close
+    monkeypatch.setattr(perm_module, "_close",
+                        lambda G, cap: closed.append(G.degree) or close(G, cap))
+    with pytest.raises(OrderCapExceeded, match=r"'D60xD62' exceeds the order cap 3000$"):
+        make_group(gens, "D60xD62", max_order=3000)
+    assert closed == [30, 31]  # each factor on its own points, D60 x D62 never
+    assert make_group(gens, "D60xD62", max_order=3720).order == 3720
+
+
+def test_graph_queries_on_a_split_product_never_enumerate_it(monkeypatch):
+    G = direct_product(dihedral(44), dihedral(106))
+    closed = []
+    monkeypatch.setattr(perm_module, "_close", lambda H, cap: closed.append(H))
+    for p in (None, 2, 3, 11, 53):
+        g = build_graph(G, p)
+        is_triangle_free(g)
+        diameter(g)
+        to_dot(g)
+    monkeypatch.undo()
+    assert closed == [] and G._elements is None and G._images is None
+    at = {x: i for i, x in enumerate(G.elements)}
+    assert all(c.representative is G.elements[at[c.representative]]
+               for c in conjugacy_classes(G))
 
 
 def test_order_cap():
@@ -311,8 +383,10 @@ def test_conjugacy_classes_a4_d10(atlas_groups):
 
 @given(generating_sets())
 @example([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
+@example([perm("(1,2)", 4), perm("(3,4)", 4)])  # a split product
 def test_class_orbits_match_naive(gens):
-    G = make_group(gens, "G")  # hands its right-multiplication table over
+    G = make_group(gens, "G")
+    G.identity  # enumerated (a split product on this first read), G hands its table over
     twin = make_group(gens, "G'")
     S = subgroup_from_elements(twin, twin.elements, "S")  # sorted, builds one itself
     trivial = make_group([], "1", degree=gens[0].degree)  # no generators
@@ -346,7 +420,7 @@ def _naive_conjugation_tables(H):
 
 @given(generating_sets(), st.data())
 def test_conjugation_tables_match_naive(gens, data):
-    G = make_group(gens, "G")  # byte images, undecoded
+    G = make_group(gens, "G")  # byte images, undecoded; a split product enumerated on demand
     twin = make_group(gens, "G'")
     seeds = data.draw(st.lists(st.sampled_from(twin.elements), min_size=1, max_size=2))
     S = subgroup_from_elements(twin, mulclose(seeds, group=twin), "S")  # sorted, base images
