@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a comma-separated list")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel worker processes, one task per group")
+                   help="parallel worker processes, one task per group, "
+                        "capped at the number of groups")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

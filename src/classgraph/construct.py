@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Mapping, NamedTuple
+from itertools import product
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParameter,
                      NotAHomomorphism, NotAnAutomorphism, OrderCapExceeded,
@@ -78,11 +79,8 @@ def generalized_quaternion(n: int, *, max_order: int | None = None) -> Group:
         raise InvalidParameter("generalized quaternion order must be 2^k with k >= 3")
     m = n // 2  # order of a
 
-    def idx(i: int, j: int) -> int:
-        return (i % m) * 2 + j
-
-    def mul(i1, j1, i2, j2):
-        # (a^i1 b^j1)(a^i2 b^j2)
+    def mul(u, v):  # (a^i1 b^j1)(a^i2 b^j2)
+        (i1, j1), (i2, j2) = u, v
         if j1 == 0:
             i, j = i1 + i2, j2
         else:
@@ -91,16 +89,8 @@ def generalized_quaternion(n: int, *, max_order: int | None = None) -> Group:
             i, j = i + m // 2, 0
         return i % m, j % 2
 
-    def rmul_perm(k2, l2):
-        images = [0] * n
-        for i in range(m):
-            for j in range(2):
-                images[idx(i, j)] = idx(*mul(i, j, k2, l2))
-        return Permutation(images)
-
-    a = rmul_perm(1, 0)
-    b = rmul_perm(0, 1)
-    G = make_group([a, b], f"Q{n}", max_order=max_order)
+    elements = [(i, j) for i in range(m) for j in range(2)]
+    G = _right_regular(elements, mul, [(1, 0), (0, 1)], f"Q{n}", max_order)
     require(G.order == n, f"Q{n} has order {G.order}")
     return G
 
@@ -179,6 +169,18 @@ def direct_product(A: Group, B: Group, name: str | None = None, *,
     return G
 
 
+def _right_regular(elements: Sequence, mul: Callable, gens: Iterable, name: str,
+                   max_order: int | None) -> Group:
+    """The group of right multiplications by ``gens`` on ``elements``.
+
+    Point i stands for ``elements[i]``; ``mul(x, g)`` is the product x*g,
+    which must be in ``elements``.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    perms = [Permutation([index[mul(x, g)] for x in elements]) for g in gens]
+    return make_group(perms, name, degree=len(elements), max_order=max_order)
+
+
 def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]) -> dict:
     """Extend a K-generator assignment to a full automorphism, or raise.
 
@@ -202,7 +204,7 @@ def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]
 
 def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
                        max_order: int | None = None) -> Group:
-    """K â‹Š H by the right-regular action on the |K|*|H| pairs (k, h).
+    """K ⋊ H by the right-regular action on the |K|*|H| pairs (k, h).
 
     The action data is validated twice: each H-generator image must extend
     to an automorphism of K, and the generator assignment must extend to a
@@ -229,27 +231,14 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
         raise NotAHomomorphism(no_hom)
     beta = {h: (~a).images for h, a in hom.items()}
 
-    h_index = {h: i for i, h in enumerate(H.elements)}
-    nH = H.order
+    def mul(u, v):  # (k, h)(k', h') = (k * h k' h^-1, h h')
+        (k, h), (k2, h2) = u, v
+        return k * K.elements[beta[h][k_index[k2]]], h * h2
 
-    def point(k: Permutation, h: Permutation) -> int:
-        return k_index[k] * nH + h_index[h]
-
-    gens = []
-    for k0 in K.generators:  # right multiplication by (k0, 1)
-        images = [0] * (K.order * nH)
-        for k in K.elements:
-            for h in H.elements:
-                images[point(k, h)] = point(k * K.elements[beta[h][k_index[k0]]], h)
-        gens.append(Permutation(images))
-    for h0 in H.generators:  # right multiplication by (1, h0)
-        images = [0] * (K.order * nH)
-        for k in K.elements:
-            for h in H.elements:
-                images[point(k, h)] = point(k, h * h0)
-        gens.append(Permutation(images))
-
-    G = make_group(gens, name, degree=K.order * nH, max_order=max_order)
+    elements = [(k, h) for k in K.elements for h in H.elements]
+    gens = ([(k, H.identity) for k in K.generators]
+            + [(K.identity, h) for h in H.generators])
+    G = _right_regular(elements, mul, gens, name, max_order)
     if G.order != K.order * H.order:
         raise NotAHomomorphism(
             f"product closure has order {G.order}, expected {K.order * H.order}")
@@ -376,23 +365,11 @@ def heisenberg3() -> Group:
     Elements are triples (i, j, l) over GF(3) with
     (i,j,l)(i',j',l') = (i+i', j+j', l+l'+i*j').
     """
-    def idx(t):
-        return t[0] * 9 + t[1] * 3 + t[2]
-
     def mul(u, v):
         return ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3, (u[2] + v[2] + u[0] * v[1]) % 3)
 
-    def rmul_perm(v):
-        images = [0] * 27
-        for i in range(3):
-            for j in range(3):
-                for l in range(3):
-                    images[idx((i, j, l))] = idx(mul((i, j, l), v))
-        return Permutation(images)
-
-    a = rmul_perm((1, 0, 0))
-    b = rmul_perm((0, 1, 0))
-    G = make_group([a, b], "ES27", max_order=27)
+    elements = list(product(range(3), repeat=3))
+    G = _right_regular(elements, mul, [(1, 0, 0), (0, 1, 0)], "ES27", 27)
     require(G.order == 27, f"ES27 has order {G.order}")
     return G
 
@@ -414,16 +391,30 @@ def _gl2_perm(q: int, m: tuple[int, int, int, int]) -> Permutation:
     return Permutation(images)
 
 
-def _e2_element(E: Group, q: int, v: tuple[int, int]) -> Permutation:
-    x, y = E.generators
-    return (x ** v[0]) * (y ** v[1])
+# SL(2,3) in GL(2,5): i and j generate Q8, and u, of order 3, cycles i -> j -> ij
+_SL23_MOD5 = ((0, 4, 1, 0), (0, 2, 2, 0), (1, 3, 4, 3))
+# i and j in SL(2,3) itself
+_Q8_MOD3 = ((0, 2, 1, 0), (1, 1, 1, 2))
 
 
-def _matrix_action_on_e2(E: Group, q: int, m: tuple[int, int, int, int]) -> dict:
-    """ActionSpec images for a matrix acting on E_{q^2} via its generator columns."""
-    a, b, c, d = m
+def _gl2_group(q: int, mats: Sequence[tuple[int, ...]], name: str, order: int) -> Group:
+    """The group of the matrices ``mats`` acting on GF(q)^2, of the given order."""
+    H = make_group([_gl2_perm(q, m) for m in mats], name, max_order=order)
+    require(H.order == order, f"{name} has order {H.order}")
+    return H
+
+
+def _e2_by_matrices(q: int, H: Group, mats: Sequence[tuple[int, ...]], name: str) -> Group:
+    """E_{q^2} ⋊ H, the i-th generator of H acting by the matrix ``mats[i]``.
+
+    A matrix [[a,b],[c,d]] acts on the exponents of E's generators x, y by
+    its columns: it sends x to x^a y^c and y to x^b y^d.
+    """
+    E = elementary_abelian(q, 2)
     x, y = E.generators
-    return {x: _e2_element(E, q, (a, c)), y: _e2_element(E, q, (b, d))}
+    action = ActionSpec({h: {x: (x ** a) * (y ** c), y: (x ** b) * (y ** d)}
+                         for h, (a, b, c, d) in zip(H.generators, mats, strict=True)})
+    return semidirect_product(E, H, action, name)
 
 
 @dataclass(frozen=True)
@@ -451,50 +442,6 @@ def _c3_c4() -> Group:
     return semidirect_product(c3, c4, action, "C3:C4")
 
 
-def _e25_sigma3() -> Group:
-    e25 = elementary_abelian(5, 2)
-    s3 = symmetric(3)
-    x, y = e25.generators
-    s, r = s3.generators  # s = (1,2), r = (1,2,3)
-    # s acts as [[1,4],[0,4]], r as [[0,4],[1,4]] on the exponent space
-    action = ActionSpec({
-        s: _matrix_action_on_e2(e25, 5, (1, 4, 0, 4)),
-        r: _matrix_action_on_e2(e25, 5, (0, 4, 1, 4)),
-    })
-    return semidirect_product(e25, s3, action, "E25:Sigma3")
-
-
-_SL23_MATS = {
-    "i": (0, 4, 1, 0),
-    "j": (0, 2, 2, 0),
-    "u": (1, 3, 4, 3),  # order-3 element cycling i -> j -> ij
-}
-
-
-def _c5c5_sl23() -> Group:
-    e25 = elementary_abelian(5, 2)
-    mats = [_gl2_perm(5, _SL23_MATS[k]) for k in ("i", "j", "u")]
-    sl23 = make_group(mats, "SL(2,3)@25", max_order=24)
-    require(sl23.order == 24, f"SL(2,3) has order {sl23.order}")
-    action = ActionSpec({
-        m: _matrix_action_on_e2(e25, 5, _SL23_MATS[k])
-        for m, k in zip(sl23.generators, ("i", "j", "u"))
-    })
-    return semidirect_product(e25, sl23, action, "(C5xC5):SL(2,3)")
-
-
-def _c5c5_q8() -> Group:
-    e25 = elementary_abelian(5, 2)
-    mats = [_gl2_perm(5, _SL23_MATS[k]) for k in ("i", "j")]
-    q8 = make_group(mats, "Q8@25", max_order=8)
-    require(q8.order == 8, f"Q8 has order {q8.order}")
-    action = ActionSpec({
-        m: _matrix_action_on_e2(e25, 5, _SL23_MATS[k])
-        for m, k in zip(q8.generators, ("i", "j"))
-    })
-    return semidirect_product(e25, q8, action, "(C5xC5):Q8")
-
-
 def _es27_q8() -> Group:
     K = heisenberg3()
     a, b = K.generators
@@ -506,7 +453,6 @@ def _es27_q8() -> Group:
         return base * (z ** ((l - i * j) % 3))
 
     q8 = generalized_quaternion(8)
-    qa, qb = q8.generators
 
     def phi_images(m):
         al, be, ga, de = m
@@ -515,31 +461,8 @@ def _es27_q8() -> Group:
             b: elem(be % 3, de % 3, (2 * be * de) % 3),
         }
 
-    action = ActionSpec({
-        qa: phi_images((0, 2, 1, 0)),   # the matrix "i" in SL(2,3)
-        qb: phi_images((1, 1, 1, 2)),   # the matrix "j" in SL(2,3)
-    })
+    action = ActionSpec({qg: phi_images(m) for qg, m in zip(q8.generators, _Q8_MOD3)})
     return semidirect_product(K, q8, action, "ES27:Q8")
-
-
-def _e9_c8() -> Group:
-    e9 = elementary_abelian(3, 2)
-    c8 = cyclic(8)
-    action = ActionSpec({
-        c8.generators[0]: _matrix_action_on_e2(e9, 3, (0, 1, 1, 1)),
-    })
-    return semidirect_product(e9, c8, action, "E9:C8")
-
-
-def _e9_q8() -> Group:
-    e9 = elementary_abelian(3, 2)
-    q8 = generalized_quaternion(8)
-    qa, qb = q8.generators
-    action = ActionSpec({
-        qa: _matrix_action_on_e2(e9, 3, (0, 2, 1, 0)),
-        qb: _matrix_action_on_e2(e9, 3, (1, 1, 1, 2)),
-    })
-    return semidirect_product(e9, q8, action, "E9:Q8")
 
 
 class _AtlasRow(NamedTuple):
@@ -576,19 +499,27 @@ _ATLAS = tuple(_AtlasRow(*row) for row in (
      ("shape:b@2", "shape:a@3"), 42),
     ("GammaL(1,8)", lambda: one_dim_affine_group(2, 3, frobenius=True, name="GammaL(1,8)"),
      (2, 3, 7, 5), ("connected-gamma_p-disconnected-gamma_H@7", "shape:b@3"), 168),
-    ("E25:Sigma3", _e25_sigma3, (2, 3, 5, 7),
+    ("E25:Sigma3",  # Sigma3's (1,2) and (1,2,3) act as [[1,4],[0,4]] and [[0,4],[1,4]]
+     lambda: _e2_by_matrices(5, symmetric(3), ((1, 4, 0, 4), (0, 4, 1, 4)), "E25:Sigma3"),
+     (2, 3, 5, 7),
      ("shape:e@5", "case:ii-at-shape-e", "noncentral-sizes-divisible-by-p@5"), 150),
     ("E16:C15", lambda: one_dim_affine_group(2, 4, name="E16:C15"), (2, 3, 5, 7),
      ("shape:b@5", "disconnected-with-triangles@3"), 240),
-    ("E9:C8", _e9_c8, (2, 3, 5), ("shape:d@2", "abelian-p-complement"), 72),
-    ("E9:Q8", _e9_q8, (2, 3, 5), ("shape:d@2",), 72),
+    ("E9:C8", lambda: _e2_by_matrices(3, cyclic(8), ((0, 1, 1, 1),), "E9:C8"), (2, 3, 5),
+     ("shape:d@2", "abelian-p-complement"), 72),
+    ("E9:Q8", lambda: _e2_by_matrices(3, generalized_quaternion(8), _Q8_MOD3, "E9:Q8"),
+     (2, 3, 5), ("shape:d@2",), 72),
     ("Q8:C9", _q8_c9, (2, 3, 5), ("building-block",), 72),
     ("C2x(Q8:C9)", lambda: direct_product(cyclic(2), _q8_c9(), "C2x(Q8:C9)"), (2, 3, 5),
      ("shape:e@3", "case:i", "six-p-regular-classes@3"), 144),
     ("ES27:Q8", _es27_q8, (2, 3, 5),
      ("shape:d@2", "central-intersection-order-3"), 216),
-    ("(C5xC5):Q8", _c5c5_q8, (2, 5, 3), ("case-iii-target",), 200),
-    ("(C5xC5):SL(2,3)", _c5c5_sl23, (2, 3, 5, 7), ("shape:f@3", "case:iii"), 600),
+    ("(C5xC5):Q8", lambda: _e2_by_matrices(5, _gl2_group(5, _SL23_MOD5[:2], "Q8@25", 8),
+                                           _SL23_MOD5[:2], "(C5xC5):Q8"),
+     (2, 5, 3), ("case-iii-target",), 200),
+    ("(C5xC5):SL(2,3)", lambda: _e2_by_matrices(5, _gl2_group(5, _SL23_MOD5, "SL(2,3)@25", 24),
+                                                _SL23_MOD5, "(C5xC5):SL(2,3)"),
+     (2, 3, 5, 7), ("shape:f@3", "case:iii"), 600),
 ))
 _ATLAS_BY_NAME = {row.name: row for row in _ATLAS}
 
@@ -666,7 +597,7 @@ def parse_corpus(stream: IO[str] | str | bytes) -> list[GroupSpec]:
         for key, typ in (("name", str), ("degree", int), ("generators", list)):
             if key not in obj:
                 raise CorpusSyntaxError(lineno, 1, f"missing field {key!r}")
-            if not isinstance(obj[key], typ):
+            if not isinstance(obj[key], typ) or isinstance(obj[key], bool):  # an int subclass
                 raise CorpusSyntaxError(lineno, 1, f"field {key!r} has wrong type")
         name = obj["name"]
         if not name:

@@ -660,7 +660,8 @@ def run_corpus(groups: list[Group], primes_mode: tuple = ("all",),
         # largest orders first, so the costliest group does not start last;
         # the reports are sorted below
         by_cost = sorted(tasks, key=lambda task: -task[0].order)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so ask for no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_verify_group_worker, by_cost))
     else:
         chunks = [_verify_group_worker(t) for t in tasks]

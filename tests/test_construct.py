@@ -322,6 +322,13 @@ def test_parse_corpus_missing_field():
         parse_corpus('{"name":"A","generators":[]}')
 
 
+def test_parse_corpus_rejects_boolean_degree():
+    # bool is an int subclass, so a bare isinstance check would accept it
+    with pytest.raises(CorpusSyntaxError) as info:
+        parse_corpus('{"name":"A","degree":true,"generators":[]}')
+    assert info.value.reason == "field 'degree' has wrong type"
+
+
 def test_corpus_round_trip():
     specs = [
         GroupSpec("C3", 3, ("(1,2,3)",), ("tag1",)),

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from classgraph.construct import dihedral, direct_product, parse_corpus
+from classgraph.construct import (builtin_atlas, dihedral, direct_product, generalized_quaternion,
+                                  group_to_spec, heisenberg3, parse_corpus, serialize_corpus)
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
 from classgraph.perm import conjugacy_classes
 from classgraph.verify import run_corpus
@@ -32,6 +33,17 @@ def timed(what):
     t0 = time.perf_counter()
     yield
     print(f"{what}: {time.perf_counter() - t0:.2f} s")
+
+
+def test_generators():
+    # the corpus records `classgraph atlas --emit` writes, then Q_{2^k} for
+    # k = 3..8 and ES27: every point, in order, of every generator
+    digest = hashlib.sha256()
+    digest.update(serialize_corpus(group_to_spec(entry.group, entry.tags)
+                                   for entry in builtin_atlas()).encode())
+    for G in [generalized_quaternion(2 ** k) for k in range(3, 9)] + [heisenberg3()]:
+        digest.update(serialize_corpus([group_to_spec(G)]).encode())
+    assert digest.hexdigest() == "51658de6e41595609fd3ecc9e8a4f57c54a824808f746118ee5baacd29d5b67d"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -139,6 +140,28 @@ def test_run_corpus_parallel_matches_serial(atlas_groups):
     serial = run_corpus(groups, jobs=1).to_json()
     parallel = run_corpus(groups, jobs=2).to_json()
     assert serial == parallel
+
+
+def test_run_corpus_asks_for_no_more_workers_than_groups(atlas_groups, monkeypatch):
+    asked = []
+
+    class InProcessPool:  # records the pool size and runs each task here
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    groups = [atlas_groups[n] for n in ["Sigma3", "D10"]]
+    assert run_corpus(groups, jobs=64).to_json() == run_corpus(groups, jobs=1).to_json()
+    assert asked == [2]
 
 
 def test_importing_the_library_leaves_the_process_pool_unloaded():
