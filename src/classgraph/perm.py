@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import wraps
-from itertools import chain, count, islice, product, repeat
+from functools import cached_property, wraps
+from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter
+from struct import Struct
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BadCycle, DegreeMismatch, NotAMember, NotASubgroup, OrderCapExceeded,
@@ -263,13 +264,21 @@ def p_part_element(g: Permutation, p: int) -> Permutation:
 
 @dataclass(frozen=True)
 class ConjClass:
-    """One conjugacy class: representative, size, and arithmetic flags."""
+    """One conjugacy class: representative, size and element order, with
+    the flags derived from its size."""
 
     representative: Permutation
     size: int
     element_order: int
-    is_central: bool
-    prime_support: frozenset[int]
+
+    @property
+    def is_central(self) -> bool:
+        return self.size == 1
+
+    @cached_property
+    def prime_support(self) -> frozenset[int]:
+        """The primes dividing the class size; empty for a central class."""
+        return frozenset(prime_factors(self.size))
 
 
 class Group:
@@ -343,7 +352,10 @@ class Group:
     def _held(self, images: tuple[int, ...]) -> Permutation:
         """The element with these images, made before the group is
         enumerated and seated at its position when it is (``_close``)."""
-        return self._made.setdefault(images, Permutation._raw(images))
+        x = self._made.get(images)
+        if x is None:
+            x = self._made[images] = Permutation._raw(images)
+        return x
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
@@ -808,37 +820,44 @@ def _class_orbits(G: Group) -> dict[Permutation, list[int]]:
     return _class_build(G)[0]
 
 
-def _conj_class(representative: Permutation, size: int, order: int) -> ConjClass:
-    return ConjClass(representative=representative, size=size, element_order=order,
-                     is_central=(size == 1),
-                     prime_support=frozenset(prime_factors(size)) if size > 1 else frozenset())
-
-
-def _factor_classes(G: Group) -> list[ConjClass]:
+def _factor_classes(G: Group) -> tuple[ConjClass, ...]:
     """The classes of a split product G = F_1 x ... x F_k (``make_group``),
-    read off its factors' classes.
+    read off its factors' classes and sorted as ``conjugacy_classes`` sorts.
 
     They are the products C_1 x ... x C_k of factor classes, of size
     |C_1|...|C_k| and element order lcm(o(C_1), ..., o(C_k)).  The least
     element by images has each C_i's least element written back onto F_i's
     points: the points are disjoint and each factor's are numbered in
     increasing order, so images compare point by point on one factor
-    alone.  The representatives are ``_held`` by G until it is enumerated.
+    alone.  Each such element is packed into an int, one big-endian field
+    per point of G (1 byte up to degree 256, 2 up to 65536, 4 beyond) and
+    zero off the factor's points, so ints compare as images do and a class
+    of G is the OR of one int per factor and one of the points no generator
+    moves.  The classes are sorted as (size, order, int) before their
+    representatives are unpacked, each ``_held`` by G until it is enumerated.
     """
-    # the factors' points, then the points no generator moves, gathered
-    # into G's order of points
-    points = [p for block, _ in G._factors for p in block]
-    fixed = sorted(set(range(G.degree)).difference(points))
-    slot = {p: i for i, p in enumerate(points + fixed)}
-    gather = _then(tuple(map(slot.__getitem__, range(G.degree))))
-    choices = [[(c.size, c.element_order, [block[i] for i in c.representative.images])
-                for c in conjugacy_classes(F)] for block, F in G._factors]
-    classes = []
-    for combo in product(*choices):
-        sizes, orders, written = zip(*combo)
-        images = gather(list(chain(*written, fixed)))
-        classes.append(_conj_class(G._held(images), math.prod(sizes), math.lcm(*orders)))
-    return classes
+    deg = G.degree
+    layout = Struct(f">{deg}{'B' if deg <= 256 else 'H' if deg <= 65536 else 'I'}")
+
+    def packed(points: Iterable[int], images: Iterable[int]) -> int:
+        fields = [0] * deg
+        for p, im in zip(points, images):
+            fields[p] = im
+        return int.from_bytes(layout.pack(*fields), "big")
+
+    moved = {p for block, _ in G._factors for p in block}
+    fixed = [p for p in range(deg) if p not in moved]
+    rows = [(1, 1, packed(fixed, fixed))]
+    for block, F in G._factors:
+        factor = [(c.size, c.element_order,
+                   packed(block, map(block.__getitem__, c.representative.images)))
+                  for c in conjugacy_classes(F)]
+        rows = [(size * s, math.lcm(order, o), bits | b)
+                for size, order, bits in rows for s, o, b in factor]
+    rows.sort()
+    unpack, length, held = layout.unpack, layout.size, G._held
+    return tuple([ConjClass(held(unpack(bits.to_bytes(length, "big"))), size, order)
+                  for size, order, bits in rows])
 
 
 @_memoised
@@ -849,10 +868,8 @@ def conjugacy_classes(G: Group) -> tuple[ConjClass, ...]:
     (``_factor_classes``), any other group off its class orbits.
     """
     if G._factors and not G._enumerated:
-        classes = _factor_classes(G)
-    else:
-        classes = [_conj_class(rep, len(orbit), rep.order())
-                   for rep, orbit in _class_orbits(G).items()]
+        return _factor_classes(G)
+    classes = [ConjClass(rep, len(orbit), rep.order()) for rep, orbit in _class_orbits(G).items()]
     classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
     return tuple(classes)
 

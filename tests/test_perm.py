@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -12,10 +13,11 @@ from classgraph.errors import (BadCycle, DegreeMismatch, InvariantViolated, NotA
                                NotASubgroup, OrderCapExceeded)
 from classgraph.construct import alternating, cyclic, dihedral, direct_product, symmetric
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
-from classgraph.perm import (DEFAULT_MAX_ORDER, Group, Permutation, bulk_conjugate, center,
-                             centralizer, class_elements, class_index, conjugacy_classes,
-                             conjugation_maps, element_order, extend_hom, make_group,
-                             mulclose, parse_cycle_string, subgroup_from_elements)
+from classgraph.numtheory import prime_factors
+from classgraph.perm import (DEFAULT_MAX_ORDER, ConjClass, Group, Permutation, bulk_conjugate,
+                             center, centralizer, class_elements, class_index,
+                             conjugacy_classes, conjugation_maps, element_order, extend_hom,
+                             make_group, mulclose, parse_cycle_string, subgroup_from_elements)
 from oracles import (centralizer_order, naive_center, naive_centralizer,
                      naive_class_sizes, naive_closure, naive_compose, naive_conjugacy_classes,
                      naive_conjugate, naive_element_order, naive_extend_hom,
@@ -261,6 +263,23 @@ def test_split_products_read_their_classes_off_the_factors(gens):
     assert all(rep is by_rep[rep].representative for rep in perm_module._class_orbits(G))
 
 
+@pytest.mark.parametrize("make", [
+    # degree 258, order 3060, 387 classes: one 2-byte field per point
+    lambda: direct_product(dihedral(510), symmetric(3)),
+    # C2 x C2 on 65537 points: one 4-byte field per point
+    lambda: make_group([perm("(1,2)", 65537), perm("(65536,65537)", 65537)], "C2xC2"),
+], ids=["D510xSigma3", "C2xC2 on 65537 points"])
+def test_wide_split_products_read_the_classes_of_the_joined_group(make):
+    G = make()
+    assert len(G._factors) == 2
+    keys = [(c.size, c.element_order, c.representative) for c in conjugacy_classes(G)]
+    # a product of generators from both factors joins them into one block
+    joined = make_group(G.generators + (G.generators[0] * G.generators[-1],), "joined")
+    assert not joined._factors and joined.order == G.order
+    assert keys == [(c.size, c.element_order, c.representative)
+                    for c in conjugacy_classes(joined)]
+
+
 def test_a_product_above_the_cap_is_refused_before_any_element(monkeypatch):
     gens = side_by_side([_dihedral_gens(30), _dihedral_gens(31)])  # D60 x D62, order 3720
     closed = []
@@ -487,15 +506,21 @@ def test_class_order_is_deterministic(atlas_groups):
 
 
 def test_class_fields(atlas_groups):
-    g = atlas_groups["C7:C6"]
-    for cls in conjugacy_classes(g):
-        assert cls.is_central == (cls.size == 1)
-        assert cls.element_order == cls.representative.order()
-        if cls.size == 1:
-            assert cls.prime_support == frozenset()
-        orbit = class_elements(g, cls)
-        assert len(orbit) == cls.size
-        assert cls.representative == min(orbit)
+    assert [f.name for f in dataclasses.fields(ConjClass)] == [
+        "representative", "size", "element_order"]
+    split = direct_product(dihedral(20), dihedral(52))  # classes read off its factors
+    for G in [*atlas_groups.values(), split]:
+        for cls in conjugacy_classes(G):
+            assert cls.is_central == (cls.size == 1)
+            assert cls.prime_support == frozenset(prime_factors(cls.size))
+            assert cls.element_order == cls.representative.order()
+            copy = pickle.loads(pickle.dumps(cls))
+            rebuilt = ConjClass(cls.representative, cls.size, cls.element_order)
+            assert copy == cls == rebuilt and hash(copy) == hash(cls) == hash(rebuilt)
+            assert copy.prime_support == rebuilt.prime_support == cls.prime_support
+            orbit = class_elements(G, copy)
+            assert len(orbit) == cls.size
+            assert cls.representative == min(orbit)
 
 
 def test_class_equation_and_index_formula(atlas_groups):

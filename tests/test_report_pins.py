@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from classgraph.construct import (builtin_atlas, dihedral, direct_product, generalized_quaternion,
-                                  group_to_spec, heisenberg3, parse_corpus, serialize_corpus)
+                                  group_to_spec, heisenberg3, parse_corpus, serialize_corpus,
+                                  symmetric)
 from classgraph.graph import build_graph, diameter, is_triangle_free, to_dot
 from classgraph.perm import conjugacy_classes
 from classgraph.verify import run_corpus
@@ -70,6 +71,15 @@ def test_dihedral_product_report(a, b, expected):
     with timed(f"run_corpus and to_json on {G.name}"):
         text = run_corpus([G]).to_json()  # at the group's default primes
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_wide_split_product_dot():
+    # degree 258, so its classes are read off the factors through 2-byte fields
+    G = direct_product(dihedral(510), symmetric(3))
+    with timed(f"DOT of {G.name} at p = 3"):
+        text = to_dot(build_graph(G, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "423e3dd2c93e82c43238bcfaf9b4f429aab9bc44f7fb417b9d10c74b42a59f91")
 
 
 def test_graph_sweep_outputs():
