@@ -330,7 +330,7 @@ class Group:
                       order: int, factors: tuple) -> "Group":
         """A group of this order whose elements are not made yet.  Until
         ``_close`` enumerates it, ``_made`` holds the elements made by
-        ``_held``, by their images."""
+        ``_held``, each keyed by itself."""
         G = cls(name, degree, generators, ())
         G.order, G._factors = order, factors
         G._elements, G._made = None, {}
@@ -351,11 +351,11 @@ class Group:
 
     def _held(self, images: tuple[int, ...]) -> Permutation:
         """The element with these images, made before the group is
-        enumerated and seated at its position when it is (``_close``)."""
-        x = self._made.get(images)
-        if x is None:
-            x = self._made[images] = Permutation._raw(images)
-        return x
+        enumerated and seated at its position when it is (``_close``).
+        ``_made`` is keyed by the elements themselves, whose hash is the
+        one ``_raw`` took of their images."""
+        x = Permutation._raw(images)
+        return self._made.setdefault(x, x)
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -15,7 +16,7 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotASubgroup, NotNormal)
 from .numtheory import is_pi_number, pi_part, prime_factors, require_primes
 from .perm import (Group, Permutation, _class_build, _class_orbits, _images, _memoised,
-                   bulk_conjugate, center, class_elements, class_index, closed_subgroup,
+                   bulk_conjugate, center, class_elements, closed_subgroup,
                    conjugacy_classes, conjugation_maps, extend_hom, generating_set, make_group,
                    require_members)
 
@@ -549,53 +550,71 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
 
 @_memoised
 def _fingerprint(G: Group) -> tuple:
-    classes = conjugacy_classes(G)
-    orders = sorted(chain.from_iterable(repeat(c.element_order, c.size) for c in classes))
-    return (G.order, tuple(orders), tuple(sorted(c.size for c in classes)), center(G).order,
-            derived_subgroup(G).order)
+    """Isomorphism invariants: the order, how many elements have each
+    element order (summed over the classes), the class sizes, and the orders
+    of the center and the derived subgroup."""
+    classes, orders = conjugacy_classes(G), Counter()
+    for c in classes:
+        orders[c.element_order] += c.size
+    return (G.order, tuple(sorted(orders.items())), tuple(sorted(c.size for c in classes)),
+            center(G).order, derived_subgroup(G).order)
 
 
-def _minimal_generating_sequence(G: Group) -> list[Permutation]:
-    """A short generating sequence: one greedy pass over G's elements by
-    descending order."""
-    return generating_set(G, _pi_elements(G, frozenset(prime_factors(G.order))),
-                          G.order, lambda n: True)[0]
+def _class_invariant(G: Group) -> Callable[[Permutation], tuple[int, int]]:
+    """x -> (element order, class size) of x's class, read off its position."""
+    position = _class_data(G).position
+    pairs = [(c.element_order, c.size) for c in conjugacy_classes(G)]
+    return lambda x: pairs[position(x)]
 
 
 def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
     """Backtracking isomorphism test behind an invariant prefilter.
 
-    A generating sequence of A is mapped onto invariant-compatible elements
-    of B; each partial assignment must already be a consistent injective
-    homomorphism on the subgroup it generates.
+    Groups of one order on the same points are one group when B holds A's
+    generators, and then nothing is searched.  Otherwise a generating
+    sequence of A is mapped onto invariant-compatible elements of B; each
+    partial assignment must already be a consistent injective homomorphism
+    on the subgroup it generates.  The first generator comes from the class
+    of A whose (element order, class size) the fewest classes share, and is
+    sent only to the representatives of B's matching classes: an
+    isomorphism followed by conjugation in B is one too, so if any
+    isomorphism exists, one sends it to a representative.  The others come
+    from one greedy pass over A by descending element order.
     """
     if A.order != B.order:
         return False
     if A.order > cap:
         raise IsoCapExceeded(f"orders {A.order}, {B.order} exceed cap {cap}")
+    if A.degree == B.degree and B.element_set().issuperset(A.generators):
+        return True  # A <= B, and |A| = |B|
     if _fingerprint(A) != _fingerprint(B):
         return False
     if A.order == 1:
         return True
-    gens = _minimal_generating_sequence(A)
-    idx_a, idx_b = class_index(A), class_index(B)
+    classes_a, classes_b = conjugacy_classes(A), conjugacy_classes(B)
+    shared = Counter((c.element_order, c.size) for c in classes_a)
+    first = min(classes_a[1:], key=lambda c: shared[c.element_order, c.size])
+    gens = generating_set(A, chain([first.representative],
+                                   _pi_elements(A, frozenset(prime_factors(A.order)))),
+                          A.order, lambda n: True)[0]
+    inv_a, inv_b = _class_invariant(A), _class_invariant(B)
 
-    def inv(idx, x):
-        return idx[x].element_order, idx[x].size
+    def matching(g):  # B's classes with g's invariants
+        key = inv_a(g)
+        return [c for c in classes_b if (c.element_order, c.size) == key]
 
-    pools: list[list[Permutation]] = []
-    for g in gens:
-        pool = sorted((x for x in idx_b if inv(idx_b, x) == inv(idx_a, g)), key=_images)
-        if not pool:
-            return False
-        pools.append(pool)
+    pools = [[c.representative for c in matching(gens[0])]]
+    pools += [sorted(chain.from_iterable(class_elements(B, c) for c in matching(g)), key=_images)
+              for g in gens[1:]]
+    if not all(pools):
+        return False
 
     # pairwise word invariants for a cheap precheck
-    def word_inv(x, y, idx, mul):
-        return (inv(idx, mul(x, y)), inv(idx, mul(y, x)))
+    def word_inv(x, y, inv, mul):
+        return (inv(mul(x, y)), inv(mul(y, x)))
 
     mul_a, mul_b = A.product(), B.product()
-    target_pair = [[word_inv(gens[i], gens[j], idx_a, mul_a) for j in range(i)]
+    target_pair = [[word_inv(gens[i], gens[j], inv_a, mul_a) for j in range(i)]
                    for i in range(len(gens))]
 
     assignment: list[Permutation] = []
@@ -606,7 +625,7 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
         if i == len(gens):
             return True
         for cand in pools[i]:
-            if any(word_inv(assignment[j], cand, idx_b, mul_b) != target_pair[i][j]
+            if any(word_inv(assignment[j], cand, inv_b, mul_b) != target_pair[i][j]
                    for j in range(i)):
                 continue
             assignment.append(cand)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
-from classgraph.perm import Permutation
+from classgraph.perm import Permutation, make_group
 
 
 def permutations(degree):
@@ -66,3 +68,12 @@ def graphs_with_twins(draw, max_base=5, max_vertices=8):
             edges.add((v, n))
         n += 1
     return n, frozenset(edges)
+
+
+def relabelled(G):
+    """G with its points renamed by a fixed shuffle, built again from the
+    renamed generators."""
+    points = list(range(G.degree))
+    random.Random(1).shuffle(points)
+    c = Permutation(points)
+    return make_group([g.conjugate(c) for g in G.generators], f"{G.name}^c")

@@ -1,11 +1,13 @@
 """Cross-checks against an independent permutation-group implementation.
 
-These tests compare orders, class structure, centers, solubility, and
-Sylow orders with sympy's combinatorics machinery, which shares no code
-with this package.  They are skipped when sympy is unavailable.
+These tests compare orders, class structure, centers, solubility, Sylow
+orders and isomorphism with sympy's combinatorics machinery, which shares
+no code with this package.  They are skipped when sympy is unavailable.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 
@@ -13,10 +15,12 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.combinatorics import Permutation as SymPerm  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
+from sympy.combinatorics.homomorphisms import is_isomorphic as sympy_is_isomorphic  # noqa: E402
 
 from classgraph.numtheory import prime_factors  # noqa: E402
 from classgraph.perm import center, conjugacy_classes  # noqa: E402
-from classgraph.structure import is_soluble, sylow  # noqa: E402
+from classgraph.structure import is_isomorphic, is_soluble, sylow  # noqa: E402
+from strategies import relabelled  # noqa: E402
 
 
 def to_sympy(G):
@@ -66,3 +70,18 @@ def test_element_order_profile_matches(atlas_groups):
         theirs = sorted(p.order() for p in sg.elements)
         mine = sorted(g.order() for g in G.elements)
         assert theirs == mine, name
+
+
+# sympy maps the first group's generators onto every tuple of the second
+# group's elements, so each call is hundreds of ms at order 72 with two or
+# three generators.  E9:Q8 has four: its relabelled copy takes sympy about
+# 10 s, and GammaL(1,8) and E25:Sigma3 3-6 s, so those comparisons are left
+# out.  Each group goes to sympy with its own generators: sympy 1.14 answers
+# False for A4 against A4 generated by (0,3,2) and (1,2,3).
+@pytest.mark.parametrize("trio", [("A4", "D12", "C3:C4"), ("E9:C8", "E9:Q8", "Q8:C9")])
+def test_isomorphism_matches(atlas_groups, trio):
+    groups = [atlas_groups[name] for name in trio]
+    pairs = [*combinations(groups, 2), *((A, relabelled(A)) for A in groups if A.name != "E9:Q8")]
+    for A, B in pairs:
+        theirs = sympy_is_isomorphic(to_sympy(A), to_sympy(B))
+        assert is_isomorphic(A, B) == is_isomorphic(B, A) == theirs, (A.name, B.name)

@@ -86,6 +86,11 @@ RULES = {
     # is built only for isomorphism tests and a Frobenius search in G/Z(G)
     "quotient": Rule(_calls("quotient"), {
         "classify.py": {"_mod_p_core", "is_quasi_frobenius"}}),
+    # an element's class is read off structure._class_data(G).position; the
+    # element-to-class map is built only for element orders and the sampled walk
+    "class_index": Rule(_calls("class_index"), {
+        "perm.py": {"element_order_map"},
+        "verify.py": {"_sampled_coprime_commuting"}}),
     # the checks read structure._normal_lattice; normal_subgroups is for callers
     "normal_subgroups": Rule(_calls("normal_subgroups"), {}),
     # derived data is cached only through perm._memoised, keyed by function and arguments;

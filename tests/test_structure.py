@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from classgraph import perm, structure
-from classgraph.construct import (ActionSpec, alternating, cyclic, dihedral, direct_product,
-                                  elementary_abelian, generalized_quaternion,
-                                  semidirect_product, symmetric)
+from classgraph.construct import (ActionSpec, alternating, atlas_group, cyclic, dihedral,
+                                  direct_product, elementary_abelian, generalized_quaternion,
+                                  one_dim_affine_group, semidirect_product, symmetric)
 from classgraph.classify import is_frobenius
 from classgraph.errors import (HallSearchExhausted, IsoCapExceeded, NotAMember, NotASubgroup,
                                NotNormal, PreconditionViolated)
@@ -26,7 +26,7 @@ from oracles import (naive_centralizer, naive_class_product, naive_closure,
                      naive_derived_subgroup, naive_is_normal, naive_is_p_separable,
                      naive_normal_closure, naive_normal_subgroups, naive_pi_core_over,
                      naive_sylow_conjugates)
-from strategies import generating_sets, permutations
+from strategies import generating_sets, permutations, relabelled
 
 
 def test_soluble_s3():
@@ -789,13 +789,46 @@ def test_is_isomorphic_examples(atlas_groups):
     assert is_isomorphic(dihedral(12), direct_product(symmetric(3), cyclic(2)))
 
 
-def test_is_isomorphic_reflexive_symmetric(atlas_groups):
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached the isomorphism search")
+
+
+def test_is_isomorphic_reflexive_symmetric(atlas_groups, monkeypatch):
     small = [G for G in atlas_groups.values() if G.order <= 72]
-    for G in small:
-        assert is_isomorphic(G, G)
+    for G, H in zip(small, map(relabelled, small)):
+        assert is_isomorphic(G, H) and is_isomorphic(H, G), G.name
     for A in small[:5]:
         for B in small[:5]:
             assert is_isomorphic(A, B) == is_isomorphic(B, A)
+    monkeypatch.setattr(structure, "extend_hom", _refuse)
+    for G in small:  # one group: no search
+        assert is_isomorphic(G, G)
+
+
+def test_is_isomorphic_of_one_group_built_twice_skips_the_search(monkeypatch):
+    A, B = symmetric(4), symmetric(4)
+    assert A is not B and A.element_set() == B.element_set()
+    monkeypatch.setattr(structure, "extend_hom", _refuse)
+    monkeypatch.setattr(structure, "_fingerprint", _refuse)
+    assert is_isomorphic(A, B) and is_isomorphic(B, A)
+
+
+def test_is_isomorphic_fixes_the_first_generator_up_to_conjugacy(monkeypatch):
+    # AGL(1,16) relabelled: the first generator's class fixes its image up to
+    # conjugacy, so almost every trial gets past the second generator
+    A = one_dim_affine_group(2, 4)
+    c = Permutation([10, 5, 12, 9, 14, 3, 0, 8, 13, 2, 15, 6, 11, 1, 4, 7])
+    A = make_group([g.conjugate(c) for g in A.generators], "AGL(1,16)^c")
+    B = atlas_group("E16:C15")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend_hom(*args)
+
+    monkeypatch.setattr(structure, "extend_hom", counted)
+    assert is_isomorphic(A, B)
+    assert len(calls) <= 20
 
 
 def test_iso_cap():
