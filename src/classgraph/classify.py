@@ -5,17 +5,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import construct
 from .errors import NoCaseMatches, PreconditionViolated, require
 from .graph import build_graph, is_triangle_free
-from .numtheory import is_pi_number, is_prime, is_prime_power, prime_factors, require_primes
+from .numtheory import (is_pi_number, is_prime, is_prime_power, pi_part, prime_factors,
+                        require_primes)
 from .perm import Group, _memoised, center, conjugacy_classes, subgroup_from_elements
-from .structure import (_ONE, ISO_CAP, _Member, _centralizer_meet, _class_data, _core_climb,
-                        _is_normal, _normal_lattice, _normal_subgroup, _pi_core, _search_subgroup,
-                        coset_classes, hall_subgroup, is_isomorphic, is_soluble, p_complement,
-                        p_core, quotient, sylow)
+from .structure import (_ONE, ISO_CAP, _Member, _class_data, _core_climb, _is_normal,
+                        _normal_subgroup, _pi_core, _search_subgroup, coset_classes,
+                        hall_subgroup, is_isomorphic, is_soluble, p_complement, p_core,
+                        quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,20 @@ def _verify_frobenius(G: Group, kernel: Group, complement: Group) -> None:
             "kernel and complement meet nontrivially")
     require(_is_normal(G, kernel), "kernel is not normal")
     require(kernel.element_set() <= G.element_set(), "kernel is not inside the group")
-    # the kernel is normal, so it is the union of the classes of G it meets;
-    # C_G(x) <= kernel for x in C_k exactly when all |G| / |C_k| elements of
-    # C_G(x) lie in the kernel's classes, the same for every x in C_k
-    members, classes = kernel.element_set(), conjugacy_classes(G)
-    inside = frozenset(k for k, c in enumerate(classes) if c.representative in members)
-    meet = _centralizer_meet(G, inside)
-    for k in inside - {0}:  # the identity's class is at 0
-        require(meet[k] == G.order // classes[k].size, "centralizer escapes the kernel")
+    # the kernel is normal, so it holds whole classes of G, and C_G(x) <= kernel
+    # for x in C_k exactly when all |G| / |C_k| elements of C_G(x) lie in the
+    # kernel, the same for every x in C_k: count them at the representative
+    # (products are G's own elements, so equal products are one object)
+    mul, members = G.product(), kernel.element_set()
+    for c in conjugacy_classes(G)[1:]:  # the identity's class is at 0
+        x = c.representative
+        if x in members:
+            fixed = sum(1 for y in kernel.elements if mul(x, y) is mul(y, x))
+            require(fixed == G.order // c.size, "centralizer escapes the kernel")
 
 
 def _is_kernel(G: Group, N: _Member) -> bool:
-    """Whether N, a member of G's normal-subgroup lattice, is a Frobenius
+    """Whether N, a normal subgroup of G held as a class set, is a Frobenius
     kernel (1 < N < G, C_G(x) <= N for all 1 != x in N): exactly when
     gcd(|N|, |G:N|) = 1 and |G:N| divides |cl_G(x)| for every nontrivial
     class of G inside N (README, "Frobenius kernels on class sizes")."""
@@ -72,16 +76,30 @@ def _is_kernel(G: Group, N: _Member) -> bool:
             and all(size[k] % index == 0 for k in N.classes if k))
 
 
+def _kernel_candidates(G: Group):
+    """O_pi(G) as class sets, for the nonempty proper subsets pi of the primes
+    of |G| in ``combinations`` order, skipping a pi whose Hall order n has an
+    index m that does not divide n - 1: a Frobenius complement acts
+    semiregularly on K - {1}, so the kernel K is never skipped."""
+    primes = prime_factors(G.order)
+    for r in range(1, len(primes)):
+        for pi in map(frozenset, combinations(primes, r)):
+            n = pi_part(G.order, pi)
+            if (n - 1) % (G.order // n) == 0:
+                yield _pi_core(G, pi, _ONE.classes)
+
+
 @_memoised
 def is_frobenius(G: Group) -> Optional[FrobeniusWitness]:
-    """Search the normal subgroups, as class sets, for the kernel (unique,
+    """Search the normal Hall pi-cores, as class sets, for the kernel (a
+    normal Hall subgroup, so O_pi(G) for pi the primes of its order; unique,
     and the only one built as a group), then a complement: a Hall subgroup
     for the primes of the index.  By Schur-Zassenhaus every subgroup of
     order dividing the index lies in a complement, so one greedy pass finds
     one."""
     if center(G).order > 1:
         return None  # Frobenius groups have trivial center
-    m = next((m for m in _normal_lattice(G) if _is_kernel(G, m)), None)
+    m = next((m for m in _kernel_candidates(G) if _is_kernel(G, m)), None)
     if m is None:
         return None
     N = _normal_subgroup(G, m)
@@ -170,7 +188,7 @@ def pi_class_size_criterion(G: Group, pi: frozenset[int] | set[int],
         rhs = _pi_core(G, pi, one).order * _pi_core(G, others, one).order == G.order
         return lhs, rhs
     if mode == "pi_prime_number":
-        lhs = all(not any(q in pi for q in c.prime_support) for c in pi_classes)
+        lhs = all(pi.isdisjoint(c.prime_support) for c in pi_classes)
         if len(pi) == 1:
             hall = sylow(G, next(iter(pi)))
         else:

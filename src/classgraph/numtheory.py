@@ -56,7 +56,7 @@ def pi_part(n: int, primes: frozenset[int] | set[int]) -> int:
 
 def is_pi_number(n: int, primes: frozenset[int] | set[int]) -> bool:
     """True iff every prime divisor of n lies in `primes`."""
-    return all(q in primes for q in prime_factors(n))
+    return primes.issuperset(prime_factors(n))
 
 
 def is_prime_power(n: int) -> bool:

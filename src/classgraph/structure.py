@@ -444,10 +444,13 @@ def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
 
 def _pi_elements(G: Group, primes: frozenset[int]) -> list[Permutation]:
     """The pi-elements of G by descending element order, then images: the
-    classes are tested for order once each, not their elements."""
-    return [x for _, _, x in sorted(
-        (-c.element_order, x.images, x) for c in conjugacy_classes(G)
-        if is_pi_number(c.element_order, primes) for x in class_elements(G, c))]
+    classes are tested for order once each, not their elements, and each
+    element order's elements are sorted on their own."""
+    by_order: dict[int, list[Permutation]] = {}
+    for c in conjugacy_classes(G):
+        if is_pi_number(c.element_order, primes):
+            by_order.setdefault(c.element_order, []).extend(class_elements(G, c))
+    return [x for n in sorted(by_order, reverse=True) for x in sorted(by_order[n], key=_images)]
 
 
 def _search_subgroup(G: Group, primes: frozenset[int], target_order: int,

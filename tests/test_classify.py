@@ -16,6 +16,7 @@ from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, conjugacy_classes, make_group,
                              parse_cycle_string, subgroup_from_elements)
 from classgraph.structure import normal_subgroups, p_complement, p_core, quotient
+from classgraph.verify import default_primes
 from oracles import naive_centralizer, naive_is_normal
 from strategies import generating_sets
 
@@ -71,37 +72,92 @@ def test_frobenius_witness_invariants(atlas_groups):
 def test_frobenius_recheck_refuses_a_centralizer_outside_the_kernel(monkeypatch):
     # C6 with kernel C3 and complement C2 passes every earlier check (orders,
     # trivial meet, a normal kernel inside G), but it is abelian, so C_G(x)
-    # = G for x in the kernel: the class counts over the kernel's classes
-    # give |C_G(x) n C3| = 3, not |G| / |cl(x)| = 6
+    # = G for x in the kernel: 3 kernel elements commute with x, not
+    # |G| / |cl(x)| = 6.  The count is taken over the kernel's own elements,
+    # with no class centralizer table of G
     read = []
-    meet = classify._centralizer_meet
+    meet = structure._centralizer_meet
 
     def recording(G, classes):
         read.append(classes)
         return meet(G, classes)
-    monkeypatch.setattr(classify, "_centralizer_meet", recording)
+    monkeypatch.setattr(structure, "_centralizer_meet", recording)
+    monkeypatch.setattr(classify, "_centralizer_meet", recording, raising=False)
     G = cyclic(6)
     x = G.generators[0]
     kernel = subgroup_from_elements(G, [x ** 0, x ** 2, x ** 4], "C3")
     complement = subgroup_from_elements(G, [x ** 0, x ** 3], "C2")
     with pytest.raises(InvariantViolated, match="centralizer escapes the kernel"):
         classify._verify_frobenius(G, kernel, complement)
-    assert read == [structure._class_positions(G, kernel)]
+    assert read == []
+
+
+def _lattice_kernels(G):
+    """The element sets of the members of G's normal-subgroup lattice that
+    are Frobenius kernels by definition: 1 < N < G holding C_G(k) for every
+    nontrivial k in N."""
+    classes, out = conjugacy_classes(G), []
+    for m in structure._normal_lattice(G):
+        N = {x for k in m.classes for x in class_elements(G, classes[k])}
+        assert len(N) == m.order
+        if 1 < len(N) < G.order and all(
+                naive_centralizer(G.elements, k) <= N for k in N if not k.is_identity()):
+            out.append((m, N))
+    return out
 
 
 @given(generating_sets())
 @example([parse_cycle_string("(1,2,3,4,5)", 5), parse_cycle_string("(2,3,5,4)", 5)])  # C5:C4
 @example([parse_cycle_string("(1,2,3)", 4), parse_cycle_string("(1,2)(3,4)", 4)])  # A4
 def test_class_size_kernel_test_matches_the_centralizer_definition(gens):
-    # a kernel is 1 < N < G holding C_G(k) for every nontrivial k in N
     G = make_group(gens, "G")
-    classes = conjugacy_classes(G)
+    kernels = {m for m, _ in _lattice_kernels(G)}
     for m in structure._normal_lattice(G):
-        N = {x for k in m.classes for x in class_elements(G, classes[k])}
-        assert len(N) == m.order
-        expected = 1 < len(N) < G.order and all(
-            naive_centralizer(G.elements, k) <= N for k in N if not k.is_identity())
-        assert classify._is_kernel(G, m) == expected
+        assert classify._is_kernel(G, m) == (m in kernels)
+
+
+@given(generating_sets())
+@example([parse_cycle_string("(1,2,3,4,5)", 5), parse_cycle_string("(2,3,5,4)", 5)])  # C5:C4
+@example([parse_cycle_string("(1,2,3)", 4), parse_cycle_string("(1,2)(3,4)", 4)])  # A4
+@example([parse_cycle_string("(1,2,3)", 3), parse_cycle_string("(1,2)", 3)])  # S3
+def test_frobenius_kernel_from_the_pi_cores_is_the_lattice_kernel(gens):
+    # the search over the pi-cores finds the kernel exactly when one of the
+    # normal subgroups is one, and then the same elements
+    G = make_group(gens, "G")
+    kernels = _lattice_kernels(G)
+    w = is_frobenius(G)
+    if not kernels:
+        assert w is None
+        return
+    assert len(kernels) == 1  # the kernel is unique
+    assert w is not None and w.kernel.element_set() == kernels[0][1]
+
+
+def test_quasi_frobenius_of_the_atlas_p_complements_builds_no_lattice(atlas_groups,
+                                                                      monkeypatch):
+    # the kernel comes from the pi-cores and is re-checked on its own
+    # elements: neither H nor H/Z(H) builds its normal-subgroup lattice or
+    # its class centralizer table
+    lattice, fixers = structure._normal_lattice.__wrapped__, structure._class_fixers.__wrapped__
+    built = []
+    for name in ("_normal_lattice", "_class_fixers"):
+        real = getattr(structure, name)
+
+        def recording(G, real=real):
+            built.append((real.__name__, G.name))
+            return real(G)
+        monkeypatch.setattr(structure, name, recording)
+    asked = 0
+    for G in atlas_groups.values():
+        for p in default_primes(G):
+            if not structure._core_climb(G, p)[0]:
+                continue
+            H = p_complement(G, p)
+            H = Group(H.name, H.degree, H.generators, H.elements)  # no caches
+            is_quasi_frobenius(H)
+            assert lattice not in H._cache and fixers not in H._cache, H.name
+            asked += 1
+    assert asked and built == []
 
 
 def test_frobenius_none_when_center_nontrivial(atlas_groups):

@@ -93,6 +93,14 @@ RULES = {
         "verify.py": {"_sampled_coprime_commuting"}}),
     # the checks read structure._normal_lattice; normal_subgroups is for callers
     "normal_subgroups": Rule(_calls("normal_subgroups"), {}),
+    # the whole lattice is built only by the two checks that visit every member
+    # and by normal_subgroups; a Frobenius kernel is found among the pi-cores
+    "normal-lattice": Rule(_calls("_normal_lattice"), {
+        "verify.py": {"_check_normal_class_divisibility", "_check_quotient_class_divisibility"},
+        "structure.py": {"normal_subgroups"}}),
+    # the class centralizer table answers |cl_N(x)| for every lattice member;
+    # a Frobenius kernel is re-checked on its own elements
+    "centralizer-meet": Rule(_calls("_centralizer_meet"), {"verify.py": {"_inner_class_size"}}),
     # derived data is cached only through perm._memoised, keyed by function and arguments;
     # the enumeration hands its right table to _right_table under the one string key
     "memo-call": Rule(_calls("_memo"), {}),

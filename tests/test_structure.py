@@ -393,6 +393,20 @@ def test_p_complement_memoised_per_config(atlas_groups, monkeypatch):
     assert searched == [G]
 
 
+def test_pi_elements_sorted_by_order_then_images_on_the_atlas(atlas_groups):
+    # each element order's elements are sorted apart, in descending order:
+    # the same sequence as one sort by (-order, images), for every prime set
+    # a Hall search can ask of an atlas group
+    for G in atlas_groups.values():
+        primes = prime_factors(G.order)
+        for r in range(1, len(primes) + 1):
+            for pi in map(frozenset, combinations(primes, r)):
+                one_sort = [x for _, _, x in sorted(
+                    (-c.element_order, x.images, x) for c in conjugacy_classes(G)
+                    if is_pi_number(c.element_order, pi) for x in class_elements(G, c))]
+                assert structure._pi_elements(G, pi) == one_sort, (G.name, pi)
+
+
 def test_hall_subgroup_general(atlas_groups):
     G = atlas_groups["GammaL(1,8)"]
     h = hall_subgroup(G, frozenset({2, 7}))
