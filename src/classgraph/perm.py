@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter
 from struct import Struct
@@ -262,23 +261,53 @@ def p_part_element(g: Permutation, p: int) -> Permutation:
     return g ** (m * pow(m, -1, pk))
 
 
-@dataclass(frozen=True)
 class ConjClass:
     """One conjugacy class: representative, size and element order, with
-    the flags derived from its size."""
+    the flags derived from its size.
 
-    representative: Permutation
-    size: int
-    element_order: int
+    A record that ``_factor_classes`` makes holds its representative packed,
+    as ``_packed = (bits, unpack)``, and ``unpack(bits)`` makes it on first
+    read: ``__getattr__`` runs only while the ``representative`` slot is
+    unset, so every later read is a plain slot read.  ``prime_support`` is
+    filled in the same way.
+    """
+
+    __slots__ = ("representative", "size", "element_order", "prime_support", "_packed")
+
+    def __init__(self, representative: Permutation, size: int, element_order: int):
+        self.representative = representative
+        self.size = size
+        self.element_order = element_order
+
+    def __getattr__(self, name: str):
+        if name == "representative":
+            bits, unpack = self._packed
+            self.representative = unpack(bits)
+            del self._packed
+            return self.representative
+        if name == "prime_support":  # the primes dividing the size; none for a central class
+            self.prime_support = frozenset(prime_factors(self.size))
+            return self.prime_support
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def is_central(self) -> bool:
         return self.size == 1
 
-    @cached_property
-    def prime_support(self) -> frozenset[int]:
-        """The primes dividing the class size; empty for a central class."""
-        return frozenset(prime_factors(self.size))
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ConjClass and (
+            (self.representative, self.size, self.element_order)
+            == (other.representative, other.size, other.element_order))
+
+    def __hash__(self) -> int:
+        return hash((self.representative, self.size, self.element_order))
+
+    def __repr__(self) -> str:
+        return (f"ConjClass(representative={self.representative!r}, size={self.size!r}, "
+                f"element_order={self.element_order!r})")
+
+    def __reduce__(self):
+        return (ConjClass, (self.representative, self.size, self.element_order))
 
 
 class Group:
@@ -330,7 +359,7 @@ class Group:
                       order: int, factors: tuple) -> "Group":
         """A group of this order whose elements are not made yet.  Until
         ``_close`` enumerates it, ``_made`` holds the elements made by
-        ``_held``, each keyed by itself."""
+        ``_seating``, each keyed by itself."""
         G = cls(name, degree, generators, ())
         G.order, G._factors = order, factors
         G._elements, G._made = None, {}
@@ -346,16 +375,25 @@ class Group:
         if self._elements is not None:
             return list(map(_images, self._elements))
         if self._images is None:
+            # a packed class representative is seated before _close re-keys _made
+            for c in self._cache.get(conjugacy_classes.__wrapped__, ()):
+                c.representative
             _close(self, self.order)
         return self._images
 
-    def _held(self, images: tuple[int, ...]) -> Permutation:
-        """The element with these images, made before the group is
-        enumerated and seated at its position when it is (``_close``).
-        ``_made`` is keyed by the elements themselves, whose hash is the
-        one ``_raw`` took of their images."""
-        x = Permutation._raw(images)
-        return self._made.setdefault(x, x)
+    def _seating(self) -> Callable[[tuple[int, ...]], Permutation]:
+        """The function that makes the element with given images before the
+        group is enumerated; ``_close`` seats it at its position.  It holds
+        ``_made``, keyed by the elements themselves (whose hash is the one
+        ``_raw`` took of their images), and not the group, so the class
+        records that hold it (``_factor_classes``) can sit in the group's
+        cache without making a cycle."""
+        made = self._made
+
+        def seat(images: tuple[int, ...]) -> Permutation:
+            x = Permutation._raw(images)
+            return made.setdefault(x, x)
+        return seat
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
@@ -527,8 +565,9 @@ def _blocks(gens: Sequence[Permutation]) -> list[tuple[tuple[int, ...], list[Per
 def _close(G: Group, cap: int) -> None:
     """Enumerate G from its generators: its elements' images in position
     order, and the right-multiplication table that the class build takes
-    (see ``_right_table``).  Elements ``_held`` so far are seated at their
-    positions.  Raises OrderCapExceeded once G outgrows ``cap``.
+    (see ``_right_table``).  Elements made by ``_seating`` so far are
+    seated at their positions.  Raises OrderCapExceeded once G outgrows
+    ``cap``.
 
     Products are formed on images (bytes up to degree 256, tuples beyond),
     not on Permutations, breadth-first over right multiplication by the
@@ -833,8 +872,10 @@ def _factor_classes(G: Group) -> tuple[ConjClass, ...]:
     per point of G (1 byte up to degree 256, 2 up to 65536, 4 beyond) and
     zero off the factor's points, so ints compare as images do and a class
     of G is the OR of one int per factor and one of the points no generator
-    moves.  The classes are sorted as (size, order, int) before their
-    representatives are unpacked, each ``_held`` by G until it is enumerated.
+    moves.  The classes are sorted as (size, order, int), and each record
+    holds its int packed: a graph query reads only sizes and orders, and a
+    representative is unpacked on first read (``ConjClass``), through G's
+    ``_seating``, or when G is enumerated (``Group._keys``).
     """
     deg = G.degree
     layout = Struct(f">{deg}{'B' if deg <= 256 else 'H' if deg <= 65536 else 'I'}")
@@ -855,9 +896,17 @@ def _factor_classes(G: Group) -> tuple[ConjClass, ...]:
         rows = [(size * s, math.lcm(order, o), bits | b)
                 for size, order, bits in rows for s, o, b in factor]
     rows.sort()
-    unpack, length, held = layout.unpack, layout.size, G._held
-    return tuple([ConjClass(held(unpack(bits.to_bytes(length, "big"))), size, order)
-                  for size, order, bits in rows])
+    unpack, length, seat = layout.unpack, layout.size, G._seating()
+
+    def unpacked(bits: int) -> Permutation:
+        return seat(unpack(bits.to_bytes(length, "big")))
+
+    classes = []
+    for size, order, bits in rows:
+        c = object.__new__(ConjClass)
+        c.size, c.element_order, c._packed = size, order, (bits, unpacked)
+        classes.append(c)
+    return tuple(classes)
 
 
 @_memoised

@@ -110,6 +110,11 @@ RULES = {
     # written by the enumeration
     "lazy-slots": Rule(_slot_access("_images", "_made", "_elements"),
                        {"perm.py": {"Group", "_close"}}),
+    # a class record of a split product holds its representative packed until
+    # first read: the packed form is written by _factor_classes and read only by
+    # the record itself, which unpacks it
+    "packed-representative": Rule(_slot_access("_packed"),
+                                  {"perm.py": {"ConjClass", "_factor_classes"}}),
 }
 
 

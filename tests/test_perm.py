@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
+import gc
+import inspect
 import pickle
 
 import pytest
@@ -293,19 +294,33 @@ def test_a_product_above_the_cap_is_refused_before_any_element(monkeypatch):
 
 
 def test_graph_queries_on_a_split_product_never_enumerate_it(monkeypatch):
-    G = direct_product(dihedral(44), dihedral(106))
-    closed = []
-    monkeypatch.setattr(perm_module, "_close", lambda H, cap: closed.append(H))
-    for p in (None, 2, 3, 11, 53):
-        g = build_graph(G, p)
-        is_triangle_free(g)
-        diameter(g)
-        to_dot(g)
-    monkeypatch.undo()
-    assert closed == [] and G._elements is None and G._images is None
-    at = {x: i for i, x in enumerate(G.elements)}
-    assert all(c.representative is G.elements[at[c.representative]]
-               for c in conjugacy_classes(G))
+    # nor unpack a class representative; one read later, early or at the
+    # enumeration, is G's own element at its position
+    for G in [direct_product(dihedral(44), dihedral(106)),
+              direct_product(dihedral(100), dihedral(112)),
+              direct_product(dihedral(510), symmetric(3))]:  # degree 258: 2-byte fields
+        closed, unpacked = [], []
+        seating = Group._seating
+        monkeypatch.setattr(perm_module, "_close", lambda H, cap: closed.append(H))
+        monkeypatch.setattr(Group, "_seating", lambda H: _recording(seating(H), unpacked))
+        for p in (None, 2, 3, 5, 7, 11, 17, 53):
+            g = build_graph(G, p)
+            is_triangle_free(g)
+            diameter(g)
+            to_dot(g)
+        classes = conjugacy_classes(G)
+        assert sum(c.size for c in classes) == G.order
+        monkeypatch.undo()
+        assert closed == [] and unpacked == [] and G._elements is None and G._images is None
+        early = [c.representative for c in classes[::5]]
+        at = {x: i for i, x in enumerate(G.elements)}
+        assert all(c.representative is G.elements[at[c.representative]] for c in classes)
+        assert all(x is c.representative for x, c in zip(early, classes[::5]))
+        assert len(unpacked) == len(classes)  # each once, by the seating function G's records hold
+
+
+def _recording(seat, unpacked):
+    return lambda images: unpacked.append(images) or seat(images)
 
 
 def test_order_cap():
@@ -506,8 +521,13 @@ def test_class_order_is_deterministic(atlas_groups):
 
 
 def test_class_fields(atlas_groups):
-    assert [f.name for f in dataclasses.fields(ConjClass)] == [
+    # the public record: a constructor of three values, read back by name
+    assert list(inspect.signature(ConjClass).parameters) == [
         "representative", "size", "element_order"]
+    rep = atlas_groups["Sigma3"].identity
+    one = ConjClass(representative=rep, size=1, element_order=1)
+    assert (one.representative, one.size, one.element_order) == (rep, 1, 1)
+    assert repr(one) == f"ConjClass(representative={rep!r}, size=1, element_order=1)"
     split = direct_product(dihedral(20), dihedral(52))  # classes read off its factors
     for G in [*atlas_groups.values(), split]:
         for cls in conjugacy_classes(G):
@@ -521,6 +541,33 @@ def test_class_fields(atlas_groups):
             orbit = class_elements(G, copy)
             assert len(orbit) == cls.size
             assert cls.representative == min(orbit)
+
+
+def test_a_packed_class_record_pickles_compares_and_hashes_as_a_built_one():
+    def packed():
+        return conjugacy_classes(direct_product(dihedral(20), dihedral(52)))
+    pickled, compared, hashed = packed(), packed(), packed()
+    copies = [pickle.loads(pickle.dumps(c)) for c in pickled]
+    built = [ConjClass(c.representative, c.size, c.element_order) for c in copies]
+    assert list(compared) == built == copies
+    assert list(map(hash, hashed)) == list(map(hash, built))
+    assert list(map(repr, pickled)) == list(map(repr, built))
+
+
+def test_a_dropped_split_product_query_leaves_no_group_to_the_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if isinstance(o, Group)]  # held, so ids stay unique
+        G = direct_product(dihedral(100), dihedral(112))
+        g = build_graph(G, 2)
+        to_dot(g)
+        conjugacy_classes(G)[-1].representative  # one record unpacked, the rest packed
+        del G, g
+        known = set(map(id, before))
+        assert [o for o in gc.get_objects() if isinstance(o, Group) and id(o) not in known] == []
+    finally:
+        gc.enable()
 
 
 def test_class_equation_and_index_formula(atlas_groups):
