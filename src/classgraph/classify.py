@@ -15,9 +15,8 @@ from .numtheory import (is_pi_number, is_prime, is_prime_power, pi_part, prime_f
                         require_primes)
 from .perm import Group, _memoised, center, conjugacy_classes, subgroup_from_elements
 from .structure import (_ONE, ISO_CAP, _Member, _class_data, _core_climb, _is_normal,
-                        _normal_subgroup, _pi_core, _search_subgroup, coset_classes,
-                        hall_subgroup, is_isomorphic, is_soluble, p_complement, p_core,
-                        quotient, sylow)
+                        _normal_subgroup, _pi_core, _search_subgroup, hall_subgroup,
+                        is_isomorphic, is_soluble, p_complement, p_core, quotient, sylow)
 
 
 @dataclass(frozen=True)
@@ -140,23 +139,17 @@ def is_quasi_frobenius(G: Group) -> Optional[QuasiFrobeniusWitness]:
         complement_abelian=comp_pre.is_abelian())
 
 
-def count_p_regular_classes(G: Group, p: int, *, over: Group | None = None) -> int:
-    """Number of classes with representative order coprime to p, central included.
-
-    With ``over`` = N normal in G, the number of p-regular classes of G/N,
-    read inside G as the distinct ``coset_classes`` entries of the p-regular
-    classes of G.  Those cover every p-regular class of G/N: when xN has
-    p'-order, the p-part of x lies in N, so xN is the image of x's p'-part.
-    """
+def count_p_regular_classes(G: Group, p: int) -> int:
+    """Number of classes with representative order coprime to p, central included."""
     require_primes(p)
-    if over is None:
-        return sum(1 for c in conjugacy_classes(G) if c.element_order % p != 0)
-    return _p_regular_coset_classes(G, p, coset_classes(G, over))
+    return sum(1 for c in conjugacy_classes(G) if c.element_order % p != 0)
 
 
 def _p_regular_coset_classes(G: Group, p: int, cosets: tuple[frozenset[int], ...]) -> int:
     """The distinct entries of ``cosets`` (``coset_classes`` for some N) at
-    the p-regular classes of G: the number of p-regular classes of G/N."""
+    the p-regular classes of G: the number of p-regular classes of G/N.
+    Those entries cover every p-regular class of G/N: when xN has p'-order,
+    the p-part of x lies in N, so xN is the image of x's p'-part."""
     return len({c for cls, c in zip(conjugacy_classes(G), cosets) if cls.element_order % p != 0})
 
 

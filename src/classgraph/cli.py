@@ -107,19 +107,18 @@ def _resolve_group(ref: str, max_order: int | None) -> Group:
     return specs[0].build(max_order=max_order)
 
 
-def _print_report(report, stream=sys.stdout) -> None:
+def _print_report(report) -> None:
     h = report.hypotheses
-    print(f"{report.group_name} (order {report.group_order}), p = {report.prime}",
-          file=stream)
+    print(f"{report.group_name} (order {report.group_order}), p = {report.prime}")
     if h:  # empty when computing the hypotheses raised
         print(f"  hypotheses: p-separable={h['p_separable']} "
               f"triangle-free={h['triangle_free']} "
-              f"noncentral-complement={h['H_noncentral']}", file=stream)
+              f"noncentral-complement={h['H_noncentral']}")
         g = report.graph_summary
         print(f"  graph: sizes={g['vertex_sizes']} edges={g['edges']} "
-              f"shape={g['shape']}", file=stream)
+              f"shape={g['shape']}")
     for c in report.checks:
-        print(f"  [{c.status:7s}] {c.check_id}: {c.detail}", file=stream)
+        print(f"  [{c.status:7s}] {c.check_id}: {c.detail}")
 
 
 def cmd_analyze(args) -> int:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParameter,
                      NotAHomomorphism, NotAnAutomorphism, OrderCapExceeded,
@@ -45,16 +45,16 @@ class ActionSpec:
 # ---------------------------------------------------------------------------
 # standard families
 
-def cyclic(n: int, *, max_order: int | None = None) -> Group:
+def cyclic(n: int) -> Group:
     if n < 1:
         raise InvalidParameter("cyclic group needs n >= 1")
     if n == 1:
-        return make_group([], "C1", degree=1, max_order=max_order)
+        return make_group([], "C1", degree=1)
     gen = Permutation([(i + 1) % n for i in range(n)])
-    return make_group([gen], f"C{n}", max_order=max_order)
+    return make_group([gen], f"C{n}")
 
 
-def dihedral(n: int, *, max_order: int | None = None) -> Group:
+def dihedral(n: int) -> Group:
     """Dihedral group of ORDER n (n even, n >= 4), acting on n/2 points."""
     if n < 4 or n % 2:
         raise InvalidParameter("dihedral order must be an even integer >= 4")
@@ -63,13 +63,13 @@ def dihedral(n: int, *, max_order: int | None = None) -> Group:
         # the 2-gon action is not faithful; use the regular-ish degree-4 form
         r = parse_cycle_string("(1,2)", 4)
         s = parse_cycle_string("(3,4)", 4)
-        return make_group([r, s], "D4", max_order=max_order)
+        return make_group([r, s], "D4")
     rot = Permutation([(i + 1) % m for i in range(m)])
     ref = Permutation([(-i) % m for i in range(m)])
-    return make_group([rot, ref], f"D{n}", max_order=max_order)
+    return make_group([rot, ref], f"D{n}")
 
 
-def generalized_quaternion(n: int, *, max_order: int | None = None) -> Group:
+def generalized_quaternion(n: int) -> Group:
     """Generalized quaternion group of order n = 2^k (k >= 3), regular action.
 
     Presentation a^(n/2) = 1, b^2 = a^(n/4), b^-1 a b = a^-1, realized by
@@ -90,12 +90,12 @@ def generalized_quaternion(n: int, *, max_order: int | None = None) -> Group:
         return i % m, j % 2
 
     elements = [(i, j) for i in range(m) for j in range(2)]
-    G = _right_regular(elements, mul, [(1, 0), (0, 1)], f"Q{n}", max_order)
+    G = _right_regular(elements, mul, [(1, 0), (0, 1)], f"Q{n}")
     require(G.order == n, f"Q{n} has order {G.order}")
     return G
 
 
-def semidihedral(n: int, *, max_order: int | None = None) -> Group:
+def semidihedral(n: int) -> Group:
     """Semidihedral group of order n = 2^k (k >= 4), as affine maps mod n/2."""
     if n < 16 or n & (n - 1):
         raise InvalidParameter("semidihedral order must be 2^k with k >= 4")
@@ -103,12 +103,12 @@ def semidihedral(n: int, *, max_order: int | None = None) -> Group:
     t = n // 4 - 1  # b a b^-1 = a^t
     a = Permutation([(x + 1) % m for x in range(m)])
     b = Permutation([(t * x) % m for x in range(m)])
-    G = make_group([a, b], f"SD{n}", max_order=max_order)
+    G = make_group([a, b], f"SD{n}")
     require(G.order == n, f"SD{n} has order {G.order}")
     return G
 
 
-def elementary_abelian(q: int, k: int, *, max_order: int | None = None) -> Group:
+def elementary_abelian(q: int, k: int) -> Group:
     """E_{q^k}: direct product of k cyclic groups of prime order q."""
     if not is_prime(q):
         raise InvalidParameter(f"{q} is not prime")
@@ -121,23 +121,23 @@ def elementary_abelian(q: int, k: int, *, max_order: int | None = None) -> Group
         for i in range(q):
             images[blk * q + i] = blk * q + (i + 1) % q
         gens.append(Permutation(images))
-    G = make_group(gens, f"E{q ** k}", degree=degree, max_order=max_order)
+    G = make_group(gens, f"E{q ** k}", degree=degree)
     require(G.order == q ** k, f"{G.name} has order {G.order}")
     return G
 
 
-def symmetric(n: int, *, max_order: int | None = None) -> Group:
+def symmetric(n: int) -> Group:
     if n < 1:
         raise InvalidParameter("symmetric group needs n >= 1")
     if n == 1:
-        return make_group([], "Sigma1", degree=1, max_order=max_order)
+        return make_group([], "Sigma1", degree=1)
     gens = [Permutation([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(Permutation([(i + 1) % n for i in range(n)]))
-    return make_group(gens, f"Sigma{n}", max_order=max_order)
+    return make_group(gens, f"Sigma{n}")
 
 
-def alternating(n: int, *, max_order: int | None = None) -> Group:
+def alternating(n: int) -> Group:
     if n < 3:
         raise InvalidParameter("alternating group needs n >= 3")
     c3 = parse_cycle_string("(1,2,3)", n)
@@ -147,15 +147,13 @@ def alternating(n: int, *, max_order: int | None = None) -> Group:
         gens = [c3, Permutation([(i + 1) % n for i in range(n)])]
     else:
         gens = [c3, Permutation([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])]
-    G = make_group(gens, f"A{n}", max_order=max_order)
-    return G
+    return make_group(gens, f"A{n}")
 
 
 # ---------------------------------------------------------------------------
 # products
 
-def direct_product(A: Group, B: Group, name: str | None = None, *,
-                   max_order: int | None = None) -> Group:
+def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
     """A x B acting on the disjoint union of the two point sets."""
     dA, dB = A.degree, B.degree
     gens = []
@@ -164,13 +162,13 @@ def direct_product(A: Group, B: Group, name: str | None = None, *,
     for g in B.generators:
         gens.append(Permutation(list(range(dA)) + [dA + im for im in g.images]))
     name = name or f"{A.name}x{B.name}"
-    G = make_group(gens, name, degree=dA + dB, max_order=max_order)
+    G = make_group(gens, name, degree=dA + dB)
     require(G.order == A.order * B.order, f"{name} has order {G.order}")
     return G
 
 
 def _right_regular(elements: Sequence, mul: Callable, gens: Iterable, name: str,
-                   max_order: int | None) -> Group:
+                   max_order: int | None = None) -> Group:
     """The group of right multiplications by ``gens`` on ``elements``.
 
     Point i stands for ``elements[i]``; ``mul(x, g)`` is the product x*g,
@@ -202,8 +200,7 @@ def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]
     return phi
 
 
-def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
-                       max_order: int | None = None) -> Group:
+def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str) -> Group:
     """K ⋊ H by the right-regular action on the |K|*|H| pairs (k, h).
 
     The action data is validated twice: each H-generator image must extend
@@ -238,7 +235,7 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str, *,
     elements = [(k, h) for k in K.elements for h in H.elements]
     gens = ([(k, H.identity) for k in K.generators]
             + [(K.identity, h) for h in H.generators])
-    G = _right_regular(elements, mul, gens, name, max_order)
+    G = _right_regular(elements, mul, gens, name)
     if G.order != K.order * H.order:
         raise NotAHomomorphism(
             f"product closure has order {G.order}, expected {K.order * H.order}")
@@ -326,8 +323,7 @@ class _SmallField:
 
 
 def one_dim_affine_group(p: int, k: int, *, multiplier_power: int = 1,
-                         frobenius: bool = False, name: str | None = None,
-                         max_order: int | None = None) -> Group:
+                         frobenius: bool = False, name: str | None = None) -> Group:
     """Subgroups of the affine semilinear group of GF(p^k), degree p^k.
 
     Generated by the translation x -> x + 1, multiplication by g^multiplier_power
@@ -340,11 +336,10 @@ def one_dim_affine_group(p: int, k: int, *, multiplier_power: int = 1,
     gens = [trans, mult]
     if frobenius:
         gens.append(Permutation([F.power(x, p) for x in range(F.q)]))
-    return make_group(gens, name or f"AffF{F.q}", max_order=max_order)
+    return make_group(gens, name or f"AffF{F.q}")
 
 
-def affine_prime_group(r: int, multiplier: int, name: str | None = None, *,
-                       max_order: int | None = None) -> Group:
+def affine_prime_group(r: int, multiplier: int, name: str | None = None) -> Group:
     """C_r semidirect the cyclic group generated by x -> multiplier*x mod r."""
     if not is_prime(r):
         raise InvalidParameter(f"{r} is not prime")
@@ -352,8 +347,7 @@ def affine_prime_group(r: int, multiplier: int, name: str | None = None, *,
         raise InvalidParameter("multiplier must act nontrivially")
     trans = Permutation([(x + 1) % r for x in range(r)])
     mult = Permutation([(multiplier * x) % r for x in range(r)])
-    return make_group([trans, mult], name or f"C{r}:m{multiplier}",
-                      max_order=max_order)
+    return make_group([trans, mult], name or f"C{r}:m{multiplier}")
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +565,11 @@ def builtin_atlas() -> tuple[AtlasEntry, ...]:
 # ---------------------------------------------------------------------------
 # corpus files: one JSON object per line, 1-based cycle notation
 
-def parse_corpus(stream: IO[str] | str | bytes) -> list[GroupSpec]:
+def parse_corpus(text: str) -> list[GroupSpec]:
     """Parse a line-oriented corpus; blank lines and '#' comments are skipped."""
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    else:
-        text = stream.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    lines = text.splitlines()
     specs: list[GroupSpec] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -190,9 +190,9 @@ def central_p_prime_part(G: Group, p: int) -> Group:
     return subgroup_from_elements(G, elems, f"Z({G.name})_{p}'")
 
 
-def to_dot(g: ClassGraph, graph_name: str = "gamma") -> str:
-    """DOT export with stable vertex identifiers v<size>_<index>."""
-    lines = [f"graph {graph_name} {{"]
+def to_dot(g: ClassGraph) -> str:
+    """DOT export of graph ``gamma`` with stable vertex identifiers v<size>_<index>."""
+    lines = ["graph gamma {"]
     ids = [f'"v{v.size}_{idx}"' for idx, v in enumerate(g.vertices)]
     for vid, v in zip(ids, g.vertices):
         lines.append(f'  {vid} [label="size={v.size}, ord={v.element_order}"];')

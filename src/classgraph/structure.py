@@ -570,7 +570,7 @@ def _class_invariant(G: Group) -> Callable[[Permutation], tuple[int, int]]:
     return lambda x: pairs[position(x)]
 
 
-def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
+def is_isomorphic(A: Group, B: Group) -> bool:
     """Backtracking isomorphism test behind an invariant prefilter.
 
     Groups of one order on the same points are one group when B holds A's
@@ -586,8 +586,8 @@ def is_isomorphic(A: Group, B: Group, *, cap: int = ISO_CAP) -> bool:
     """
     if A.order != B.order:
         return False
-    if A.order > cap:
-        raise IsoCapExceeded(f"orders {A.order}, {B.order} exceed cap {cap}")
+    if A.order > ISO_CAP:
+        raise IsoCapExceeded(f"orders {A.order}, {B.order} exceed cap {ISO_CAP}")
     if A.degree == B.degree and B.element_set().issuperset(A.generators):
         return True  # A <= B, and |A| = |B|
     if _fingerprint(A) != _fingerprint(B):

@@ -30,7 +30,7 @@ class CheckResult:
     check_id: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
-    millis: float
+    millis: float  # kept in memory only; a report never holds timings
 
 
 @dataclass
@@ -49,27 +49,22 @@ class VerificationReport:
             out[c.status] += 1
         return out
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        checks = []
-        for c in self.checks:
-            entry = {"id": c.check_id, "status": c.status, "detail": c.detail}
-            if include_timings:
-                entry["millis"] = round(c.millis, 3)
-            checks.append(entry)
+    def to_json_dict(self) -> dict:
         return {
             "group": self.group_name,
             "order": self.group_order,
             "prime": self.prime,
             "hypotheses": dict(self.hypotheses),
             "graph": dict(self.graph_summary),
-            "checks": checks,
+            "checks": [{"id": c.check_id, "status": c.status, "detail": c.detail}
+                       for c in self.checks],
             "counterexample": self.counterexample,
         }
 
-    def to_json(self, include_timings: bool = False) -> str:
-        """``json.dumps(self.to_json_dict(include_timings), indent=2) + "\\n"``,
-        written in one pass (see ``_report_json``)."""
-        return _report_json(self, include_timings, 0) + "\n"
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written in one
+        pass (see ``_report_json``)."""
+        return _report_json(self, 0) + "\n"
 
 
 def _stride_sample(items: tuple, limit: int = _SAMPLE_LIMIT) -> list:
@@ -509,7 +504,7 @@ class RunSummary:
     def exit_code(self) -> int:
         return 1 if self.failures() else 0
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         ordered = (self.counterexamples()
                    + [r for r in self.reports if not r.counterexample])
         return {
@@ -522,13 +517,13 @@ class RunSummary:
                     for r in self.counterexamples()
                 ],
             },
-            "reports": [r.to_json_dict(include_timings) for r in ordered],
+            "reports": [r.to_json_dict() for r in ordered],
         }
 
-    def to_json(self, include_timings: bool = False) -> str:
-        """The report bytes: ``json.dumps(self.to_json_dict(include_timings),
-        indent=2) + "\\n"``, written in one pass (see ``_summary_json``)."""
-        return _summary_json(self, include_timings) + "\n"
+    def to_json(self) -> str:
+        """The report bytes: ``json.dumps(self.to_json_dict(), indent=2) + "\\n"``,
+        written in one pass (see ``_summary_json``)."""
+        return _summary_json(self) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +545,8 @@ def _ints(xs: list[int], depth: int) -> str:
     return "[" + inner + ("," + inner).join(map(int.__repr__, xs)) + _NL[depth] + "]"
 
 
-def _report_json(r: VerificationReport, timings: bool, depth: int) -> str:
-    """``r.to_json_dict(timings)`` as ``json.dumps(..., indent=2)`` writes it
+def _report_json(r: VerificationReport, depth: int) -> str:
+    """``r.to_json_dict()`` as ``json.dumps(..., indent=2)`` writes it
     with the report's braces at ``depth``."""
     n1, n2, n3 = _NL[depth + 1], _NL[depth + 2], _NL[depth + 3]
     hyp = "{}"
@@ -570,23 +565,19 @@ def _report_json(r: VerificationReport, timings: bool, depth: int) -> str:
                  f'{n2}"edges": {edges},{n2}"shape": {encode_basestring_ascii(g["shape"])}{n1}}}')
     checks = "[]"
     if r.checks:
-        entries = []
-        for c in r.checks:
-            entry = (f'{{{n3}"id": {encode_basestring_ascii(c.check_id)},'
-                     f'{n3}"status": {encode_basestring_ascii(c.status)},'
-                     f'{n3}"detail": {encode_basestring_ascii(c.detail)}')
-            if timings:
-                entry += f',{n3}"millis": {round(c.millis, 3)!r}'
-            entries.append(entry + n2 + "}")
-        checks = "[" + n2 + ("," + n2).join(entries) + n1 + "]"
+        checks = ("[" + n2 + ("," + n2).join([
+            f'{{{n3}"id": {encode_basestring_ascii(c.check_id)},'
+            f'{n3}"status": {encode_basestring_ascii(c.status)},'
+            f'{n3}"detail": {encode_basestring_ascii(c.detail)}{n2}}}' for c in r.checks])
+            + n1 + "]")
     return (f'{{{n1}"group": {encode_basestring_ascii(r.group_name)},'
             f'{n1}"order": {r.group_order!r},{n1}"prime": {r.prime!r},'
             f'{n1}"hypotheses": {hyp},{n1}"graph": {graph},{n1}"checks": {checks},'
             f'{n1}"counterexample": {"true" if r.counterexample else "false"}{_NL[depth]}}}')
 
 
-def _summary_json(s: RunSummary, timings: bool) -> str:
-    """``s.to_json_dict(timings)`` as ``json.dumps(..., indent=2)`` writes it:
+def _summary_json(s: RunSummary) -> str:
+    """``s.to_json_dict()`` as ``json.dumps(..., indent=2)`` writes it:
     counterexamples first, each report at depth 2."""
     counts, first = s.counts(), s.counterexamples()
     listed = "[]"
@@ -595,7 +586,7 @@ def _summary_json(s: RunSummary, timings: bool) -> str:
             f'{{\n        "group": {encode_basestring_ascii(r.group_name)},'
             f'\n        "prime": {r.prime!r}\n      }}' for r in first]) + "\n    ]")
     ordered = first + [r for r in s.reports if not r.counterexample]
-    reports = ("[\n    " + ",\n    ".join([_report_json(r, timings, 2) for r in ordered])
+    reports = ("[\n    " + ",\n    ".join([_report_json(r, 2) for r in ordered])
                + "\n  ]" if ordered else "[]")
     return (f'{{\n  "schema": {encode_basestring_ascii(REPORT_SCHEMA)},\n  "summary": {{'
             f'\n    "pairs": {len(s.reports)!r},\n    "pass": {counts["pass"]!r},'
@@ -624,6 +615,8 @@ def primes_for(G: Group, mode: tuple) -> tuple[int, ...]:
     if kind == "all":
         return default_primes(G)
     if kind == "upto":
+        if mode[1] < 2:  # no prime: a run that checks nothing must not pass
+            raise InvalidParameter(f"'upto' needs a bound >= 2, not {mode[1]!r}")
         out, q = [], 2
         while q <= mode[1]:
             out.append(q)
@@ -631,6 +624,8 @@ def primes_for(G: Group, mode: tuple) -> tuple[int, ...]:
         return tuple(out)
     if kind == "list":
         primes = tuple(mode[1])
+        if not primes:
+            raise InvalidParameter("the prime list is empty")
         for q in primes:
             if not is_prime(q):
                 raise InvalidParameter(f"{q} is not prime")

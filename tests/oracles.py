@@ -229,9 +229,10 @@ def naive_class_graph_edges(sizes):
                      if math.gcd(sizes[i], sizes[j]) > 1)
 
 
-def naive_dot(vertices, edges, graph_name="gamma"):
-    """DOT text with ids v<size>_<index>: the vertices, then the sorted edges."""
-    lines = [f"graph {graph_name} {{"]
+def naive_dot(vertices, edges):
+    """DOT text of graph gamma with ids v<size>_<index>: the vertices, then the
+    sorted edges."""
+    lines = ["graph gamma {"]
     ids = [f'"v{v.size}_{idx}"' for idx, v in enumerate(vertices)]
     for vid, v in zip(ids, vertices):
         lines.append(f'  {vid} [label="size={v.size}, ord={v.element_order}"];')

@@ -15,7 +15,8 @@ from classgraph.errors import InvariantViolated, PreconditionViolated
 from classgraph.numtheory import prime_factors
 from classgraph.perm import (Group, center, class_elements, conjugacy_classes, make_group,
                              parse_cycle_string, subgroup_from_elements)
-from classgraph.structure import normal_subgroups, p_complement, p_core, quotient
+from classgraph.structure import (coset_classes, normal_subgroups, p_complement, p_core,
+                                  quotient)
 from classgraph.verify import default_primes
 from oracles import naive_centralizer, naive_is_normal
 from strategies import generating_sets
@@ -241,7 +242,8 @@ def test_p_regular_count_over_a_normal_subgroup_matches_the_quotient(gens):
     for p in prime_factors(G.order):
         for N in (p_core(G, p), *normal_subgroups(G)):
             Q = quotient(G, N).group
-            assert count_p_regular_classes(G, p, over=N) == count_p_regular_classes(Q, p)
+            over = classify._p_regular_coset_classes(G, p, coset_classes(G, N))
+            assert over == count_p_regular_classes(Q, p)
 
 
 @given(generating_sets())

@@ -59,8 +59,31 @@ def _string_cache_key(node):
 
 
 def _slot_access(*slots: str) -> Callable[[ast.AST], bool]:
-    """An attribute access ``x.slot``, read or written."""
-    return lambda node: isinstance(node, ast.Attribute) and node.attr in slots
+    """An access to ``x.slot``, read or written: as an attribute, or through
+    ``getattr``, ``hasattr``, ``setattr`` or ``delattr`` with the slot's name
+    as a string constant."""
+    by_name = _calls("getattr", "hasattr", "setattr", "delattr")
+
+    def matches(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in slots
+        return (by_name(node) and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in slots)
+    return matches
+
+
+def _unused_imports(tree: ast.Module) -> set[ast.stmt]:
+    """The top-level imports of ``tree`` that bind a name no node of it reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {stmt for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and getattr(stmt, "module", None) != "__future__"  # binds no name
+            and any((alias.asname or alias.name.split(".")[0]) not in read
+                    for alias in stmt.names)}
+
+
+_UNUSED_IMPORTS = set().union(*map(_unused_imports, MODULES.values()))
 
 
 RULES = {
@@ -115,6 +138,8 @@ RULES = {
     # the record itself, which unpacks it
     "packed-representative": Rule(_slot_access("_packed"),
                                   {"perm.py": {"ConjClass", "_factor_classes"}}),
+    # a module imports only what it reads; the package's __init__ imports to re-export
+    "unused-import": Rule(lambda node: node in _UNUSED_IMPORTS, {"__init__.py": {"<module>"}}),
 }
 
 
@@ -135,3 +160,28 @@ def test_design_rule(rule_id):
                 for owner, line in _matches(rule, tree)
                 if owner not in rule.allowed.get(path, ())]
     assert not breaches, f"{rule_id} breached at " + ", ".join(breaches)
+
+
+@pytest.mark.parametrize("source, rule_ids", [
+    ('getattr(v, "_packed", None)', {"packed-representative"}),
+    ('hasattr(x, "_images")', {"lazy-slots"}),
+    ('setattr(G, "_made", made)', {"lazy-slots"}),
+    ('delattr(G, "_elements")', {"lazy-slots"}),
+    ("v._packed", {"packed-representative"}),
+    ('getattr(args, "max_order", None)', set()),
+    ("getattr(v, name)", set()),
+])
+def test_slot_access_matches_attribute_builtins(source, rule_ids):
+    nodes = list(ast.walk(ast.parse(source)))
+    assert {rule_id for rule_id in ("lazy-slots", "packed-representative")
+            if any(map(RULES[rule_id].matches, nodes))} == rule_ids
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import json, os.path\n"
+                     "from typing import IO, Callable\n"
+                     "from .structure import coset_classes as cc\n"
+                     "def f(x: Callable) -> None:\n"
+                     "    os.path.join(x)\n")
+    assert sorted(stmt.lineno for stmt in _unused_imports(tree)) == [2, 3, 4]

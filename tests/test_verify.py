@@ -96,7 +96,9 @@ def test_primes_for_modes(atlas_groups):
     assert primes_for(G, ("all",)) == (2, 3, 5)
     assert primes_for(G, ("upto", 7)) == (2, 3, 5, 7)
     assert primes_for(G, ("list", [3, 11])) == (3, 11)
-    for mode in (("list", [4]), ("list", [3, 3]), ("some",)):
+    assert primes_for(G, ("upto", 2)) == (2,)
+    # a mode that names no prime would give a run that checks nothing
+    for mode in (("list", [4]), ("list", [3, 3]), ("some",), ("list", []), ("upto", 1)):
         with pytest.raises(InvalidParameter):
             primes_for(G, mode)
 
@@ -183,14 +185,8 @@ def test_report_json_shape(atlas_groups):
     assert set(report) == {"group", "order", "prime", "hypotheses", "graph",
                            "checks", "counterexample"}
     for c in report["checks"]:
-        assert set(c) == {"id", "status", "detail"}  # timings off by default
+        assert set(c) == {"id", "status", "detail"}  # no timings
     json.dumps(doc)  # serializable
-
-
-def test_report_timings_optional(atlas_groups):
-    summary = run_corpus([atlas_groups["Sigma3"]], ("list", [2]))
-    doc = summary.to_json_dict(include_timings=True)
-    assert all("millis" in c for c in doc["reports"][0]["checks"])
 
 
 def _dumped(doc: dict) -> str:
@@ -198,12 +194,11 @@ def _dumped(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("timings", [False, True])
-def test_report_bytes_equal_the_standard_writer_on_the_atlas(atlas, timings):
+def test_report_bytes_equal_the_standard_writer_on_the_atlas(atlas):
     summary = run_corpus([entry.group for entry in atlas.values()])
-    assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+    assert summary.to_json() == _dumped(summary.to_json_dict())
     for r in summary.reports:
-        assert r.to_json(timings) == _dumped(r.to_json_dict(timings))
+        assert r.to_json() == _dumped(r.to_json_dict())
 
 
 def test_report_bytes_of_an_unverified_pair(atlas_groups, monkeypatch):
@@ -215,7 +210,7 @@ def test_report_bytes_of_an_unverified_pair(atlas_groups, monkeypatch):
     assert summary.reports[0].hypotheses == {} and summary.reports[0].graph_summary == {}
     assert '"hypotheses": {},' in summary.to_json() and '"graph": {},' in summary.to_json()
     assert summary.to_json() == _dumped(summary.to_json_dict())
-    assert summary.reports[0].to_json(True) == _dumped(summary.reports[0].to_json_dict(True))
+    assert summary.reports[0].to_json() == _dumped(summary.reports[0].to_json_dict())
 
 
 def _synthetic_report(name, cx, detail="synthetic"):
@@ -233,8 +228,7 @@ def test_report_bytes_list_a_counterexample_first():
     summary = RunSummary([_synthetic_report("A", False), _synthetic_report("B", True)])
     text = summary.to_json()
     assert text.index('"group": "B"') < text.index('"group": "A"')
-    for timings in (False, True):
-        assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+    assert text == _dumped(summary.to_json_dict())
 
 
 def test_report_bytes_of_an_empty_run():
@@ -260,16 +254,16 @@ _UNVERIFIED = st.builds(VerificationReport, _TEXT, st.integers(1, 10**9),
                         st.just({}))
 
 
-@given(st.lists(_VERIFIED | _UNVERIFIED, max_size=3), st.booleans())
+@given(st.lists(_VERIFIED | _UNVERIFIED, max_size=3))
 @example([_synthetic_report('Q"uote\\back\x00\x1f\x7f caf\u00e9 \u20ac \U0001f600 \ud800', True,
-                            'tab\t nl\n \u2028 "\\" \U00010348')], True)
-def test_report_bytes_escape_every_string(reports, timings):
+                            'tab\t nl\n \u2028 "\\" \U00010348')])
+def test_report_bytes_escape_every_string(reports):
     # names and details with quotes, backslashes, control characters,
     # non-ASCII and astral code points are escaped as json.dumps escapes them
     summary = RunSummary(reports)
-    assert summary.to_json(timings) == _dumped(summary.to_json_dict(timings))
+    assert summary.to_json() == _dumped(summary.to_json_dict())
     for r in reports:
-        assert r.to_json(timings) == _dumped(r.to_json_dict(timings))
+        assert r.to_json() == _dumped(r.to_json_dict())
 
 
 def test_check_ids_unique_per_report(atlas_groups):
@@ -543,7 +537,8 @@ def test_count_stable_reads_the_p_core_as_a_class_set(atlas, monkeypatch):
         for p in entry.primes:
             twin = Group(G.name, G.degree, G.generators, G.elements)  # no caches
             a = classify.count_p_regular_classes(twin, p)
-            b = classify.count_p_regular_classes(twin, p, over=structure.p_core(twin, p))
+            b = classify._p_regular_coset_classes(
+                twin, p, structure.coset_classes(twin, structure.p_core(twin, p)))
             fresh = Group(G.name, G.degree, G.generators, G.elements)
             with monkeypatch.context() as m:
                 for name in ("_require_normal", "_class_positions", "_normal_subgroup"):
