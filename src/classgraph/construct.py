@@ -12,7 +12,8 @@ from .errors import (BadCycle, CorpusSyntaxError, DuplicateName, InvalidParamete
                      NotAHomomorphism, NotAnAutomorphism, OrderCapExceeded,
                      UnknownAtlasGroup, require)
 from .numtheory import is_prime
-from .perm import Group, Permutation, extend_hom, make_group, parse_cycle_string
+from .perm import (Group, Permutation, _right_regular, extend_hom, make_group,
+                   parse_cycle_string)
 
 
 @dataclass(frozen=True)
@@ -167,18 +168,6 @@ def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
     return G
 
 
-def _right_regular(elements: Sequence, mul: Callable, gens: Iterable, name: str,
-                   max_order: int | None = None) -> Group:
-    """The group of right multiplications by ``gens`` on ``elements``.
-
-    Point i stands for ``elements[i]``; ``mul(x, g)`` is the product x*g,
-    which must be in ``elements``.
-    """
-    index = {x: i for i, x in enumerate(elements)}
-    perms = [Permutation([index[mul(x, g)] for x in elements]) for g in gens]
-    return make_group(perms, name, degree=len(elements), max_order=max_order)
-
-
 def _extend_automorphism(K: Group, gen_images: Mapping[Permutation, Permutation]) -> dict:
     """Extend a K-generator assignment to a full automorphism, or raise.
 
@@ -227,10 +216,11 @@ def semidirect_product(K: Group, H: Group, action: ActionSpec, name: str) -> Gro
     if hom is None:
         raise NotAHomomorphism(no_hom)
     beta = {h: (~a).images for h, a in hom.items()}
+    mul_k, mul_h, k_elements = K.product(), H.product(), K.elements
 
     def mul(u, v):  # (k, h)(k', h') = (k * h k' h^-1, h h')
         (k, h), (k2, h2) = u, v
-        return k * K.elements[beta[h][k_index[k2]]], h * h2
+        return mul_k(k, k_elements[beta[h][k_index[k2]]]), mul_h(h, h2)
 
     elements = [(k, h) for k in K.elements for h in H.elements]
     gens = ([(k, H.identity) for k in K.generators]

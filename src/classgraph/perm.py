@@ -562,7 +562,29 @@ def _blocks(gens: Sequence[Permutation]) -> list[tuple[tuple[int, ...], list[Per
             for b in sorted(blocks, key=min)]
 
 
-def _close(G: Group, cap: int) -> None:
+def _right_regular(elements: Sequence, mul: Callable, gens: Iterable, name: str,
+                   max_order: int | None = None) -> Group:
+    """The group of right multiplications by ``gens`` on ``elements``, the
+    group ``make_group`` closes from them, byte for byte.
+
+    Point i stands for ``elements[i]``; ``mul(x, g)`` is the product x*g,
+    and it must be a group law on ``elements``.  Then right multiplications
+    act semiregularly, so ``_close`` looks elements up by the image of one
+    point (``point_key``).  Each generator but the identity moves every
+    point, so ``make_group`` would not split the group into blocks either.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    perms: list[Permutation] = []
+    for g in gens:
+        r = Permutation([index[mul(x, g)] for x in elements])
+        if r not in perms:
+            perms.append(r)
+    G = Group._unenumerated(name, len(elements), tuple(perms), 0, ())
+    _close(G, DEFAULT_MAX_ORDER if max_order is None else max_order, point_key=True)
+    return G
+
+
+def _close(G: Group, cap: int, *, point_key: bool = False) -> None:
     """Enumerate G from its generators: its elements' images in position
     order, and the right-multiplication table that the class build takes
     (see ``_right_table``).  Elements made by ``_seating`` so far are
@@ -572,6 +594,14 @@ def _close(G: Group, cap: int) -> None:
     Products are formed on images (bytes up to degree 256, tuples beyond),
     not on Permutations, breadth-first over right multiplication by the
     generators, each new layer sorted lexicographically.
+
+    With ``point_key`` (set by ``_right_regular`` alone) G must act
+    semiregularly, so an element is fixed by its image of point 0, a base of
+    one point (Butler, LNCS 559): x*g is looked up by g's image of x's, and
+    only a new element has its images composed, once, from the element and
+    generator that first made it.  Images of a semiregular group differ at
+    point 0, so sorting a layer by that image sorts it by images, and the
+    positions, images and right table are those of the full lookup.
     """
     deg = G.degree
     # Up to degree 256 images are held as bytes: x * g is x.translate of g's
@@ -581,13 +611,14 @@ def _close(G: Group, cap: int) -> None:
         encode, pad, step, lift = bytes, bytes(256 - deg), bytes.translate, None
     else:
         encode, pad, step, lift = tuple, (), itemgetter.__call__, _then
+    key = _first if point_key else encode
     tables = [encode(g.images) + pad for g in G.generators]
     start = encode(range(deg))
     # Each generator's products are made and looked up in C, each hashed once
     # by pos.setdefault: a product not yet in pos enters it with the next
     # number from fresh, unique to its first occurrence, and is not held.
     fresh = count()
-    pos = {start: next(fresh)}  # images -> provisional number
+    pos = {key(start): next(fresh)}  # key -> provisional number
     at = {0: 0}  # provisional number -> position
     images = [start]
     right = [array("I") for _ in tables]
@@ -595,19 +626,31 @@ def _close(G: Group, cap: int) -> None:
     while frontier:
         base = len(pos)
         xs = frontier if lift is None else list(map(lift, frontier))
-        rows = [list(map(pos.setdefault, map(step, xs, repeat(t)), fresh)) for t in tables]
+        if point_key:
+            # x*g sends 0 to g(x(0)); the layer's products are numbered from
+            # ``first`` on, generator by generator over the frontier
+            first, width = next(fresh) + 1, len(frontier)
+            points = list(map(_first, frontier))
+            rows = [list(map(pos.setdefault, map(t.__getitem__, points), fresh))
+                    for t in tables]
+        else:
+            rows = [list(map(pos.setdefault, map(step, xs, repeat(t)), fresh)) for t in tables]
         if len(pos) > cap:
             raise OrderCapExceeded(G.name, cap)
         # the layer's new elements are pos's last keys; sorted by images, the
-        # order of Permutation.__lt__ (a byte is a point), they take the next
-        # positions
+        # order of Permutation.__lt__ (a byte is a point), or by the image of
+        # point 0, which orders them alike, they take the next positions
         layer = sorted(islice(reversed(pos.items()), len(pos) - base), key=_first)
-        frontier = [y for y, _ in layer]
+        if point_key:  # the product numbered first + k*width + j is xs[j] * generators[k]
+            frontier = [step(xs[j], tables[k])
+                        for k, j in (divmod(v - first, width) for _, v in layer)]
+        else:
+            frontier = [y for y, _ in layer]
         at.update(zip(map(_second, layer), count(base)))
         images += frontier
         for r, row in zip(right, rows):
             r.extend(map(at.__getitem__, row))
-    G._made = {at[pos[encode(x.images)]]: x for x in G._made.values()}
+    G._made = {at[pos[key(encode(x.images))]]: x for x in G._made.values()}
     G.order, G._images = len(images), images
     G._cache["right_table"] = right
 

@@ -646,8 +646,12 @@ def run_corpus(groups: list[Group], primes_mode: tuple = ("all",),
     """One report per (group, prime); deterministic ordering regardless of jobs.
 
     The third parameter is ignored; it is kept for ``bench/worker.py``,
-    which still passes a value there.
+    which still passes a value there.  An empty corpus is refused, as
+    ``primes_for`` refuses a mode that names no prime: a run that checks
+    nothing must not pass.
     """
+    if not groups:
+        raise InvalidParameter("the corpus has no group")
     tasks = [(G, primes_for(G, primes_mode))
              for G in sorted(groups, key=lambda g: g.name)]
     if jobs > 1 and len(tasks) > 1:

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from classgraph import construct
+from classgraph import construct, perm
 from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
                                   dihedral, direct_product, elementary_abelian,
                                   generalized_quaternion, group_to_spec,
@@ -17,7 +17,7 @@ from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
 from classgraph.errors import (BadCycle, ClassGraphError, CorpusSyntaxError,
                                DuplicateName, InvalidParameter, NotAHomomorphism,
                                NotAnAutomorphism, UnknownAtlasGroup)
-from classgraph.perm import center, conjugacy_classes, make_group
+from classgraph.perm import Permutation, center, conjugacy_classes, make_group
 from classgraph.structure import is_isomorphic
 from oracles import naive_class_sizes
 
@@ -169,6 +169,47 @@ def test_heisenberg():
     assert h.order == 27
     assert center(h).order == 3
     assert all(g.order() in (1, 3) for g in h.elements)
+
+
+def _right_regular_builds(build, monkeypatch):
+    """Every group that ``build()`` closes through ``perm._right_regular``, as
+    (name, what the closure left, what ``make_group`` closes from the same
+    generators): generators, images in position order and right table."""
+    builds = []
+
+    def closure(G):
+        return G.generators, list(G._keys()), [list(r) for r in G._cache["right_table"]]
+
+    def recording(elements, mul, gens, name, max_order=None):
+        gens = list(gens)
+        G = perm._right_regular(elements, mul, gens, name, max_order)
+        index = {x: i for i, x in enumerate(elements)}
+        expected = make_group([Permutation([index[mul(x, g)] for x in elements]) for g in gens],
+                              name, degree=len(elements), max_order=max_order)
+        builds.append((name, closure(G), closure(expected)))
+        return G
+
+    monkeypatch.setattr(construct, "_right_regular", recording)
+    build()
+    return builds
+
+
+# the atlas rows that semidirect_product builds, degree 600 among them, then
+# the extraspecial group of order 27 and Q_{2^k} for k = 3..8
+_RIGHT_REGULAR = [*(pytest.param(construct._ATLAS_BY_NAME[name].build, id=name) for name in (
+    "C3:C4", "E25:Sigma3", "E9:C8", "E9:Q8", "Q8:C9", "C2x(Q8:C9)", "ES27:Q8", "(C5xC5):Q8",
+    "(C5xC5):SL(2,3)")),
+    pytest.param(heisenberg3, id="ES27"),
+    *(pytest.param(lambda n=2 ** k: generalized_quaternion(n), id=f"Q{2 ** k}")
+      for k in range(3, 9))]
+
+
+@pytest.mark.parametrize("build", _RIGHT_REGULAR)
+def test_right_regular_closure_is_make_groups(build, monkeypatch):
+    builds = _right_regular_builds(build, monkeypatch)
+    assert builds
+    for name, closed, expected in builds:
+        assert closed == expected, name
 
 
 def test_affine_groups():

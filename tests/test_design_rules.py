@@ -58,6 +58,11 @@ def _string_cache_key(node):
     return _name(owner) == "_cache" and string
 
 
+def _closes_by_point(node):
+    """A call of ``_close`` that sets ``point_key``, by name or through ``**``."""
+    return _calls("_close")(node) and any(k.arg in ("point_key", None) for k in node.keywords)
+
+
 def _slot_access(*slots: str) -> Callable[[ast.AST], bool]:
     """An access to ``x.slot``, read or written: as an attribute, or through
     ``getattr``, ``hasattr``, ``setattr`` or ``delattr`` with the slot's name
@@ -128,6 +133,9 @@ RULES = {
     # the enumeration hands its right table to _right_table under the one string key
     "memo-call": Rule(_calls("_memo"), {}),
     "string-cache-key": Rule(_string_cache_key, {"perm.py": {"_close", "_right_table"}}),
+    # a closure looks elements up by the image of one point only where that
+    # image fixes the element: in a right-regular group, which acts semiregularly
+    "point-key": Rule(_closes_by_point, {"perm.py": {"_right_regular"}}),
     # a split product is enumerated on first read, so its encoded-image slots
     # are read only through Group's own readers (elements, _at, _keys) and
     # written by the enumeration

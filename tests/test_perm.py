@@ -349,6 +349,28 @@ def test_order_cap_at_the_order(gens):
         make_group(gens, "G", max_order=order - 1)
 
 
+def _dihedral_law(m):
+    """D_{2m} on its 2m elements (i, s), the rotation r^i times s reflections."""
+    elements = [(i, s) for i in range(m) for s in range(2)]
+
+    def mul(u, v):
+        (i, s), (j, t) = u, v
+        return (i - j if s else i + j) % m, s ^ t
+    return elements, mul, [(1, 0), (0, 1)]
+
+
+# right-regular on 12 points (bytes) and on 260 points (tuples)
+@pytest.mark.parametrize("m", [6, 130])
+def test_right_regular_order_cap_at_the_order(m):
+    elements, mul, gens = _dihedral_law(m)
+    name = f"D{2 * m}"
+    G = perm_module._right_regular(elements, mul, gens, name, 2 * m)
+    H = make_group(G.generators, name, max_order=2 * m)
+    assert (G.order, G._keys(), G.generators) == (2 * m, H._keys(), H.generators)
+    with pytest.raises(OrderCapExceeded, match=rf"'{name}' exceeds the order cap {2 * m - 1}$"):
+        perm_module._right_regular(elements, mul, gens, name, 2 * m - 1)
+
+
 @pytest.mark.parametrize("degree", [6, 257])
 def test_a_new_element_made_twice_in_a_layer_is_placed_once(degree):
     gens = _c2_cubed_gens(degree)

@@ -109,9 +109,9 @@ def test_run_corpus_rejects_a_repeated_prime(atlas_groups):
 
 
 def test_run_corpus_empty():
-    summary = run_corpus([])
-    assert summary.reports == []
-    assert summary.exit_code() == 0
+    # a run that checks nothing must not pass
+    with pytest.raises(InvalidParameter, match="no group"):
+        run_corpus([])
 
 
 def test_run_corpus_subset_deterministic(atlas_groups):
