@@ -16,8 +16,8 @@ from .errors import (HallSearchExhausted, IsoCapExceeded, LatticeCapExceeded,
                      NotASubgroup, NotNormal)
 from .numtheory import is_pi_number, pi_part, prime_factors, require_primes
 from .perm import (Group, Permutation, _class_build, _class_orbits, _images, _memoised,
-                   bulk_conjugate, center, class_elements, closed_subgroup,
-                   conjugacy_classes, conjugation_maps, extend_hom, generating_set, make_group,
+                   _right_regular, bulk_conjugate, center, class_elements, closed_subgroup,
+                   conjugacy_classes, conjugation_maps, extend_hom, generating_set,
                    require_members)
 
 ISO_CAP = 1024
@@ -205,21 +205,32 @@ class _Member(NamedTuple):
 
     classes: frozenset[int]
     order: int
-    seeds: tuple[Permutation, ...]  # elements whose classes generate it (with N's, over N)
     name: str
 
 
-_ONE = _Member(frozenset({0}), 1, (), "1")  # the identity's class alone
+_ONE = _Member(frozenset({0}), 1, "1")  # the identity's class alone
+
+
+def _by_order(G: Group, positions: Iterable[int]) -> list[Permutation]:
+    """The elements of the classes at ``positions`` by descending element
+    order, then images: the order every greedy pass takes its candidates in.
+    Element orders are read once per class, and each element order's
+    elements are sorted on their own."""
+    conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
+    by_order: dict[int, list[Permutation]] = {}
+    for k in positions:
+        c = conj[k]
+        by_order.setdefault(c.element_order, []).extend(map(at, orbits[c.representative]))
+    return [x for n in sorted(by_order, reverse=True) for x in sorted(by_order[n], key=_images)]
 
 
 @_memoised
 def _normal_subgroup(G: Group, m: _Member) -> Group:
     """m as a ``Group``, memoised per member: the one place where a class set
-    becomes a group.  Its elements class by class in position order, its
-    generators from one greedy pass over m's seeds, then those elements."""
-    conj, orbits, at = conjugacy_classes(G), _class_orbits(G), G.elements.__getitem__
-    elems = [at(i) for k in sorted(m.classes) for i in orbits[conj[k].representative]]
-    gens, _ = generating_set(G, chain(m.seeds, elems), len(elems), lambda n: True)
+    becomes a group.  Its generators come from one greedy pass over its
+    elements in ``_by_order``'s order, as ``subgroup_from_elements`` finds them."""
+    elems = _by_order(G, m.classes)
+    gens, _ = generating_set(G, elems, len(elems), lambda n: True)
     return closed_subgroup(G, gens, elems, m.name)
 
 
@@ -233,7 +244,7 @@ def normal_closure(G: Group, seeds: Iterable[Permutation], name: str) -> Group:
     for k in map(position, seeds):
         if k not in reached:
             reached, order = _grow(G, reached, k)
-    return _normal_subgroup(G, _Member(reached, order, seeds, name))
+    return _normal_subgroup(G, _Member(reached, order, name))
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +300,22 @@ def _pi_core(G: Group, primes: frozenset[int], inside: frozenset[int]) -> _Membe
     That is the largest normal M >= N with |M:N| a pi-number, grown from N's
     classes as one class set M: for M/N a pi-group, |<M, g>^G:N| is a
     pi-number (so at most |N| * pi_part(|G:N|)) exactly when |ncl(N, g):N|
-    is.  It builds no ``Group``; its seeds are the accepted representatives
-    outside N, and its name reads pi and |N| alone, e.g. ``O_{2,3}(G)``,
-    ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
+    is.  It builds no ``Group``, and its name reads pi and |N| alone, e.g.
+    ``O_{2,3}(G)``, ``O_{2}(G mod |N|=3)``, or ``1<G`` for the empty prime set.
     """
     below = sum(map(_class_data(G).sizes.__getitem__, inside))  # |N|
     cap = below * pi_part(G.order // below, primes)
     M, order = inside, below
-    gens: list[Permutation] = []
     for k, cls in enumerate(conjugacy_classes(G)):
-        if not is_pi_number(cls.element_order, primes) or k in inside:
+        if k in M or not is_pi_number(cls.element_order, primes):
             continue
-        if k not in M:  # a class already in M is accepted without a trial
-            grown = _grow(G, M, k, cap)
-            if grown is None or not is_pi_number(grown[1] // below, primes):
-                continue
+        grown = _grow(G, M, k, cap)
+        if grown is not None and is_pi_number(grown[1] // below, primes):
             M, order = grown
-        gens.append(cls.representative)
     top = G.name if below == 1 else f"{G.name} mod |N|={below}"
     pi = ",".join(map(str, sorted(primes)))
     name = f"O_{{{pi}}}({top})" if primes else f"1<{top}"
-    return _Member(M, order, tuple(gens), name)
+    return _Member(M, order, name)
 
 
 def p_prime_core(G: Group, p: int) -> Group:
@@ -385,19 +391,13 @@ def quotient(G: Group, N: Group) -> Quotient:
             coset = [mul(n, g) for n in N.elements]
             coset_rep.update(dict.fromkeys(coset, min(coset, key=_images)))
     reps = sorted(set(coset_rep.values()), key=_images)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    label = {g: rep_index[r] for g, r in coset_rep.items()}
-    nq = len(reps)
-
-    def act(x: Permutation) -> Permutation:
-        return Permutation._raw(tuple(label[mul(r, x)] for r in reps))
-
-    Q = make_group([act(g) for g in G.generators], f"{G.name}/{N.name}",
-                   degree=nq, max_order=nq)
+    # G/N acts on its cosets by right multiplication: a right-regular group
+    Q = _right_regular(reps, lambda r, g: coset_rep[mul(r, g)], G.generators,
+                       f"{G.name}/{N.name}", len(reps))
     # Q is regular on the cosets, so an element is fixed by where it sends
     # coset 0, N itself (its least element is the identity); g sends it to Ng
-    by_coset = {q.images[0]: q for q in Q.elements}
-    return Quotient(Q, {g: by_coset[label[g]] for g in G.elements})
+    by_coset = {reps[q.images[0]]: q for q in Q.elements}
+    return Quotient(Q, {g: by_coset[coset_rep[g]] for g in G.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +406,9 @@ def quotient(G: Group, N: Group) -> Quotient:
 @_memoised
 def _core_climb(G: Group, p: int) -> tuple[bool, tuple[_Member, ...], tuple[str, ...]]:
     """The alternating-core series as class sets, built as no ``Group``:
-    whether it reaches G, its members ascending from 1 (each with the seeds
-    below it), and each step's label.  A step is ``_pi_core(G, {p} or p',
-    N)``, the p-step first, and neither repeats the step before it."""
+    whether it reaches G, its members ascending from 1, and each step's
+    label.  A step is ``_pi_core(G, {p} or p', N)``, the p-step first, and
+    neither repeats the step before it."""
     require_primes(p)
     others = frozenset(prime_factors(G.order)) - {p}
     ascending = [_ONE]
@@ -423,7 +423,7 @@ def _core_climb(G: Group, p: int) -> tuple[bool, tuple[_Member, ...], tuple[str,
                     break
         else:
             break
-        ascending.append(core._replace(seeds=N.seeds + core.seeds))
+        ascending.append(core)
         labels.append(label)
     return ascending[-1].order == G.order, tuple(ascending), tuple(labels)
 
@@ -443,14 +443,9 @@ def is_p_separable(G: Group, p: int) -> tuple[bool, SeriesCertificate]:
 # greedy subgroup searches (Hall subgroups, complements)
 
 def _pi_elements(G: Group, primes: frozenset[int]) -> list[Permutation]:
-    """The pi-elements of G by descending element order, then images: the
-    classes are tested for order once each, not their elements, and each
-    element order's elements are sorted on their own."""
-    by_order: dict[int, list[Permutation]] = {}
-    for c in conjugacy_classes(G):
-        if is_pi_number(c.element_order, primes):
-            by_order.setdefault(c.element_order, []).extend(class_elements(G, c))
-    return [x for n in sorted(by_order, reverse=True) for x in sorted(by_order[n], key=_images)]
+    """The pi-elements of G in ``_by_order``'s order."""
+    return _by_order(G, [k for k, c in enumerate(conjugacy_classes(G))
+                         if is_pi_number(c.element_order, primes)])
 
 
 def _search_subgroup(G: Group, primes: frozenset[int], target_order: int,
@@ -504,8 +499,8 @@ def _normal_lattice(G: Group) -> tuple[_Member, ...]:
     it contains, so each member is joined only with the seeds it neither
     contains nor lies in; the join with the seed ncl(x_k) is ``_grow`` by k."""
     data, classes, ident = _class_data(G), conjugacy_classes(G), frozenset({0})
-    # classes -> (order, seed representatives, name) of each member
-    lattice = {ident: (1, (), f"1<{G.name}")}
+    # classes -> (order, name) of each member
+    lattice = {ident: (1, f"1<{G.name}")}
     seeds: dict[frozenset[int], int] = {}  # classes of ncl(x_k) -> k
     mul = G.product()
     done = {0}  # classes whose seed is known: ncl(x^j) = ncl(x) for j prime to o(x)
@@ -521,7 +516,7 @@ def _normal_lattice(G: Group) -> tuple[_Member, ...]:
         S, order = _grow(G, ident, k)
         if S not in seeds:
             seeds[S] = k
-            lattice[S] = (order, (x,), f"ncl{len(lattice)}<{G.name}")
+            lattice[S] = (order, f"ncl{len(lattice)}<{G.name}")
     frontier = list(lattice)
     while frontier:
         new = []
@@ -531,8 +526,7 @@ def _normal_lattice(G: Group) -> tuple[_Member, ...]:
                     continue  # the join is A or S, both found already
                 join, order = _grow(G, A, k)
                 if join not in lattice:
-                    lattice[join] = (order, lattice[A][1] + (classes[k].representative,),
-                                     f"join{len(lattice)}<{G.name}")
+                    lattice[join] = (order, f"join{len(lattice)}<{G.name}")
                     new.append(join)
                 if len(lattice) > LATTICE_CAP:
                     raise LatticeCapExceeded(
@@ -597,8 +591,7 @@ def is_isomorphic(A: Group, B: Group) -> bool:
     classes_a, classes_b = conjugacy_classes(A), conjugacy_classes(B)
     shared = Counter((c.element_order, c.size) for c in classes_a)
     first = min(classes_a[1:], key=lambda c: shared[c.element_order, c.size])
-    gens = generating_set(A, chain([first.representative],
-                                   _pi_elements(A, frozenset(prime_factors(A.order)))),
+    gens = generating_set(A, chain([first.representative], _by_order(A, range(len(classes_a)))),
                           A.order, lambda n: True)[0]
     inv_a, inv_b = _class_invariant(A), _class_invariant(B)
 

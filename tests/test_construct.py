@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from classgraph import construct, perm
+from classgraph import classify, construct, perm, structure
 from classgraph.construct import (ActionSpec, GroupSpec, cyclic,
                                   dihedral, direct_product, elementary_abelian,
                                   generalized_quaternion, group_to_spec,
@@ -172,9 +172,10 @@ def test_heisenberg():
 
 
 def _right_regular_builds(build, monkeypatch):
-    """Every group that ``build()`` closes through ``perm._right_regular``, as
-    (name, what the closure left, what ``make_group`` closes from the same
-    generators): generators, images in position order and right table."""
+    """Every group that ``build()`` closes through ``perm._right_regular``, in
+    a constructor or in ``structure.quotient``, as (name, what the closure
+    left, what ``make_group`` closes from the same generators): generators,
+    images in position order and right table."""
     builds = []
 
     def closure(G):
@@ -190,18 +191,27 @@ def _right_regular_builds(build, monkeypatch):
         return G
 
     monkeypatch.setattr(construct, "_right_regular", recording)
+    monkeypatch.setattr(structure, "_right_regular", recording)
     build()
     return builds
 
 
 # the atlas rows that semidirect_product builds, degree 600 among them, then
-# the extraspecial group of order 27 and Q_{2^k} for k = 3..8
+# the extraspecial group of order 27 and Q_{2^k} for k = 3..8, then quotients:
+# atlas rows mod a nontrivial p-core, and mod a nontrivial centre
 _RIGHT_REGULAR = [*(pytest.param(construct._ATLAS_BY_NAME[name].build, id=name) for name in (
     "C3:C4", "E25:Sigma3", "E9:C8", "E9:Q8", "Q8:C9", "C2x(Q8:C9)", "ES27:Q8", "(C5xC5):Q8",
     "(C5xC5):SL(2,3)")),
     pytest.param(heisenberg3, id="ES27"),
     *(pytest.param(lambda n=2 ** k: generalized_quaternion(n), id=f"Q{2 ** k}")
-      for k in range(3, 9))]
+      for k in range(3, 9)),
+    *(pytest.param(lambda name=name, p=p: classify._mod_p_core(
+        construct._ATLAS_BY_NAME[name].build(), p), id=f"{name}/O_{p}")
+      for name, p in (("Sigma4", 2), ("D12", 3), ("GammaL(1,8)", 2), ("E16:C15", 2),
+                      ("(C5xC5):SL(2,3)", 5))),
+    *(pytest.param(lambda name=name: classify.is_quasi_frobenius(
+        construct._ATLAS_BY_NAME[name].build()), id=f"{name}/Z")
+      for name in ("D12", "Q8:C9"))]
 
 
 @pytest.mark.parametrize("build", _RIGHT_REGULAR)

@@ -101,6 +101,11 @@ RULES = {
     "no-random": Rule(lambda node: "random" in _imports(node), {}),
     # mulclose runs only under the greedy pass that finds the generators of every subgroup
     "mulclose": Rule(_calls("mulclose"), {"perm.py": {"generating_set"}}),
+    # the greedy pass picks generators for a closed element set, a class set, a
+    # Hall search and an isomorphism search, each by descending element order
+    "generating_set": Rule(_calls("generating_set"), {
+        "perm.py": {"subgroup_from_elements"},
+        "structure.py": {"_normal_subgroup", "_search_subgroup", "is_isomorphic"}}),
     # a closed element set becomes a Group in subgroup_from_elements, a class
     # set in _normal_subgroup and a Hall search's closure in _search_subgroup
     "closed_subgroup": Rule(_calls("closed_subgroup"), {

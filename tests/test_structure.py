@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 from classgraph import perm, structure
 from classgraph.construct import (ActionSpec, alternating, atlas_group, cyclic, dihedral,
                                   direct_product, elementary_abelian, generalized_quaternion,
-                                  one_dim_affine_group, semidirect_product, symmetric)
+                                  one_dim_affine_group, semidihedral, semidirect_product,
+                                  symmetric)
 from classgraph.classify import is_frobenius
 from classgraph.errors import (HallSearchExhausted, IsoCapExceeded, NotAMember, NotASubgroup,
                                NotNormal, PreconditionViolated)
@@ -556,6 +557,25 @@ def test_grown_subgroups_keep_their_generators(monkeypatch):
         assert H.elements == tuple(sorted(H.elements))
         assert mulclose(list(H.generators), group=H) == set(H.elements)
         assert H.identity not in H.generators
+
+
+def test_members_take_the_generators_subgroup_from_elements_finds(atlas_groups):
+    # a member's one greedy pass runs over its elements by descending element
+    # order, then images, as subgroup_from_elements runs over any closed set
+    members = [(G, m) for G in atlas_groups.values() if G.order <= 216
+               for m in structure._normal_lattice(G)]
+    assert len(members) == 101
+    for G, m in members:
+        N = structure._normal_subgroup(G, m)
+        assert N.generators == subgroup_from_elements(G, N.elements, m.name).generators, \
+            (G.name, m.name)
+
+
+@pytest.mark.parametrize("G", [dihedral(48), semidihedral(32), generalized_quaternion(16)],
+                         ids=["D48", "SD32", "Q16"])
+def test_cyclic_derived_subgroups_take_one_generator(G):
+    # [G, G] is cyclic, and the pass meets an element of its greatest order first
+    assert len(derived_subgroup(G).generators) == 1
 
 
 @given(generating_sets(), st.data())
